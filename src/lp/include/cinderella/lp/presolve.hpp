@@ -94,6 +94,10 @@ class Reduction {
       const Basis& originalBasis) const;
 
  private:
+  /// Test-only view of the complete output (the golden presolve test
+  /// hashes every member below).
+  friend struct ReductionInspector;
+
   /// One postsolve-stack entry restoring an eliminated variable.
   struct Restore {
     int var = 0;

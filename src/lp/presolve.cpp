@@ -1,7 +1,9 @@
 #include "cinderella/lp/presolve.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "cinderella/lp/tableau.hpp"
@@ -24,7 +26,7 @@ constexpr int kMaxRounds = 25;
 /// Substitution fill-in cap: a variable occurring in more rows than
 /// this is not worth eliminating (each occurrence merges the pivot row
 /// in).
-constexpr int kMaxSubstOccurrences = 16;
+constexpr std::size_t kMaxSubstOccurrences = 16;
 
 /// True when `v` is an exact integer of safe magnitude; writes it out.
 bool exactInt(double v, long long* out) {
@@ -80,6 +82,39 @@ struct Bound {
   Int128 value = 0;
 };
 
+/// Coefficient of `var` in `terms` (sorted by var), or 0 when absent.
+long long coeffOf(const std::vector<WTerm>& terms, int var) {
+  const auto it = std::lower_bound(
+      terms.begin(), terms.end(), var,
+      [](const WTerm& t, int v) { return t.var < v; });
+  return it != terms.end() && it->var == var ? it->coeff : 0;
+}
+
+/// Hash of a row's (rel, terms): equal rows hash equal.
+std::uint64_t rowHash(const WRow& row) {
+  std::uint64_t h = static_cast<std::uint64_t>(row.rel);
+  auto mix = [&h](std::uint64_t x) {
+    h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  for (const WTerm& t : row.terms) {
+    mix(static_cast<std::uint64_t>(t.var));
+    mix(static_cast<std::uint64_t>(t.coeff));
+  }
+  return h;
+}
+
+/// Order in which duplicate groups are collapsed: relation, then terms
+/// lexicographically by (var, coeff).  It decides which rows are gone
+/// when a contradictory Equal group proves infeasibility.
+bool rowLess(const WRow& a, const WRow& b) {
+  if (a.rel != b.rel) return a.rel < b.rel;
+  return std::lexicographical_compare(
+      a.terms.begin(), a.terms.end(), b.terms.begin(), b.terms.end(),
+      [](const WTerm& x, const WTerm& y) {
+        return x.var != y.var ? x.var < y.var : x.coeff < y.coeff;
+      });
+}
+
 }  // namespace
 
 Reduction Reduction::reduce(const Problem& original,
@@ -110,6 +145,7 @@ Reduction Reduction::reduce(const Problem& original,
     row.rel = c.rel;
     bool ok = exactInt(c.rhs - c.expr.constant(), &row.rhs);
     if (ok) {
+      row.terms.reserve(c.expr.terms().size());
       for (const Term& t : c.expr.terms()) {
         long long coeff = 0;
         if (t.var < 0 || t.var >= n || !exactInt(t.coeff, &coeff)) {
@@ -123,28 +159,25 @@ Reduction Reduction::reduce(const Problem& original,
     if (ok) {
       std::sort(row.terms.begin(), row.terms.end(),
                 [](const WTerm& a, const WTerm& b) { return a.var < b.var; });
-      // Merge duplicate variables exactly.
-      std::vector<WTerm> merged;
-      for (const WTerm& t : row.terms) {
-        if (!merged.empty() && merged.back().var == t.var) {
+      // Merge duplicate variables exactly, in place.
+      std::size_t w = 0;
+      for (std::size_t k = 0; k < row.terms.size(); ++k) {
+        const WTerm t = row.terms[k];
+        if (w > 0 && row.terms[w - 1].var == t.var) {
           const Int128 sum =
-              static_cast<Int128>(merged.back().coeff) + t.coeff;
+              static_cast<Int128>(row.terms[w - 1].coeff) + t.coeff;
           if (!fits(sum)) {
             ok = false;
             break;
           }
-          merged.back().coeff = static_cast<long long>(sum);
+          row.terms[w - 1].coeff = static_cast<long long>(sum);
         } else {
-          merged.push_back(t);
+          row.terms[w++] = t;
         }
       }
       if (ok) {
-        merged.erase(std::remove_if(merged.begin(), merged.end(),
-                                    [](const WTerm& t) {
-                                      return t.coeff == 0;
-                                    }),
-                     merged.end());
-        row.terms = std::move(merged);
+        row.terms.resize(w);
+        std::erase_if(row.terms, [](const WTerm& t) { return t.coeff == 0; });
       }
     }
     if (!ok) {
@@ -157,6 +190,46 @@ Reduction Reduction::reduce(const Problem& original,
       }
     }
   }
+
+  // Occurrence lists: every alive integral row carrying v is on v's
+  // list.  Entries go stale when a row is removed or v cancels out of
+  // it; they are filtered when the list is read, never eagerly.  The
+  // lists are singly linked through one pool, newest entry first.
+  struct OccEntry {
+    int row;
+    int next;
+  };
+  std::vector<OccEntry> occPool;
+  std::vector<int> occHead(static_cast<std::size_t>(n), -1);
+  auto addOcc = [&](int v, int row) {
+    occPool.push_back(OccEntry{row, occHead[static_cast<std::size_t>(v)]});
+    occHead[static_cast<std::size_t>(v)] =
+        static_cast<int>(occPool.size()) - 1;
+  };
+  for (int i = 0; i < m; ++i) {
+    for (const WTerm& t : rows[static_cast<std::size_t>(i)].terms) {
+      addOcc(t.var, i);
+    }
+  }
+
+  // Duplicate-row hash table: open addressing, one slot per group of
+  // identical rows; the group is linked through groupNext in ascending
+  // row index.
+  const std::size_t slots =
+      std::bit_ceil(std::max<std::size_t>(2, 2 * static_cast<std::size_t>(m)));
+  std::vector<int> slotHead(slots);
+  std::vector<int> slotTail(slots);
+  std::vector<std::uint64_t> slotHash(slots);
+  std::vector<int> groupNext(static_cast<std::size_t>(m));
+  std::vector<std::size_t> groups;  // slots holding two or more rows
+
+  // Substitution scratch: the rows carrying the eliminated variable
+  // (seenStamp, set to the read's number, dedupes them), and one
+  // rewritten row.
+  std::vector<int> carriers;
+  std::vector<int> seenStamp(static_cast<std::size_t>(m), -1);
+  int reads = 0;
+  std::vector<WTerm> merged;
 
   // Working objective (doubles: the objective never participates in
   // exact inference, it is only rewritten alongside the rows).
@@ -371,57 +444,73 @@ Reduction Reduction::reduce(const Problem& original,
 
     // (d) Duplicate / dominated rows: identical term vectors with the
     // same relation collapse to the tighter right-hand side;
-    // contradictory Equal twins prove infeasibility.
+    // contradictory Equal twins prove infeasibility.  Rows are grouped
+    // by hash; each group is walked in ascending row index, so the
+    // survivor is the tightest row, the lowest index on ties.
     {
-      std::vector<int> order;
+      std::fill(slotHead.begin(), slotHead.end(), -1);
+      groups.clear();
       for (int r = 0; r < m; ++r) {
-        if (rows[static_cast<std::size_t>(r)].alive &&
-            integral[static_cast<std::size_t>(r)] &&
-            !rows[static_cast<std::size_t>(r)].terms.empty()) {
-          order.push_back(r);
-        }
-      }
-      std::sort(order.begin(), order.end(), [&](int a, int b) {
-        const WRow& ra = rows[static_cast<std::size_t>(a)];
-        const WRow& rb = rows[static_cast<std::size_t>(b)];
-        if (ra.rel != rb.rel) return ra.rel < rb.rel;
-        if (ra.terms != rb.terms) {
-          return std::lexicographical_compare(
-              ra.terms.begin(), ra.terms.end(), rb.terms.begin(),
-              rb.terms.end(), [](const WTerm& x, const WTerm& y) {
-                return x.var != y.var ? x.var < y.var : x.coeff < y.coeff;
-              });
-        }
-        return a < b;
-      });
-      for (std::size_t k = 1; k < order.size() && !infeasible; ++k) {
-        const int r1 = order[k - 1];
-        const int r2 = order[k];
-        WRow& a = rows[static_cast<std::size_t>(r1)];
-        WRow& b = rows[static_cast<std::size_t>(r2)];
-        if (!a.alive || a.rel != b.rel || a.terms != b.terms) continue;
-        if (a.rel == Relation::Equal) {
-          if (a.rhs != b.rhs) {
-            infeasible = true;
-            break;
-          }
-          removeRow(r2, Tableau::artificialColumn(n, r2));
-          order[k] = r1;
+        const WRow& row = rows[static_cast<std::size_t>(r)];
+        if (!row.alive || !integral[static_cast<std::size_t>(r)] ||
+            row.terms.empty()) {
           continue;
         }
-        // Keep the tighter row; the looser one's slack stays
-        // nonnegative at any point the tighter row admits.
-        const bool dropSecond = a.rel == Relation::LessEq ? b.rhs >= a.rhs
-                                                         : b.rhs <= a.rhs;
-        const int loser = dropSecond ? r2 : r1;
-        const int keeper = dropSecond ? r1 : r2;
-        // A dropped upper-bound source hands enforcement to its twin.
-        for (const WTerm& t : a.terms) {
-          VarState& s = vars[static_cast<std::size_t>(t.var)];
-          if (s.ubSource == loser) s.ubSource = keeper;
+        const std::uint64_t h = rowHash(row);
+        std::size_t slot = h & (slots - 1);
+        for (; slotHead[slot] >= 0; slot = (slot + 1) & (slots - 1)) {
+          const WRow& head = rows[static_cast<std::size_t>(slotHead[slot])];
+          if (slotHash[slot] == h && head.rel == row.rel &&
+              head.terms == row.terms) {
+            break;
+          }
         }
-        removeRow(loser, Tableau::slackColumn(n, loser));
-        order[k] = keeper;
+        groupNext[static_cast<std::size_t>(r)] = -1;
+        if (slotHead[slot] < 0) {
+          slotHead[slot] = r;
+          slotHash[slot] = h;
+        } else {
+          if (slotTail[slot] == slotHead[slot]) groups.push_back(slot);
+          groupNext[static_cast<std::size_t>(slotTail[slot])] = r;
+        }
+        slotTail[slot] = r;
+      }
+      std::sort(groups.begin(), groups.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return rowLess(
+                      rows[static_cast<std::size_t>(slotHead[a])],
+                      rows[static_cast<std::size_t>(slotHead[b])]);
+                });
+      for (const std::size_t slot : groups) {
+        int keeper = slotHead[slot];
+        for (int r2 = groupNext[static_cast<std::size_t>(keeper)];
+             r2 >= 0; r2 = groupNext[static_cast<std::size_t>(r2)]) {
+          const WRow& a = rows[static_cast<std::size_t>(keeper)];
+          const WRow& b = rows[static_cast<std::size_t>(r2)];
+          if (a.rel == Relation::Equal) {
+            if (a.rhs != b.rhs) {
+              infeasible = true;
+              break;
+            }
+            removeRow(r2, Tableau::artificialColumn(n, r2));
+            continue;
+          }
+          // Keep the tighter row; the looser one's slack stays
+          // nonnegative at any point the tighter row admits.
+          const bool dropSecond = a.rel == Relation::LessEq
+                                      ? b.rhs >= a.rhs
+                                      : b.rhs <= a.rhs;
+          const int loser = dropSecond ? r2 : keeper;
+          const int winner = dropSecond ? keeper : r2;
+          // A dropped upper-bound source hands enforcement to its twin.
+          for (const WTerm& t : a.terms) {
+            VarState& s = vars[static_cast<std::size_t>(t.var)];
+            if (s.ubSource == loser) s.ubSource = winner;
+          }
+          removeRow(loser, Tableau::slackColumn(n, loser));
+          keeper = winner;
+        }
+        if (infeasible) break;
       }
     }
     if (infeasible) break;
@@ -442,127 +531,101 @@ Reduction Reduction::reduce(const Problem& original,
       // variables still free at record time (reverse replay restores
       // later eliminations first).  Let the next round's fold clean the
       // row before it becomes a substitution pivot.
-      {
-        bool stale = false;
-        for (const WTerm& t : row.terms) {
-          if (vars[static_cast<std::size_t>(t.var)].eliminated()) {
-            stale = true;
-            break;
-          }
-        }
-        if (stale) continue;
+      bool stale = false;
+      int positive = 0;
+      for (const WTerm& t : row.terms) {
+        stale = stale || vars[static_cast<std::size_t>(t.var)].eliminated();
+        positive += t.coeff > 0 ? 1 : 0;
       }
+      if (stale) continue;
+      const int negative = static_cast<int>(row.terms.size()) - positive;
 
       int pick = -1;
       long long av = 0;
       for (const WTerm& t : row.terms) {
         const VarState& s = vars[static_cast<std::size_t>(t.var)];
-        if (s.eliminated() || s.untouchable || s.hasUb) continue;
+        if (s.untouchable || s.hasUb) continue;
         if (t.coeff != 1 && t.coeff != -1) continue;
         // Implied nonnegativity of v = av * (rhs - sum a_j x_j):
         // every coefficient -av*a_j and the constant av*rhs must be
         // >= 0, so v >= 0 follows from the other variables' bounds.
-        bool implied = true;
-        if (t.coeff * row.rhs < 0) implied = false;
-        for (const WTerm& u : row.terms) {
-          if (u.var == t.var) continue;
-          if (t.coeff * u.coeff > 0) {
-            implied = false;
-            break;
-          }
-        }
-        if (!implied) continue;
+        // That is: av*rhs >= 0, and v is the only term of its sign.
+        if (t.coeff * row.rhs < 0) continue;
+        if ((t.coeff > 0 ? positive : negative) != 1) continue;
         pick = t.var;
         av = t.coeff;
         break;
       }
       if (pick < 0) continue;
 
-      // Fill-in cap: count the other alive rows carrying v.
-      int occurrences = 0;
-      for (int i = 0; i < m && occurrences <= kMaxSubstOccurrences; ++i) {
-        if (i == r || !rows[static_cast<std::size_t>(i)].alive) continue;
-        if (!integral[static_cast<std::size_t>(i)]) continue;
-        for (const WTerm& t : rows[static_cast<std::size_t>(i)].terms) {
-          if (t.var == pick) {
-            ++occurrences;
-            break;
-          }
-        }
-      }
-      if (occurrences > kMaxSubstOccurrences) continue;
-
-      // Dry-run the rewritten rows in 128-bit; abort on overflow.
-      bool ok = true;
-      for (int i = 0; i < m && ok; ++i) {
-        WRow& other = rows[static_cast<std::size_t>(i)];
-        if (i == r || !other.alive || !integral[static_cast<std::size_t>(i)]) {
+      // The rows carrying v, read off its occurrence list; stale and
+      // repeated entries are unlinked on the way.  Row r is among them.
+      carriers.clear();
+      ++reads;
+      for (int* link = &occHead[static_cast<std::size_t>(pick)]; *link >= 0;) {
+        OccEntry& e = occPool[static_cast<std::size_t>(*link)];
+        const WRow& other = rows[static_cast<std::size_t>(e.row)];
+        int& seen = seenStamp[static_cast<std::size_t>(e.row)];
+        if (seen == reads || !other.alive ||
+            coeffOf(other.terms, pick) == 0) {
+          *link = e.next;
           continue;
         }
-        long long b = 0;
-        for (const WTerm& t : other.terms) {
-          if (t.var == pick) b = t.coeff;
-        }
-        if (b == 0) continue;
-        const Int128 f = static_cast<Int128>(b) * av;
-        for (const WTerm& t : row.terms) {
-          if (t.var == pick) continue;
-          Int128 cur = 0;
-          for (const WTerm& u : other.terms) {
-            if (u.var == t.var) cur = u.coeff;
-          }
-          if (!fits(cur - f * t.coeff)) ok = false;
-        }
-        if (!fits(static_cast<Int128>(other.rhs) - f * row.rhs)) ok = false;
+        seen = reads;
+        carriers.push_back(e.row);
+        link = &e.next;
       }
-      if (!ok) {
-        aborted = true;
-        break;
-      }
+      // Fill-in cap on the other rows.
+      if (carriers.size() - 1 > kMaxSubstOccurrences) continue;
 
       // Commit: rewrite every other row, the objective, and record the
-      // restore formula v = av*rhs - sum av*a_j x_j.
-      for (int i = 0; i < m; ++i) {
+      // restore formula v = av*rhs - sum av*a_j x_j.  Each rewritten
+      // number is checked in 128-bit; an overflow aborts the whole
+      // reduction, so a half-rewritten system is never used.  A variable
+      // of row r new to a row (fill-in) enters its occurrence list.
+      for (const int i : carriers) {
+        if (i == r) continue;
         WRow& other = rows[static_cast<std::size_t>(i)];
-        if (i == r || !other.alive || !integral[static_cast<std::size_t>(i)]) {
-          continue;
-        }
-        long long b = 0;
-        for (const WTerm& t : other.terms) {
-          if (t.var == pick) b = t.coeff;
-        }
-        if (b == 0) continue;
-        const long long f = b * av;
-        std::vector<WTerm> merged;
-        merged.reserve(other.terms.size() + row.terms.size());
+        const Int128 f =
+            static_cast<Int128>(coeffOf(other.terms, pick)) * av;
+        merged.clear();
         auto it = other.terms.begin();
         auto jt = row.terms.begin();
-        while (it != other.terms.end() || jt != row.terms.end()) {
+        while (!aborted &&
+               (it != other.terms.end() || jt != row.terms.end())) {
           if (jt == row.terms.end() ||
               (it != other.terms.end() && it->var < jt->var)) {
             if (it->var != pick) merged.push_back(*it);
             ++it;
           } else if (it == other.terms.end() || jt->var < it->var) {
             if (jt->var != pick) {
-              merged.push_back(WTerm{jt->var, -f * jt->coeff});
+              const Int128 c = -f * jt->coeff;
+              aborted = !fits(c);
+              merged.push_back(WTerm{jt->var, static_cast<long long>(c)});
+              addOcc(jt->var, i);
             }
             ++jt;
           } else {
             if (it->var != pick) {
-              merged.push_back(WTerm{it->var, it->coeff - f * jt->coeff});
+              const Int128 c = it->coeff - f * jt->coeff;
+              aborted = !fits(c);
+              if (c != 0) {
+                merged.push_back(WTerm{it->var, static_cast<long long>(c)});
+              }
             }
             ++it;
             ++jt;
           }
         }
-        merged.erase(std::remove_if(merged.begin(), merged.end(),
-                                    [](const WTerm& t) {
-                                      return t.coeff == 0;
-                                    }),
-                     merged.end());
-        other.terms = std::move(merged);
-        other.rhs -= f * row.rhs;
+        const Int128 rhs = other.rhs - f * row.rhs;
+        if (aborted || !fits(rhs)) {
+          aborted = true;
+          break;
+        }
+        other.terms.swap(merged);
+        other.rhs = static_cast<long long>(rhs);
       }
+      if (aborted) break;
       const double cv = obj[static_cast<std::size_t>(pick)];
       if (cv != 0.0) {
         for (const WTerm& t : row.terms) {
@@ -576,6 +639,7 @@ Reduction Reduction::reduce(const Problem& original,
       }
       Restore restore;
       restore.var = pick;
+      restore.terms.reserve(row.terms.size() - 1);
       restore.constant = static_cast<double>(av) *
                          static_cast<double>(row.rhs);
       for (const WTerm& t : row.terms) {

@@ -15,6 +15,7 @@
 #include "cinderella/ipet/parametric.hpp"
 #include "cinderella/ipet/solve_cache.hpp"
 #include "cinderella/support/error.hpp"
+#include "test_util/temp_path.hpp"
 
 namespace cinderella::ipet {
 namespace {
@@ -233,7 +234,7 @@ TEST(Parametric, RejectsLpInputWithParameters) {
 
 TEST(Parametric, FormulaSurvivesASnapshotRoundTrip) {
   const std::string path =
-      ::testing::TempDir() + "parametric_formula_snapshot.bin";
+      test_util::uniqueTempPath("parametric_formula_snapshot.bin");
   Digest digest;
   WcetFormula formula;
   {

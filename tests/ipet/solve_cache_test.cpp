@@ -17,6 +17,7 @@
 
 #include "cinderella/ipet/solve_cache.hpp"
 #include "cinderella/support/fault_injector.hpp"
+#include "test_util/temp_path.hpp"
 
 namespace cinderella::ipet {
 namespace {
@@ -40,7 +41,7 @@ lp::Basis someBasis() {
 
 class SolveCacheTest : public ::testing::Test {
  protected:
-  std::string tmpPath_ = ::testing::TempDir() + "solve_cache_test.csnap";
+  std::string tmpPath_ = test_util::uniqueTempPath("solve_cache_test.csnap");
   void TearDown() override { std::remove(tmpPath_.c_str()); }
 };
 
@@ -244,7 +245,7 @@ void writeFileBytes(const std::string& path, const std::string& bytes) {
 
 class SolveCacheCrashTest : public ::testing::Test {
  protected:
-  std::string snap_ = ::testing::TempDir() + "solve_cache_crash.csnap";
+  std::string snap_ = test_util::uniqueTempPath("solve_cache_crash.csnap");
   std::string journal_ = snap_ + ".journal";
 
   SolveCacheOptions journaled(std::size_t capacity) {

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "cinderella/serve/client.hpp"
 #include "cinderella/serve/server.hpp"
 #include "cinderella/suite/suite.hpp"
+#include "test_util/temp_path.hpp"
 
 namespace cinderella::serve {
 namespace {
@@ -299,7 +301,7 @@ TEST(ServeDaemon, ConcurrentClientsShareThePoolAndCache) {
 }
 
 TEST(ServeDaemon, SnapshotSurvivesRestart) {
-  const std::string path = ::testing::TempDir() + "serve_daemon_test.csnap";
+  const std::string path = test_util::uniqueTempPath("serve_daemon_test.csnap");
   std::remove(path.c_str());
   std::int64_t coldHi = 0;
   {
@@ -432,6 +434,13 @@ TEST(ServeDaemon, DrainStopsAcceptingAndRejectsNewAnalyses) {
   // drain, so it can observe the 503 readiness flip.
   const int httpFd = rawConnect(running.server.port());
   ASSERT_GE(httpFd, 0);
+  // Both connections must be accepted before the drain shuts the
+  // listener down: one still in the kernel's backlog is reset instead.
+  for (int i = 0; i < 2500 && running.server.counters().connections < 2;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(running.server.counters().connections, 2);
 
   const auto ack = client.drain(&error);
   ASSERT_TRUE(ack.has_value()) << error;
@@ -600,7 +609,8 @@ TEST(ServeDaemon, RetryReconnectsAfterDaemonRestartOnSamePort) {
 }
 
 TEST(ServeDaemon, JournalRecoversAdmissionsAfterUncleanExit) {
-  const std::string snap = ::testing::TempDir() + "serve_journal_test.csnap";
+  const std::string snap =
+      test_util::uniqueTempPath("serve_journal_test.csnap");
   const std::string journal = snap + ".journal";
   std::remove(snap.c_str());
   std::remove(journal.c_str());

@@ -87,7 +87,9 @@ TEST(ServeTelemetry, ConcurrentClientsGetTheirOwnStageAttribution) {
   RunningServer running;
   // Two clients in flight at once on a 2-thread pool: one analyzes a
   // three-block toy function, the other a real benchmark whose cold
-  // solve is orders of magnitude more work.  If stage accounting were
+  // solve is orders of magnitude more work (whetstone's cache conflict
+  // graph: over 100 ms, far beyond a scheduling stall of the toy request
+  // under a loaded `ctest -j`).  If stage accounting were
   // process-global, the toy request would absorb solver time from its
   // neighbour; request-scoped accounting keeps them apart.
   std::int64_t tinySolve = -1;
@@ -116,7 +118,8 @@ TEST(ServeTelemetry, ConcurrentClientsGetTheirOwnStageAttribution) {
       return;
     }
     ipet::AnalysisRequest request;
-    request.benchmark = "fullsearch";
+    request.benchmark = "whetstone";
+    request.cacheMode = ipet::CacheMode::ConflictGraph;
     const auto response = client.analyze(request, &error);
     if (!response.has_value() || !response->ok) {
       failed[1] = 1;

@@ -11,6 +11,7 @@
 
 #include "cinderella/support/fault_injector.hpp"
 #include "cinderella/support/io.hpp"
+#include "test_util/temp_path.hpp"
 
 namespace cinderella::support {
 namespace {
@@ -28,7 +29,7 @@ bool exists(const std::string& path) {
 
 class IoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "io_test.bin";
+  std::string path_ = test_util::uniqueTempPath("io_test.bin");
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());

@@ -8,6 +8,7 @@
 #include "cinderella/obs/json.hpp"
 #include "cinderella/support/fault_injector.hpp"
 #include "cinderella/tools/tool.hpp"
+#include "test_util/temp_path.hpp"
 
 namespace cinderella::tools {
 namespace {
@@ -98,7 +99,7 @@ TEST(ToolRun, AnalyzesABenchmarkEndToEnd) {
 }
 
 TEST(ToolRun, AnalyzesASourceFile) {
-  const std::string path = ::testing::TempDir() + "/tool_test_prog.mc";
+  const std::string path = test_util::uniqueTempPath("tool_test_prog.mc");
   {
     std::ofstream file(path);
     file << "int main() {\n"
@@ -216,8 +217,8 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(ToolRun, TraceAndReportFilesAreValidJson) {
-  const std::string tracePath = ::testing::TempDir() + "/tool_trace.json";
-  const std::string reportPath = ::testing::TempDir() + "/tool_report.json";
+  const std::string tracePath = test_util::uniqueTempPath("tool_trace.json");
+  const std::string reportPath = test_util::uniqueTempPath("tool_report.json");
   ToolOptions o;
   o.benchmark = "dhry";
   o.jobs = 4;
@@ -247,8 +248,8 @@ TEST(ToolRun, ObservabilityFlagsDoNotChangeStdout) {
   ToolOptions plain;
   plain.benchmark = "piksrt";
   ToolOptions observed = plain;
-  observed.traceOut = ::testing::TempDir() + "/tool_obs_trace.json";
-  observed.reportJson = ::testing::TempDir() + "/tool_obs_report.json";
+  observed.traceOut = test_util::uniqueTempPath("tool_obs_trace.json");
+  observed.reportJson = test_util::uniqueTempPath("tool_obs_report.json");
   std::ostringstream outPlain, outObserved, err;
   EXPECT_EQ(runTool(plain, outPlain, err), 0);
   EXPECT_EQ(runTool(observed, outObserved, err), 0);
