@@ -208,7 +208,8 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
                                                          : nullptr;
     lp::Basis finalBasis;
     const lp::Solution relax =
-        lp::solveWarm(work, options.lpOptions, warmBasis, &finalBasis);
+        lp::solveWarm(work, options.lpOptions, warmBasis, &finalBasis,
+                      rootNode ? options.rootReduction : nullptr);
     ++result.stats.nodesExpanded;
     ++result.stats.lpCalls;
     result.stats.totalPivots += relax.pivots;

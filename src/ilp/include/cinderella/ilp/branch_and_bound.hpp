@@ -116,6 +116,12 @@ struct IlpOptions {
   /// Must come from a problem whose rows are a prefix of this one's.
   /// Only consulted when warmStart is on; may be null.
   const lp::Basis* rootBasis = nullptr;
+  /// Optional presolve of exactly this problem's rows (under any
+  /// objective), shared with other solves over the same rows: the root
+  /// relaxation replays its objective through it instead of reducing
+  /// again (see lp::solveWarm).  Child nodes carry extra cut rows and
+  /// presolve their own.  May be null.
+  const lp::Reduction* rootReduction = nullptr;
   lp::SimplexOptions lpOptions;
 };
 

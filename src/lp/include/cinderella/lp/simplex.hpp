@@ -145,6 +145,8 @@ struct SimplexOptions {
 [[nodiscard]] Solution solve(const Problem& problem,
                              const SimplexOptions& options = {});
 
+class Reduction;
+
 /// Solves `problem`, optionally warm-starting from `warmBasis` (a basis
 /// extracted from a solve whose constraint rows are a prefix of this
 /// problem's rows).  When the warm basis cannot be installed or leaves
@@ -153,8 +155,14 @@ struct SimplexOptions {
 /// (Solution::warmFailed reports that).  When `finalBasis` is non-null
 /// and the solve is Optimal, it receives the final basis for chaining
 /// into subsequent warm starts.  Bounds are bit-identical to solve().
+///
+/// `presolved`, when non-null and options.presolve is set, is a
+/// Reduction of exactly `problem`'s rows (under any objective): the
+/// solve replays `problem`'s objective through it instead of reducing
+/// the rows again, with a result identical to presolving here.
 [[nodiscard]] Solution solveWarm(const Problem& problem,
                                  const SimplexOptions& options,
-                                 const Basis* warmBasis, Basis* finalBasis);
+                                 const Basis* warmBasis, Basis* finalBasis,
+                                 const Reduction* presolved = nullptr);
 
 }  // namespace cinderella::lp
