@@ -198,8 +198,13 @@ AnalysisResult AnalysisService::analyzeWith(
     }
   }
   control.importSeedBasis = imported.empty() ? nullptr : &imported;
+  // Only a read-write cache keeps the seed basis.  Asking for it
+  // otherwise would force a structural seed solve whose basis is thrown
+  // away, and would steer the warm chain off the direct estimate's path.
+  const bool storeResult =
+      useCache && request.cachePolicy == CachePolicy::ReadWrite;
   lp::Basis exported;
-  control.exportSeedBasis = &exported;
+  control.exportSeedBasis = storeResult ? &exported : nullptr;
 
   const Clock::time_point solveStart = Clock::now();
   {
@@ -208,7 +213,7 @@ AnalysisResult AnalysisService::analyzeWith(
   }
   result.solveMicros = microsSince(solveStart);
 
-  if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
+  if (storeResult) {
     auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);
     cache_.insert(digests.full, digests.structural, result.estimate,
                   std::move(exported), result.solveMicros);
