@@ -68,6 +68,7 @@ TEST(ObservedEstimate, TraceCoversEveryStageAndIlpSolve) {
     scheduled += rec.sharedWith < 0 ? 1 : 0;
   }
   EXPECT_EQ(countEvents(events, "set-solve"), scheduled);
+  EXPECT_EQ(countEvents(events, "lp-presolve"), scheduled);
   EXPECT_EQ(countEvents(events, "lp-probe"), scheduled);
   EXPECT_EQ(countEvents(events, "ilp-worst") + countEvents(events, "ilp-best"),
             estimate.stats.ilpSolves);
