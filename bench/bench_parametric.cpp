@@ -1,7 +1,7 @@
 // Parametric formula pricing vs per-point solving: build the
 // piecewise-affine WcetFormula once over a declared parameter box, then
 // price every grid point by formula evaluation and compare against a
-// direct (parameter-bound, warm-chained) solve at the same points.
+// direct (parameter-bound) solve at the same points.
 //
 // Two claims are checked and emitted as JSON:
 //   - soundness: formula evaluation is bit-identical to the direct
@@ -9,8 +9,7 @@
 //     divergence — same contract the fuzz oracle and the CI
 //     parametric-equivalence job enforce);
 //   - performance: pricing the closed form is >= 10x faster than
-//     re-solving per point, even with warm-started solves on the
-//     direct side.  The committed snapshot (BENCH_parametric.json)
+//     re-solving per point.  The committed snapshot (BENCH_parametric.json)
 //     tracks this ratio; wall times are machine-dependent, piece
 //     counts and bounds are deterministic.
 #include <benchmark/benchmark.h>
@@ -131,9 +130,8 @@ ProgramResult runProgram(const Program& program) {
   out.evalMicros = nowMicros(evalStart);
   if (out.evalMicros < 1) out.evalMicros = 1;  // clock granularity floor
 
-  // Direct pass: one warm-chained solve per point, same analyzer.
-  ipet::SolveControl control;
-  control.warmStart = true;
+  // Direct pass: one solve per point, same analyzer.
+  const ipet::SolveControl control;
   const auto directStart = std::chrono::steady_clock::now();
   for (std::int64_t v = program.param.lo; v <= program.param.hi; ++v) {
     analyzer.clearParamBindings();
@@ -153,7 +151,7 @@ ProgramResult runProgram(const Program& program) {
 /// nonzero if any point's formula value differs from the direct solve.
 void printParametricTable() {
   std::printf(
-      "PARAMETRIC PRICING (formula evaluation vs per-point warm solve)\n");
+      "PARAMETRIC PRICING (formula evaluation vs per-point solve)\n");
   std::printf("%-14s %7s %7s %7s %9s %9s %10s %9s\n", "Program", "points",
               "pieces", "solves", "buildUs", "evalUs", "directUs",
               "speedup");
@@ -228,8 +226,7 @@ void BM_DirectSolve(benchmark::State& state) {
   const codegen::CompileResult compiled =
       codegen::compileSource(program.source);
   ipet::Analyzer analyzer = makeAnalyzer(compiled, program);
-  ipet::SolveControl control;
-  control.warmStart = true;
+  const ipet::SolveControl control;
   std::int64_t v = program.param.lo;
   for (auto _ : state) {
     analyzer.clearParamBindings();

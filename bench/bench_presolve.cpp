@@ -7,14 +7,13 @@
 // Two claims are checked and emitted as JSON lines:
 //   - the bounds are bit-identical either way (presolve is purely a
 //     performance feature — the postsolve stack maps every reduced
-//     solution and basis back to the original space exactly);
+//     solution back to the original space exactly);
 //   - the reduced formulations take strictly fewer simplex pivots —
 //     the committed snapshot (BENCH_presolve.json) pins the exact
 //     per-benchmark pivot and reduction counts.
 //
-// "Total simplex pivots" uses the same accounting as bench_warmstart:
-// ILP relaxations (stats.totalPivots), per-set feasibility probes,
-// degradation-ladder fallback LPs, and the shared structural seed.
+// "Total simplex pivots" counts ILP relaxations (stats.totalPivots),
+// per-set feasibility probes and degradation-ladder fallback LPs.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -39,8 +38,7 @@ struct RunStats {
 
   /// Every simplex iteration the estimate performed (see file comment).
   [[nodiscard]] int simplexPivots() const {
-    return stats.totalPivots + probePivots + fallbackPivots +
-           stats.seedPivots;
+    return stats.totalPivots + probePivots + fallbackPivots;
   }
 };
 
@@ -78,8 +76,6 @@ void sideToJson(obs::JsonWriter* w, const RunStats& r) {
       .value(r.stats.totalPivots)
       .key("probePivots")
       .value(r.probePivots)
-      .key("seedPivots")
-      .value(r.stats.seedPivots)
       .key("devexPivots")
       .value(r.stats.devexPivots)
       .key("lpCalls")

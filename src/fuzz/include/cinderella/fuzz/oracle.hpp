@@ -46,7 +46,6 @@ enum class CheckKind {
   CacheNotTighter, ///< refined cache mode loosened the worst bound
   ConstraintMoved, ///< redundant constraints changed the bound
   JobsMismatch,    ///< threaded solve differed from single-thread
-  WarmColdMismatch,///< warm-started solve bound differed from cold
   PresolveMismatch,///< presolve-on bound/verdicts differed from presolve-off
   CacheReplay,     ///< solve-cache replay missed or changed the bound
   DegradedThrow,   ///< estimate threw under fault injection

@@ -43,10 +43,6 @@ struct Node {
   std::vector<BoundCut> cuts;
   /// LP bound inherited from the parent (for best-first pruning).
   double parentBound = 0.0;
-  /// Final basis of the parent's relaxation.  The child's rows extend
-  /// the parent's rows by one cut, so the basis installs directly and a
-  /// few dual pivots repair the violated cut (empty = solve cold).
-  lp::Basis parentBasis;
 };
 
 /// Index of the variable whose value is farthest from an integer, or
@@ -174,13 +170,9 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
   auto better = [&](double a, double b) { return maximize ? a > b : a < b; };
 
   std::vector<Node> stack;
-  stack.push_back(
-      Node{{},
-           maximize ? std::numeric_limits<double>::infinity()
-                    : -std::numeric_limits<double>::infinity(),
-           (options.warmStart && options.rootBasis != nullptr)
-               ? *options.rootBasis
-               : lp::Basis{}});
+  stack.push_back(Node{{},
+                       maximize ? std::numeric_limits<double>::infinity()
+                                : -std::numeric_limits<double>::infinity()});
 
   lp::Problem work = problem;
   const std::size_t baseRows = problem.constraints().size();
@@ -203,38 +195,25 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
     }
 
     applyCuts(&work, baseRows, node.cuts);
-    const lp::Basis* const warmBasis =
-        (options.warmStart && !node.parentBasis.empty()) ? &node.parentBasis
-                                                         : nullptr;
-    lp::Basis finalBasis;
     const lp::Solution relax =
-        lp::solveWarm(work, options.lpOptions, warmBasis, &finalBasis,
-                      rootNode ? options.rootReduction : nullptr);
+        rootNode && options.rootRelaxation != nullptr
+            ? *options.rootRelaxation
+            : lp::solve(work, options.lpOptions);
     ++result.stats.nodesExpanded;
     ++result.stats.lpCalls;
     result.stats.totalPivots += relax.pivots;
-    result.stats.dualPivots += relax.dualPivots;
-    result.stats.installPivots += relax.installPivots;
     result.stats.devexPivots += relax.devexPivots;
     result.stats.presolveRowsRemoved += relax.presolve.rowsRemoved;
     result.stats.presolveColsFixed += relax.presolve.colsFixed;
     result.stats.presolveSubstitutions += relax.presolve.substitutions;
     result.stats.presolveRounds += relax.presolve.propagationRounds;
     if (relax.blandRestart) ++result.stats.blandRestarts;
-    if (relax.warmUsed) {
-      ++result.stats.warmStarts;
-    } else {
-      ++result.stats.coldStarts;
-    }
-    if (relax.warmFailed) ++result.stats.warmFailures;
     if (rootNode && relax.status == lp::SolveStatus::Optimal) {
       // The root relaxation bounds the ILP optimum from the relaxed
       // side; the analyzer's degradation ladder falls back to it when
       // the integer search cannot finish.
       result.relaxationBound = relax.objective;
       result.haveRelaxationBound = true;
-      result.rootBasis = finalBasis;
-      result.haveRootBasis = true;
     }
 
     if (relax.status == lp::SolveStatus::IterationLimit) {
@@ -288,10 +267,6 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
     up.cuts = std::move(node.cuts);
     up.cuts.push_back({var, lp::Relation::GreaterEq, std::ceil(value)});
     up.parentBound = relax.objective;
-    if (options.warmStart) {
-      down.parentBasis = finalBasis;
-      up.parentBasis = std::move(finalBasis);
-    }
     stack.push_back(std::move(down));
     stack.push_back(std::move(up));
   }

@@ -187,25 +187,6 @@ AnalysisResult AnalysisService::analyzeWith(
   if (control.tracer == nullptr && telemetry != nullptr) {
     control.tracer = telemetry->tracer();
   }
-  lp::Basis imported;
-  if (useCache && control.warmStart) {
-    auto lookupTimer =
-        obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
-    if (std::optional<lp::Basis> seed =
-            cache_.lookupBasis(digests.structural)) {
-      imported = std::move(*seed);
-      result.basisWarmStarted = true;
-    }
-  }
-  control.importSeedBasis = imported.empty() ? nullptr : &imported;
-  // Only a read-write cache keeps the seed basis.  Asking for it
-  // otherwise would force a structural seed solve whose basis is thrown
-  // away, and would steer the warm chain off the direct estimate's path.
-  const bool storeResult =
-      useCache && request.cachePolicy == CachePolicy::ReadWrite;
-  lp::Basis exported;
-  control.exportSeedBasis = storeResult ? &exported : nullptr;
-
   const Clock::time_point solveStart = Clock::now();
   {
     auto solveTimer = obs::timeStage(telemetry, obs::RequestStage::Solve);
@@ -213,10 +194,9 @@ AnalysisResult AnalysisService::analyzeWith(
   }
   result.solveMicros = microsSince(solveStart);
 
-  if (storeResult) {
+  if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
     auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);
-    cache_.insert(digests.full, digests.structural, result.estimate,
-                  std::move(exported), result.solveMicros);
+    cache_.insert(digests.full, result.estimate, result.solveMicros);
   }
   result.wallMicros = microsSince(start);
   return result;
@@ -263,10 +243,6 @@ AnalysisResult AnalysisService::analyzeParametricWith(
   if (control.tracer == nullptr && telemetry != nullptr) {
     control.tracer = telemetry->tracer();
   }
-  // The engine owns the warm-start chain across its sample points.
-  control.importSeedBasis = nullptr;
-  control.exportSeedBasis = nullptr;
-
   const Clock::time_point solveStart = Clock::now();
   ParametricResult solved;
   {
@@ -307,8 +283,7 @@ AnalysisResult AnalysisService::analyzeLp(
   result.fullDigest = builder.finish();
   digestTimer.stop();
   // A stand-alone LP system has no structural core shared with other
-  // requests, so the structural key collapses onto the full key and the
-  // basis store is never consulted for lp input.
+  // requests, so the structural key collapses onto the full key.
   result.structuralDigest = result.fullDigest;
 
   const bool useCache =
@@ -333,7 +308,6 @@ AnalysisResult AnalysisService::analyzeLp(
   const Clock::time_point deadlineAt = Clock::now() + control.deadline;
   ilp::IlpOptions ilpOptions;
   if (control.maxNodes > 0) ilpOptions.maxNodes = control.maxNodes;
-  ilpOptions.warmStart = control.warmStart;
   ilpOptions.interrupt = [&]() {
     if (control.cancel != nullptr &&
         control.cancel->load(std::memory_order_relaxed)) {
@@ -375,11 +349,6 @@ AnalysisResult AnalysisService::analyzeLp(
     ilpRecord.firstRelaxationIntegral = solution.stats.firstRelaxationIntegral;
     ilpRecord.checkedPromotions = solution.stats.checkedPromotions;
     ilpRecord.blandRestarts = solution.stats.blandRestarts;
-    ilpRecord.warmStarts = solution.stats.warmStarts;
-    ilpRecord.coldStarts = solution.stats.coldStarts;
-    ilpRecord.dualPivots = solution.stats.dualPivots;
-    ilpRecord.warmFailures = solution.stats.warmFailures;
-    ilpRecord.installPivots = solution.stats.installPivots;
     ilpRecord.wallMicros = microsSince(ilpStart);
 
     estimate.stats.ilpSolves += 1;
@@ -388,11 +357,6 @@ AnalysisResult AnalysisService::analyzeLp(
     estimate.stats.totalPivots += solution.stats.totalPivots;
     estimate.stats.checkedPromotions += solution.stats.checkedPromotions;
     estimate.stats.blandRestarts += solution.stats.blandRestarts;
-    estimate.stats.warmStarts += solution.stats.warmStarts;
-    estimate.stats.coldStarts += solution.stats.coldStarts;
-    estimate.stats.dualPivots += solution.stats.dualPivots;
-    estimate.stats.warmFailures += solution.stats.warmFailures;
-    estimate.stats.installPivots += solution.stats.installPivots;
     estimate.stats.allFirstRelaxationsIntegral =
         estimate.stats.allFirstRelaxationsIntegral &&
         solution.stats.firstRelaxationIntegral;
@@ -440,8 +404,7 @@ AnalysisResult AnalysisService::analyzeLp(
 
   if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
     auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);
-    cache_.insert(result.fullDigest, result.structuralDigest, estimate,
-                  lp::Basis{}, result.solveMicros);
+    cache_.insert(result.fullDigest, estimate, result.solveMicros);
   }
   result.wallMicros = microsSince(start);
   return result;

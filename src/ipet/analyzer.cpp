@@ -16,7 +16,7 @@
 #include "cinderella/cfg/callgraph.hpp"
 #include "cinderella/ipet/formula.hpp"
 #include "cinderella/lp/lp_format.hpp"
-#include "cinderella/lp/presolve.hpp"
+#include "cinderella/lp/simplex.hpp"
 #include "cinderella/cfg/dominators.hpp"
 #include "cinderella/obs/trace.hpp"
 #include "cinderella/support/error.hpp"
@@ -1153,8 +1153,8 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       .arg("contexts", static_cast<int>(contexts_.size()))
       .arg("flow-vars", numFlowVars_);
 
-  // Incremental pre-pass (gated by control.warmStart): canonicalize
-  // every expanded set, deduplicate identical ones, and prune sets whose
+  // Pre-pass: canonicalize every expanded set, deduplicate identical
+  // ones, and prune sets whose
   // canonical rows are a proper superset of another set's.  A superset
   // of rows carves a sub-region, so the covering set's worst bound is >=
   // and its best bound is <= the skipped set's — dropping the skipped
@@ -1166,7 +1166,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
   };
   std::vector<SetPlan> plan(combined.size());
   int scheduledSets = static_cast<int>(combined.size());
-  if (control.warmStart && combined.size() > 1) {
+  if (combined.size() > 1) {
     obs::Span dedupSpan(tracer, "dedup-sets", "ipet");
     std::vector<std::vector<std::string>> keys(combined.size());
     for (std::size_t i = 0; i < combined.size(); ++i) {
@@ -1264,42 +1264,6 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
     }
     return obj;
   };
-
-  // Shared warm-start seed: the structural rows are common to every set,
-  // so one cold solve of the base problem hands every set's feasibility
-  // probe a basis that only the set's own appended rows can violate —
-  // and with the worst objective priced in, all base columns keep
-  // nonnegative reduced costs, so a few dual pivots repair them.  Solved
-  // pre-dispatch on the main thread so the result cannot depend on
-  // worker interleaving.
-  lp::Basis seedBasis;
-  int seedPivots = 0;
-  const lp::Basis* importedSeed =
-      (control.importSeedBasis != nullptr && !control.importSeedBasis->empty())
-          ? control.importSeedBasis
-          : nullptr;
-  if (control.warmStart &&
-      (scheduledSets > 1 || importedSeed != nullptr ||
-       control.exportSeedBasis != nullptr)) {
-    obs::Span seedSpan(tracer, "structural-seed", "solve");
-    try {
-      lp::Problem p = base.problem;
-      p.setObjective(makeObjective(base.worstCoeff), lp::Sense::Maximize);
-      // An imported basis (from a SolveCache entry keyed by this
-      // system's structural digest) turns the seed solve itself into a
-      // warm repair; solveWarm falls back cold on any mismatch.
-      const lp::Solution sol =
-          lp::solveWarm(p, ilpOptions.lpOptions, importedSeed, &seedBasis);
-      seedPivots = sol.pivots;
-      seedSpan.arg("pivots", sol.pivots)
-          .arg("imported", importedSeed != nullptr)
-          .arg("status", std::string(lp::solveStatusStr(sol.status)));
-    } catch (...) {
-      // The seed is purely an optimization; every consumer solves cold
-      // when it is empty.
-      seedBasis = lp::Basis{};
-    }
-  }
 
   // Sound integer rounding for relaxation bounds.  A max-ILP's LP
   // relaxation over-estimates its optimum, so flooring (plus the LP
@@ -1473,26 +1437,17 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         }
       }
 
-      // The probe and both root relaxations solve these same rows under
-      // different objectives: presolve the rows once, and let each
-      // replay its own objective through the one reduction.
-      std::optional<lp::Reduction> rootReduction;
-      if (ilpOptions.lpOptions.presolve) {
+      // The probe and both root relaxations share one tableau over
+      // these rows: phase 1 answers the probe, phase 2 under the worst
+      // objective gives the worst ILP's root relaxation, and re-priced
+      // under the best objective it continues to the best ILP's root.
+      // The rows are presolved once for all three.
+      std::optional<lp::LiveTableau> live;
+      {
         obs::Span presolveSpan(tracer, "lp-presolve", "solve");
         presolveSpan.arg("set", static_cast<int>(index));
-        rootReduction.emplace(lp::Reduction::reduce(p, ilpOptions.lpOptions));
+        live.emplace(p, ilpOptions.lpOptions);
       }
-      const lp::Reduction* const sharedReduction =
-          rootReduction ? &*rootReduction : nullptr;
-
-      // Basis handed from stage to stage: seed -> probe -> worst root ->
-      // best root; branch-and-bound nodes chain internally from their
-      // parents.  Every link is optional — an empty basis means the next
-      // stage solves cold.
-      lp::Basis probeBasis;
-      ilp::IlpOptions setOptions = ilpOptions;
-      setOptions.warmStart = ilpOptions.warmStart && control.warmStart;
-      setOptions.rootReduction = sharedReduction;
 
       // Null-set pruning: a cheap LP feasibility probe (paper III-D).
       if (!options_.disableNullSetPruning) {
@@ -1500,16 +1455,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         probeSpan.arg("set", static_cast<int>(index));
         const auto probeStart = std::chrono::steady_clock::now();
         try {
-          lp::Problem probe = p;
-          probe.setObjective(lp::LinearExpr{}, lp::Sense::Maximize);
-          // A zero objective is trivially dual feasible, so the warm
-          // path is pure dual simplex: repair the set's appended rows or
-          // certify the set null.
-          const lp::Solution sol = lp::solveWarm(
-              probe, ilpOptions.lpOptions,
-              (setOptions.warmStart && !seedBasis.empty()) ? &seedBasis
-                                                           : nullptr,
-              &probeBasis, sharedReduction);
+          const lp::Solution sol = live->feasibility();
           rec.probePivots = sol.pivots;
           rec.probeMicros = microsSince(probeStart);
           const bool null = (sol.status == lp::SolveStatus::Infeasible);
@@ -1539,6 +1485,9 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         obs::Span ilpSpan(tracer, spanName, "solve");
         ilpSpan.arg("set", static_cast<int>(index));
         const auto ilpStart = std::chrono::steady_clock::now();
+        const lp::Solution root = live->solve(problem);
+        ilp::IlpOptions setOptions = ilpOptions;
+        setOptions.rootRelaxation = &root;
         ilp::IlpSolution solution = ilp::solve(problem, setOptions);
         slot->solved = true;
         slot->feasible = (solution.status == ilp::IlpStatus::Optimal);
@@ -1549,11 +1498,6 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
             solution.stats.firstRelaxationIntegral;
         slot->checkedPromotions = solution.stats.checkedPromotions;
         slot->blandRestarts = solution.stats.blandRestarts;
-        slot->warmStarts = solution.stats.warmStarts;
-        slot->coldStarts = solution.stats.coldStarts;
-        slot->dualPivots = solution.stats.dualPivots;
-        slot->warmFailures = solution.stats.warmFailures;
-        slot->installPivots = solution.stats.installPivots;
         slot->devexPivots = solution.stats.devexPivots;
         slot->presolveRowsRemoved = solution.stats.presolveRowsRemoved;
         slot->presolveColsFixed = solution.stats.presolveColsFixed;
@@ -1669,24 +1613,10 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         }
       };
 
-      // Final basis of the worst ILP's root relaxation; the best ILP
-      // over the same rows warm-starts from it (min and max share one
-      // basis as each other's seed — only the objective is repriced).
-      lp::Basis sharedRoot;
-      auto pickRootSeed = [&]() -> const lp::Basis* {
-        if (!setOptions.warmStart) return nullptr;
-        if (!sharedRoot.empty()) return &sharedRoot;
-        if (!probeBasis.empty()) return &probeBasis;
-        if (!seedBasis.empty()) return &seedBasis;
-        return nullptr;
-      };
-
       // Worst case: maximize all-miss costs.
       p.setObjective(makeObjective(base.worstCoeff), lp::Sense::Maximize);
       try {
-        setOptions.rootBasis = pickRootSeed();
         ilp::IlpSolution worst = runIlp(p, "ilp-worst", &rec.worst);
-        if (worst.haveRootBasis) sharedRoot = std::move(worst.rootBasis);
         if (worst.status == ilp::IlpStatus::Unbounded) {
           throw AnalysisError(
               "worst-case ILP is unbounded — a loop is missing its bound");
@@ -1703,7 +1633,6 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       // Best case: minimize all-hit costs.
       p.setObjective(makeObjective(base.bestCoeff), lp::Sense::Minimize);
       try {
-        setOptions.rootBasis = pickRootSeed();
         ilp::IlpSolution best = runIlp(p, "ilp-best", &rec.best);
         settleSide(best, &rec.best, /*worstSide=*/false, "ilp-best");
       } catch (const InjectedFaultError& e) {
@@ -1808,7 +1737,6 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
   result.stats.constraintSets = static_cast<int>(combined.size());
   result.stats.cacheFlowVars = base.cacheFlowVars;
   result.stats.cacheFallbackSets = base.cacheFallbackSets;
-  result.stats.seedPivots = seedPivots;
   result.timedOut = sawDeadline.load(std::memory_order_relaxed);
   result.setRecords.reserve(outcomes.size());
 
@@ -1856,11 +1784,6 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       result.stats.totalPivots += ilpRec->pivots;
       result.stats.checkedPromotions += ilpRec->checkedPromotions;
       result.stats.blandRestarts += ilpRec->blandRestarts;
-      result.stats.warmStarts += ilpRec->warmStarts;
-      result.stats.coldStarts += ilpRec->coldStarts;
-      result.stats.dualPivots += ilpRec->dualPivots;
-      result.stats.warmFailures += ilpRec->warmFailures;
-      result.stats.installPivots += ilpRec->installPivots;
       result.stats.devexPivots += ilpRec->devexPivots;
       result.stats.presolveRowsRemoved += ilpRec->presolveRowsRemoved;
       result.stats.presolveColsFixed += ilpRec->presolveColsFixed;
@@ -1920,9 +1843,6 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
 
   if (worstValues != nullptr) result.worstCounts = aggregateCounts(*worstValues);
   if (bestValues != nullptr) result.bestCounts = aggregateCounts(*bestValues);
-  if (control.exportSeedBasis != nullptr) {
-    *control.exportSeedBasis = std::move(seedBasis);
-  }
   return result;
 }
 

@@ -12,9 +12,7 @@
 // RHS-parametric constraint bounds is piecewise affine with convex
 // validity regions.  The engine exploits this shape without trusting
 // floating-point dual sensitivities: it solves the box's corner plus one
-// axis-adjacent corner per parameter exactly (warm-chaining every solve
-// through the PR-5 incremental engine — each neighbouring RHS re-solves
-// in a handful of dual pivots from the previous basis), fits the unique
+// axis-adjacent corner per parameter exactly, fits the unique
 // candidate affine form with exact integer coefficients from those
 // values, then *verifies* the fit: on small boxes at every integer point
 // (the default for tests, fuzzing and CI, making bit-identity a checked
@@ -47,8 +45,6 @@ struct ParametricOptions {
 struct ParametricStats {
   /// Direct (concrete-point) solves performed, after memoization.
   int directSolves = 0;
-  /// Solves that imported a warm basis chained from a previous point.
-  int warmChained = 0;
   /// Boxes split because an affine fit failed verification.
   int splits = 0;
   /// Pieces in the returned formula.
@@ -65,8 +61,7 @@ struct ParametricResult {
 /// Runs the parametric analysis.  `analyzer` must carry constraints
 /// whose parameters are exactly covered by `params` (1 to 6 of them,
 /// each with lo <= hi); pre-existing bindings are cleared.  `control` is
-/// applied to every direct solve (threads, deadline, tracer; the
-/// warm-start chain augments importSeedBasis).  Throws AnalysisError on
+/// applied to every direct solve (threads, deadline, tracer).  Throws AnalysisError on
 /// invalid declarations, unbound parameters, any non-Exact direct solve,
 /// or guard exhaustion.
 [[nodiscard]] ParametricResult solveParametric(

@@ -1,18 +1,12 @@
 // Persistent content-addressed solve cache: the serving layer's memory
 // of every constraint system it has already bounded.
 //
-// Two LRU stores, both keyed by the byte-stable digests of digest.hpp
-// (see Analyzer::systemDigests):
+// Two LRU stores, both keyed by the byte-stable digests of digest.hpp:
 //
-//   * bounds — full-system digest -> verified [BCET, WCET] interval.
-//     A hit means an identical ILP system was already solved; the
-//     cached interval IS the answer and no solve runs at all.
-//
-//   * bases — structural digest -> structural seed lp::Basis.  A hit
-//     means a system sharing this one's structural core (flow, loop
-//     bounds, objectives) was solved before; the basis warm-starts the
-//     new solve (SolveControl::importSeedBasis), which repairs it with
-//     a handful of dual pivots instead of a cold two-phase solve.
+//   * bounds — full-system digest (Analyzer::systemDigests) -> verified
+//     [BCET, WCET] interval.  A hit means an identical ILP system was
+//     already solved; the cached interval IS the answer and no solve
+//     runs at all.
 //
 //   * formulas — parametric digest (Analyzer::parametricDigest) ->
 //     WcetFormula.  A hit means the same system with the same symbolic
@@ -46,7 +40,7 @@
 namespace cinderella::ipet {
 
 struct SolveCacheOptions {
-  /// Maximum entries per store (bounds and bases each); 0 disables the
+  /// Maximum entries per store (bounds and formulas each); 0 disables the
   /// cache entirely — every lookup misses and every insert is dropped.
   std::size_t capacity = 1024;
   /// When non-empty: every admitted insert is also appended (and
@@ -75,8 +69,9 @@ struct CachedFormula {
 struct SolveCacheStats {
   std::int64_t boundHits = 0;
   std::int64_t boundMisses = 0;
+  /// Always 0: the cache stores no bases any more.  Stays only because
+  /// the benchmark driver reports it.
   std::int64_t basisHits = 0;
-  std::int64_t basisMisses = 0;
   std::int64_t formulaHits = 0;
   std::int64_t formulaMisses = 0;
   std::int64_t insertions = 0;
@@ -99,7 +94,6 @@ struct SnapshotRestoreReport {
   bool journalFound = false;
   bool complete = true;
   std::size_t bounds = 0;
-  std::size_t bases = 0;
   std::size_t formulas = 0;
   /// Journal records replayed on top of the snapshot.
   std::size_t journalRecords = 0;
@@ -107,7 +101,7 @@ struct SnapshotRestoreReport {
   std::string detail;
 
   [[nodiscard]] bool anyRestored() const {
-    return bounds + bases + formulas + journalRecords > 0;
+    return bounds + formulas + journalRecords > 0;
   }
 };
 
@@ -121,21 +115,22 @@ class SolveCache {
   /// the entry most-recently-used.
   [[nodiscard]] std::optional<CachedBound> lookupBound(const Digest& full);
 
-  /// Structural-core lookup; a hit returns a seed basis for
-  /// SolveControl::importSeedBasis.
-  [[nodiscard]] std::optional<lp::Basis> lookupBasis(const Digest& structural);
-
   /// True when `estimate` passed every verification gate and may be
   /// cached: sound, not timed out, no absorbed issues, and no set
   /// degraded below Exact.
   [[nodiscard]] static bool admissible(const Estimate& estimate);
 
-  /// Inserts the result of a completed solve into both stores (the
-  /// basis only when non-empty).  Returns false without touching the
-  /// cache when `estimate` is not admissible().
-  bool insert(const Digest& full, const Digest& structural,
-              const Estimate& estimate, lp::Basis seedBasis,
+  /// Inserts the bound of a completed solve.  Returns false without
+  /// touching the cache when `estimate` is not admissible().
+  bool insert(const Digest& full, const Estimate& estimate,
               std::int64_t solveWallMicros);
+  /// The same, in the form the benchmark driver calls; the structural
+  /// digest and the basis are ignored.
+  bool insert(const Digest& full, const Digest& /*structural*/,
+              const Estimate& estimate, lp::Basis /*unused*/,
+              std::int64_t solveWallMicros) {
+    return insert(full, estimate, solveWallMicros);
+  }
 
   /// Parametric-system lookup; a hit returns the cached piecewise bound
   /// and marks the entry most-recently-used.
@@ -149,7 +144,6 @@ class SolveCache {
 
   [[nodiscard]] SolveCacheStats stats() const;
   [[nodiscard]] std::size_t boundEntries() const;
-  [[nodiscard]] std::size_t basisEntries() const;
   [[nodiscard]] std::size_t formulaEntries() const;
   void clear();
 
@@ -162,10 +156,10 @@ class SolveCache {
   /// I/O failure.  Counters are not persisted.
   bool save(const std::string& path, std::string* error) const;
 
-  /// Replaces the cache contents from a snapshot written by save(),
+  /// Replaces the cache contents from a snapshot written by save() (or
+  /// by an older version: basis sections of v1-v3 snapshots are skipped),
   /// re-applying this cache's own capacity bound.  On any malformation
-  /// (bad magic/version, truncation, CRC mismatch, corrupt basis bytes)
-  /// returns false with a diagnostic and leaves the cache unchanged.
+  /// (bad magic/version, truncation, CRC mismatch) returns false with a diagnostic and leaves the cache unchanged.
   /// Strict — recovery from partial damage is restore()'s job.
   bool load(const std::string& path, std::string* error);
 
@@ -185,7 +179,6 @@ class SolveCache {
   SolveCacheOptions options_;
   mutable std::mutex mutex_;
   support::LruMap<Digest, CachedBound> bounds_;
-  support::LruMap<Digest, lp::Basis> bases_;
   support::LruMap<Digest, CachedFormula> formulas_;
   SolveCacheStats stats_;
 };

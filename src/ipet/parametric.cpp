@@ -103,16 +103,8 @@ class Engine {
     for (std::size_t i = 0; i < params_.size(); ++i) {
       analyzer_.bindParam(params_[i].name, point[i]);
     }
-    SolveControl control = control_;
-    if (!seedBasis_.empty()) {
-      control.importSeedBasis = &seedBasis_;
-      ++stats_.warmChained;
-    }
-    lp::Basis exported;
-    control.exportSeedBasis = &exported;
-    const Estimate estimate = analyzer_.estimate(control);
+    const Estimate estimate = analyzer_.estimate(control_);
     ++stats_.directSolves;
-    if (!exported.empty()) seedBasis_ = std::move(exported);
     std::int64_t wall = 0;
     for (const auto& record : estimate.setRecords) wall += record.wallMicros;
     stats_.solveWallMicros += wall;
@@ -257,7 +249,6 @@ class Engine {
   const SolveControl& control_;
   const ParametricOptions& options_;
   std::map<Point, Interval> memo_;
-  lp::Basis seedBasis_;
   ParametricStats stats_;
 };
 

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "cinderella/lp/basis_io.hpp"
 #include "cinderella/support/io.hpp"
 #include "cinderella/support/metrics_sink.hpp"
 
@@ -16,8 +15,11 @@ constexpr char kMagic[5] = {'C', 'S', 'N', 'A', 'P'};
 /// v1: bounds + bases, no framing.  v2 appends the formula store.  v3
 /// reframes each store as a tagged section with its own length and
 /// CRC32, so a torn or bit-flipped snapshot recovers to the longest
-/// valid prefix of sections instead of being discarded whole.
-constexpr std::uint32_t kVersion = 3;
+/// valid prefix of sections instead of being discarded whole.  v4 has
+/// the v3 layout without the basis section; the bases of older
+/// snapshots are skipped on load.
+constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersionV3 = 3;
 constexpr std::uint32_t kVersionV2 = 2;
 constexpr std::uint32_t kVersionV1 = 1;
 /// Snapshot entry counts / lengths beyond this are corruption, not
@@ -25,6 +27,7 @@ constexpr std::uint32_t kVersionV1 = 1;
 constexpr std::uint32_t kSaneLimit = 1u << 24;
 
 constexpr std::uint32_t kSectionBounds = 1;
+/// Written by v3 only; skipped on load.
 constexpr std::uint32_t kSectionBases = 2;
 constexpr std::uint32_t kSectionFormulas = 3;
 /// Empty sentinel section written last.  Without it a truncation that
@@ -33,10 +36,11 @@ constexpr std::uint32_t kSectionFormulas = 3;
 /// reported as incomplete.
 constexpr std::uint32_t kSectionEnd = 0;
 
-/// Journal record types: a bound admission (bound + optional seed
-/// basis) and a formula admission.  The journal is a bare record
-/// stream — `u32 type | u32 len | payload | u32 crc32(type|len|payload)`
-/// — with no header; an empty file is an empty journal.
+/// Journal record types: a bound admission and a formula admission.
+/// The journal is a bare record stream — `u32 type | u32 len | payload |
+/// u32 crc32(type|len|payload)` — with no header; an empty file is an
+/// empty journal.  Bound records written before v4 carry a trailing
+/// structural digest and seed basis, which replay skips.
 constexpr std::uint32_t kRecordBound = 1;
 constexpr std::uint32_t kRecordFormula = 2;
 
@@ -128,32 +132,17 @@ bool decodeBoundEntry(Reader* r, Digest* key, CachedBound* entry) {
   return !r->failed;
 }
 
-void encodeBasisEntry(std::string* out, const Digest& key,
-                      const lp::Basis& basis) {
-  appendU64(out, key.hi);
-  appendU64(out, key.lo);
-  const std::string bytes = lp::serializeBasis(basis);
-  appendU32(out, static_cast<std::uint32_t>(bytes.size()));
-  *out += bytes;
-}
-
-bool decodeBasisEntry(Reader* r, Digest* key, lp::Basis* basis) {
-  key->hi = r->u64();
-  key->lo = r->u64();
+/// Steps over one pre-v4 basis entry (digest, length, CBAS bytes).
+bool skipBasisEntry(Reader* r) {
+  r->u64();
+  r->u64();
   const std::uint32_t len = r->u32();
   if (r->failed || len > kSaneLimit) {
     r->failed = true;
     return false;
   }
-  const std::string_view bytes = r->raw(len);
-  if (r->failed) return false;
-  std::optional<lp::Basis> parsed = lp::parseBasis(bytes);
-  if (!parsed) {
-    r->failed = true;
-    return false;
-  }
-  *basis = std::move(*parsed);
-  return true;
+  r->raw(len);
+  return !r->failed;
 }
 
 void encodeFormulaEntry(std::string* out, const Digest& key,
@@ -190,11 +179,10 @@ bool decodeFormulaEntry(Reader* r, Digest* key, CachedFormula* entry) {
 /// load can still reject wholesale and an install is a single swap.
 struct StagedEntries {
   std::vector<std::pair<Digest, CachedBound>> bounds;
-  std::vector<std::pair<Digest, lp::Basis>> bases;
   std::vector<std::pair<Digest, CachedFormula>> formulas;
 };
 
-/// Decodes the `count` entries of one v3 section payload.  The payload
+/// Decodes the `count` entries of one v3/v4 section payload.  The payload
 /// already passed its CRC, so any parse failure here means a writer
 /// bug, not disk damage — treated as corruption all the same.
 bool parseSectionPayload(std::uint32_t tag, std::uint32_t count,
@@ -207,13 +195,6 @@ bool parseSectionPayload(std::uint32_t tag, std::uint32_t count,
         CachedBound entry;
         if (!decodeBoundEntry(&r, &key, &entry)) return false;
         staged->bounds.emplace_back(key, entry);
-        break;
-      }
-      case kSectionBases: {
-        Digest key{};
-        lp::Basis basis;
-        if (!decodeBasisEntry(&r, &key, &basis)) return false;
-        staged->bases.emplace_back(key, std::move(basis));
         break;
       }
       case kSectionFormulas: {
@@ -230,12 +211,12 @@ bool parseSectionPayload(std::uint32_t tag, std::uint32_t count,
   return !r.failed && r.offset == payload.size();
 }
 
-/// Parses a v3 body (everything after magic + version) section by
+/// Parses a v3/v4 body (everything after magic + version) section by
 /// section.  Returns true when the whole body was consumed cleanly;
 /// false when it stopped at damage — `staged` then holds the sections
 /// parsed before the damage (the consistent prefix), and `detail` says
 /// what was hit.
-bool parseV3Body(std::string_view body, StagedEntries* staged,
+bool parseSectionedBody(std::string_view body, StagedEntries* staged,
                  std::string* detail) {
   std::size_t offset = 0;
   bool sawEnd = false;
@@ -267,14 +248,17 @@ bool parseV3Body(std::string_view body, StagedEntries* staged,
       offset = crcReader.offset;
       continue;
     }
-    StagedEntries section;
-    if (!parseSectionPayload(tag, entryCount, payload, &section)) {
-      *detail = "undecodable section at offset " + std::to_string(offset);
-      return false;
+    if (tag != kSectionBases) {
+      StagedEntries section;
+      if (!parseSectionPayload(tag, entryCount, payload, &section)) {
+        *detail = "undecodable section at offset " + std::to_string(offset);
+        return false;
+      }
+      for (auto& e : section.bounds) staged->bounds.push_back(std::move(e));
+      for (auto& e : section.formulas) {
+        staged->formulas.push_back(std::move(e));
+      }
     }
-    for (auto& e : section.bounds) staged->bounds.push_back(std::move(e));
-    for (auto& e : section.bases) staged->bases.push_back(std::move(e));
-    for (auto& e : section.formulas) staged->formulas.push_back(std::move(e));
     offset = crcReader.offset;
   }
   if (!sawEnd) {
@@ -302,12 +286,8 @@ bool parseLegacyBody(std::string_view body, std::uint32_t version,
   }
   const std::uint32_t basisCount = r.u32();
   if (r.failed || basisCount > kSaneLimit) return false;
-  staged->bases.reserve(basisCount);
   for (std::uint32_t i = 0; i < basisCount; ++i) {
-    Digest key{};
-    lp::Basis basis;
-    if (!decodeBasisEntry(&r, &key, &basis)) return false;
-    staged->bases.emplace_back(key, std::move(basis));
+    if (!skipBasisEntry(&r)) return false;
   }
   if (version >= kVersionV2) {
     const std::uint32_t formulaCount = r.u32();
@@ -353,32 +333,15 @@ bool parseJournal(std::string_view bytes, StagedEntries* staged,
     if (type == kRecordBound) {
       Digest key{};
       CachedBound entry;
-      Digest structural{};
-      lp::Basis basis;
-      bool haveBasis = false;
-      if (!decodeBoundEntry(&r, &key, &entry)) {
-        *detail = "undecodable journal record at offset " +
-                  std::to_string(offset);
-        return false;
-      }
-      structural.hi = r.u64();
-      structural.lo = r.u64();
-      const std::uint32_t basisLen = r.u32();
-      if (r.failed || basisLen > kSaneLimit || (basisLen > 0 && [&] {
-            const std::string_view basisBytes = r.raw(basisLen);
-            if (r.failed) return true;
-            std::optional<lp::Basis> parsed = lp::parseBasis(basisBytes);
-            if (!parsed) return true;
-            basis = std::move(*parsed);
-            haveBasis = true;
-            return false;
-          }())) {
+      // A pre-v4 record's trailer (structural digest + seed basis) is
+      // laid out exactly like a basis entry.
+      if (!decodeBoundEntry(&r, &key, &entry) ||
+          (r.remaining() > 0 && !skipBasisEntry(&r))) {
         *detail = "undecodable journal record at offset " +
                   std::to_string(offset);
         return false;
       }
       staged->bounds.emplace_back(key, entry);
-      if (haveBasis) staged->bases.emplace_back(structural, std::move(basis));
     } else if (type == kRecordFormula) {
       Digest key{};
       CachedFormula entry;
@@ -413,7 +376,6 @@ bool readFile(const std::string& path, std::string* out) {
 SolveCache::SolveCache(SolveCacheOptions options)
     : options_(std::move(options)),
       bounds_(options_.capacity),
-      bases_(options_.capacity),
       formulas_(options_.capacity) {}
 
 std::optional<CachedBound> SolveCache::lookupBound(const Digest& full) {
@@ -425,18 +387,6 @@ std::optional<CachedBound> SolveCache::lookupBound(const Digest& full) {
   }
   ++stats_.boundMisses;
   count("solve_cache.bound_misses");
-  return std::nullopt;
-}
-
-std::optional<lp::Basis> SolveCache::lookupBasis(const Digest& structural) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (lp::Basis* entry = bases_.find(structural)) {
-    ++stats_.basisHits;
-    count("solve_cache.basis_hits");
-    return *entry;
-  }
-  ++stats_.basisMisses;
-  count("solve_cache.basis_misses");
   return std::nullopt;
 }
 
@@ -492,8 +442,7 @@ bool SolveCache::admissible(const Estimate& estimate) {
          estimate.stats.relaxedSets == 0 && estimate.stats.structuralSets == 0;
 }
 
-bool SolveCache::insert(const Digest& full, const Digest& structural,
-                        const Estimate& estimate, lp::Basis seedBasis,
+bool SolveCache::insert(const Digest& full, const Estimate& estimate,
                         std::int64_t solveWallMicros) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!enabled()) return false;
@@ -508,21 +457,8 @@ bool SolveCache::insert(const Digest& full, const Digest& structural,
   entry.solveWallMicros = solveWallMicros;
   std::string payload;
   encodeBoundEntry(&payload, full, entry);
-  appendU64(&payload, structural.hi);
-  appendU64(&payload, structural.lo);
-  if (seedBasis.empty()) {
-    appendU32(&payload, 0);
-  } else {
-    const std::string basisBytes = lp::serializeBasis(seedBasis);
-    appendU32(&payload, static_cast<std::uint32_t>(basisBytes.size()));
-    payload += basisBytes;
-  }
-  std::int64_t evicted =
+  const std::int64_t evicted =
       static_cast<std::int64_t>(bounds_.insert(full, entry));
-  if (!seedBasis.empty()) {
-    evicted += static_cast<std::int64_t>(
-        bases_.insert(structural, std::move(seedBasis)));
-  }
   stats_.evictions += evicted;
   ++stats_.insertions;
   if (support::MetricsSink* sink = support::metricsSink()) {
@@ -543,11 +479,6 @@ std::size_t SolveCache::boundEntries() const {
   return bounds_.size();
 }
 
-std::size_t SolveCache::basisEntries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bases_.size();
-}
-
 std::size_t SolveCache::formulaEntries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return formulas_.size();
@@ -556,7 +487,6 @@ std::size_t SolveCache::formulaEntries() const {
 void SolveCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
-  bases_.clear();
   formulas_.clear();
 }
 
@@ -584,11 +514,6 @@ bool SolveCache::save(const std::string& path, std::string* error) const {
         encodeBoundEntry(&payload, key, entry);
       });
   appendSection(kSectionBounds, bounds_.size(), payload);
-  payload.clear();
-  bases_.forEachOldestFirst([&](const Digest& key, const lp::Basis& basis) {
-    encodeBasisEntry(&payload, key, basis);
-  });
-  appendSection(kSectionBases, bases_.size(), payload);
   payload.clear();
   formulas_.forEachOldestFirst(
       [&](const Digest& key, const CachedFormula& entry) {
@@ -627,9 +552,9 @@ bool SolveCache::load(const std::string& path, std::string* error) {
       std::string_view(blob).substr(sizeof(kMagic) + 4);
 
   StagedEntries staged;
-  if (version == kVersion) {
+  if (version == kVersion || version == kVersionV3) {
     std::string detail;
-    if (!parseV3Body(body, &staged, &detail)) {
+    if (!parseSectionedBody(body, &staged, &detail)) {
       if (error != nullptr) {
         *error = "snapshot '" + path + "': " + detail;
       }
@@ -649,14 +574,10 @@ bool SolveCache::load(const std::string& path, std::string* error) {
 
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
-  bases_.clear();
   formulas_.clear();
   // Oldest-first replay restores the writer's recency order; this
   // cache's own capacity gates how much survives.
   for (auto& [key, entry] : staged.bounds) bounds_.insert(key, entry);
-  for (auto& [key, basis] : staged.bases) {
-    bases_.insert(key, std::move(basis));
-  }
   for (auto& [key, entry] : staged.formulas) {
     formulas_.insert(key, std::move(entry));
   }
@@ -680,9 +601,9 @@ SnapshotRestoreReport SolveCache::restore(const std::string& path) {
       const std::uint32_t version = versionReader.u32();
       const std::string_view body =
           std::string_view(blob).substr(sizeof(kMagic) + 4);
-      if (version == kVersion) {
+      if (version == kVersion || version == kVersionV3) {
         std::string detail;
-        if (!parseV3Body(body, &staged, &detail)) {
+        if (!parseSectionedBody(body, &staged, &detail)) {
           report.complete = false;
           report.detail = "snapshot '" + path + "': " + detail;
         }
@@ -704,7 +625,6 @@ SnapshotRestoreReport SolveCache::restore(const std::string& path) {
     }
   }
   report.bounds = staged.bounds.size();
-  report.bases = staged.bases.size();
   report.formulas = staged.formulas.size();
 
   if (!options_.journalPath.empty()) {
@@ -724,12 +644,8 @@ SnapshotRestoreReport SolveCache::restore(const std::string& path) {
 
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
-  bases_.clear();
   formulas_.clear();
   for (auto& [key, entry] : staged.bounds) bounds_.insert(key, entry);
-  for (auto& [key, basis] : staged.bases) {
-    bases_.insert(key, std::move(basis));
-  }
   for (auto& [key, entry] : staged.formulas) {
     formulas_.insert(key, std::move(entry));
   }

@@ -1,30 +1,32 @@
-// Two-phase primal simplex solver over a sparse-row tableau, with an
-// incremental warm-start path and a presolve/postsolve reduction pass.
+// Two-phase primal simplex solver over a sparse-row tableau, with a
+// presolve/postsolve reduction pass and a live tableau that answers
+// several objectives over the same rows.
 //
 // Sized for IPET workloads: hundreds of variables and constraints.  The
 // default pivot rule is Devex reference-framework pricing, which prices
 // columns by reduced cost scaled against an approximate steepest-edge
 // weight — on degenerate flow problems it takes far fewer pivots than
 // pure Dantzig while costing the same per-iteration scan.  When the
-// first-attempt rule (Devex or Dantzig) hits its pivot budget, the
-// solver switches to Bland's rule in place (continuing from the current
-// basis, not from scratch) with a fresh budget; only if Bland also
-// exhausts the budget does the caller see IterationLimit.
+// first-attempt rule hits its pivot budget (or stalls, or its optimum
+// fails the feasibility audit), the solver re-solves from scratch under
+// Dantzig, then Bland, each with a fresh budget; only if the last rung
+// also fails does the caller see IterationLimit.
 //
 // Presolve: when SimplexOptions::presolve is set, each solve first runs
 // the lp::Reduction fixpoint pass (see presolve.hpp) and the simplex
-// only ever sees the reduced rows; solutions and bases are mapped back
-// to the original space, so callers observe identical results.
+// only ever sees the reduced rows; solutions are mapped back to the
+// original space, so callers observe identical results.
 //
-// Warm starts: solveWarm() can resume from a Basis snapshot taken from a
-// related solve (same constraint-row prefix, possibly extra appended
-// rows).  A basis that became primal-infeasible after a bound tightening
-// is repaired by a dual-simplex phase — classically a handful of pivots
-// instead of a full two-phase solve.  Warm starts never change results:
-// any basis that cannot be installed or proves unusable falls back to
-// the cold two-phase path.
+// Live tableau: the analyzer asks three questions of every constraint
+// set — is it feasible, what is its largest worst-case cost, what is its
+// smallest best-case cost.  A LiveTableau answers them on one tableau:
+// phase 1 once, then phase 2 per objective, each continuing from the
+// previous optimal (hence still feasible) basis.  Any phase that cannot
+// finish cleanly falls back to a from-scratch solve, so the answers are
+// those of solve().
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,20 +53,10 @@ enum class PivotRule {
 
 [[nodiscard]] const char* pivotRuleStr(PivotRule rule);
 
-/// A simplex basis snapshot: which column is basic in each constraint
-/// row.  Columns are identified by stable ids that survive appending
-/// rows to the problem — original variable v is column v, the
-/// slack/surplus of row r is column numVars + 2r, and the artificial of
-/// row r is column numVars + 2r + 1 — so a basis extracted from a parent
-/// problem can seed any child that shares the parent's constraint-row
-/// prefix (e.g. the same set plus one branch-and-bound cut).
-struct Basis {
-  int numVars = 0;
-  /// Basic column id per constraint row, in row order.
-  std::vector<int> basicCol;
-
-  [[nodiscard]] bool empty() const { return basicCol.empty(); }
-};
+/// Empty placeholder kept only for the benchmark driver, which passes
+/// `lp::Basis{}` as SolveCache::insert's ignored fourth argument.  No
+/// solver state is ever stored in it.
+struct Basis {};
 
 /// What the presolve reduction pass removed ahead of one solve.  All
 /// zero when presolve is disabled or found nothing to reduce.
@@ -90,38 +82,25 @@ struct Solution {
   double objective = 0.0;
   /// Value of every original variable (valid when Optimal).
   std::vector<double> values;
-  /// Total simplex iterations across all phases (primal and dual,
-  /// including the continued Bland pivots when the in-place restart
-  /// kicked in, and any iterations wasted on a failed warm attempt).
-  /// Basis-installation eliminations are counted in installPivots, not
-  /// here, so warm and cold pivot totals compare like for like.
+  /// Total simplex iterations across all phases, including those
+  /// wasted on attempts that were abandoned for a from-scratch retry.
   int pivots = 0;
-  /// Pivots spent in the dual-simplex repair phase of a warm start.
-  int dualPivots = 0;
-  /// Gauss-Jordan eliminations spent installing a warm basis
-  /// (refactorization work, bounded by the row count; not simplex
-  /// iterations and excluded from `pivots`).
-  int installPivots = 0;
   /// True when the configured rule hit maxPivots (or the
-  /// degenerate-stall guard) and the solve was re-run from scratch on a
+  /// degenerate-stall guard, or the feasibility audit failed, or a live
+  /// tableau phase faulted) and the solve was re-run from scratch on a
   /// fresh tableau under a more conservative rule (Dantzig, then
   /// Bland).
   bool blandRestart = false;
-  /// True when the solve ran from the supplied warm basis (no cold
-  /// two-phase rebuild).
-  bool warmUsed = false;
-  /// True when a warm basis was supplied but could not be used and the
-  /// solve fell back to the cold path.
-  bool warmFailed = false;
   /// Pivots chosen by Devex pricing (subset of `pivots`; the rest were
-  /// Dantzig/Bland picks or dual-simplex repairs).
+  /// Dantzig/Bland picks).
   int devexPivots = 0;
   /// What the presolve pass removed before the simplex ran.
   PresolveStats presolve;
 };
 
 struct SimplexOptions {
-  /// Hard cap on pivots across both phases; exceeded => IterationLimit.
+  /// Hard cap on pivots across both phases of a cold solve, and on each
+  /// phase-2 call of a LiveTableau; exceeded => IterationLimit.
   int maxPivots = 200000;
   /// Pivot-element magnitude below which a column is treated as zero.
   double pivotTol = 1e-9;
@@ -136,7 +115,7 @@ struct SimplexOptions {
   /// none of the numeric drift the stalled one accumulated.
   bool blandRetry = true;
   /// Run the lp::Reduction presolve pass before the simplex and map the
-  /// solution/basis back afterwards.  Results are identical either way;
+  /// solution back afterwards.  Results are identical either way;
   /// the reduced tableau is just smaller.
   bool presolve = true;
 };
@@ -146,23 +125,66 @@ struct SimplexOptions {
                              const SimplexOptions& options = {});
 
 class Reduction;
+class Tableau;
 
-/// Solves `problem`, optionally warm-starting from `warmBasis` (a basis
-/// extracted from a solve whose constraint rows are a prefix of this
-/// problem's rows).  When the warm basis cannot be installed or leaves
-/// the solver in a state that is neither primal- nor dual-feasible, the
-/// solve silently falls back to the cold two-phase path
-/// (Solution::warmFailed reports that).  When `finalBasis` is non-null
-/// and the solve is Optimal, it receives the final basis for chaining
-/// into subsequent warm starts.  Bounds are bit-identical to solve().
+/// One constraint set's rows on a single tableau, kept alive across the
+/// feasibility probe and any number of objectives over those rows.
 ///
-/// `presolved`, when non-null and options.presolve is set, is a
-/// Reduction of exactly `problem`'s rows (under any objective): the
-/// solve replays `problem`'s objective through it instead of reducing
-/// the rows again, with a result identical to presolving here.
-[[nodiscard]] Solution solveWarm(const Problem& problem,
-                                 const SimplexOptions& options,
-                                 const Basis* warmBasis, Basis* finalBasis,
-                                 const Reduction* presolved = nullptr);
+/// The rows are presolved once (when options.presolve) and the tableau is
+/// built on the reduced rows, or on the rows as given when presolve is
+/// off or removed nothing.  feasibility() runs phase 1.  Each solve()
+/// prices its problem's objective against the current basis and runs
+/// phase 2 from it, with a full maxPivots budget: the first solve starts
+/// from the phase-1 basis, later ones from the previous optimum.
+///
+/// A phase that hits IterationLimit, fails the feasibility audit or
+/// throws InjectedFaultError retires the tableau, and that call re-solves
+/// from scratch on the shared reduction under Dantzig, then Bland, the
+/// same ladder solve() climbs after its first attempt.  Later calls on a
+/// retired tableau solve from scratch exactly as solve() does.  Results
+/// therefore never depend on the tableau being alive; only the pivot
+/// counts do.
+class LiveTableau {
+ public:
+  /// `rows` supplies the constraint rows (its objective is ignored) and
+  /// must outlive the LiveTableau.
+  LiveTableau(const Problem& rows, const SimplexOptions& options);
+  ~LiveTableau();
+  LiveTableau(const LiveTableau&) = delete;
+  LiveTableau& operator=(const LiveTableau&) = delete;
+
+  /// The feasibility probe: Optimal when the rows are feasible,
+  /// Infeasible when they are not (no point is returned).  Runs phase 1
+  /// unless an earlier call has; `pivots` counts this call's pivots.
+  [[nodiscard]] Solution feasibility();
+
+  /// The optimum of `problem`, whose rows must be exactly the rows given
+  /// at construction (objective and sense are free).
+  [[nodiscard]] Solution solve(const Problem& problem);
+
+ private:
+  /// Test-only access to the live tableau, to force its failure paths.
+  friend struct LiveTableauInspector;
+
+  /// The rows the simplex sees: the reduced rows, or the rows as given.
+  [[nodiscard]] const Problem& effective() const;
+  /// Runs phase 1 on the live tableau unless it has run.  Returns false
+  /// when the phase failed and retired the tableau; `wasted` then holds
+  /// an IterationLimit solution with the pivots the phase spent.
+  bool ensurePhaseOne(Solution* wasted);
+
+  SimplexOptions options_;
+  const Problem* rows_;
+  /// The presolve of the rows, kept only when it removed something.
+  std::unique_ptr<Reduction> reduction_;
+  PresolveStats presolve_;
+  /// Presolve proved the rows infeasible: every answer is Infeasible.
+  bool provedInfeasible_ = false;
+  /// Null once retired (or when presolve proved infeasibility).
+  std::unique_ptr<Tableau> tableau_;
+  bool phaseOneDone_ = false;
+  /// Phase 1 found the rows infeasible: every answer is Infeasible.
+  bool phaseOneInfeasible_ = false;
+};
 
 }  // namespace cinderella::lp

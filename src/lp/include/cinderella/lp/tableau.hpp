@@ -1,5 +1,6 @@
-// Sparse-row simplex tableau in standard form, shared by the cold
-// two-phase path and the incremental warm-start path.
+// Sparse-row simplex tableau in standard form: the cold two-phase solve,
+// and the phases a LiveTableau (simplex.hpp) runs one at a time on the
+// same rows.
 //
 // Rows are kept as sorted (column, value) entry lists — IPET constraint
 // matrices are flow matrices with a handful of nonzeros per row, so the
@@ -22,16 +23,11 @@
 // basic column) is unique, so visiting the rows in list order gives
 // bit-identical results to a scan over every row.
 //
-// Column ids are stable under row appends (see lp::Basis in
-// simplex.hpp): original variable v is column v, the slack/surplus of
-// row r is column numVars + 2r, the artificial of row r is column
-// numVars + 2r + 1.  A Basis extracted from a parent tableau therefore
-// remains meaningful in any tableau whose constraint rows extend the
-// parent's rows, which is exactly what branch-and-bound cuts and
-// set-over-structural-core materialization produce.
+// Column ids: original variable v is column v, the slack/surplus of row
+// r is column numVars + 2r, the artificial of row r is column
+// numVars + 2r + 1.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "cinderella/lp/carrier_index.hpp"
@@ -44,33 +40,39 @@ class Tableau {
  public:
   Tableau(const Problem& problem, const SimplexOptions& options);
 
-  /// Cold two-phase solve: phase 1 drives artificials to zero (when any
-  /// exist), phase 2 optimizes `objective` (dense over the original
-  /// variables, maximization) plus `constant`.
+  /// Cold two-phase solve: phaseOne(), then phaseTwo() when the rows
+  /// are feasible, all within one maxPivots budget.
   [[nodiscard]] Solution run(const std::vector<double>& objective,
                              double constant);
 
-  /// Warm solve: installs `from` (plus natural slack/surplus basics for
-  /// rows beyond the snapshot), repairs primal infeasibility with a
-  /// dual-simplex phase, then runs primal phase 2.  Returns nullopt when
-  /// the basis cannot be used soundly — singular or missing target
-  /// columns, a state that is neither primal- nor dual-feasible, an
-  /// artificial left basic at a nonzero level, or an exhausted pivot
-  /// budget — in which case the caller must fall back to a cold solve on
-  /// a fresh tableau.  A returned Infeasible solution is a genuine
-  /// result.
-  [[nodiscard]] std::optional<Solution> runWarm(
-      const std::vector<double>& objective, double constant,
-      const Basis& from);
+  /// Phase 1: drives the artificials to zero (when any exist) and pivots
+  /// them out of the basis.  Optimal when the rows are feasible,
+  /// Infeasible when they are not, IterationLimit when the pivot budget
+  /// ran out or the stall guard tripped.
+  [[nodiscard]] SolveStatus phaseOne();
 
-  /// Snapshot of the current basis (chain into later runWarm calls).
-  [[nodiscard]] Basis extractBasis() const;
+  /// Phase 2 from the current basis, which must be primal feasible (after
+  /// phaseOne() returned Optimal, or after an earlier phaseTwo()):
+  /// prices `objective` (dense over the original variables,
+  /// maximization) against the basis and optimizes it, plus `constant`.
+  /// A claimed optimum that fails primalFeasibleAtTol() reports
+  /// IterationLimit.  `pivots` and `devexPivots` of the result count
+  /// from the tableau's construction.
+  [[nodiscard]] Solution phaseTwo(const std::vector<double>& objective,
+                                  double constant);
 
-  /// Simplex iterations (primal + dual); basis-installation
-  /// eliminations are counted separately in installPivots().
+  /// Grants a full maxPivots budget from the current pivot count on.
+  void resetPivotBudget();
+
+  /// Audit after a claimed-Optimal phase: true when every basic value is
+  /// nonnegative within a scale-aware tolerance.  Accumulated pivot
+  /// drift can push a row's rhs genuinely negative (an ignored
+  /// constraint); callers treat a failed audit as IterationLimit and
+  /// re-solve on a fresh tableau under a more conservative rule.
+  [[nodiscard]] bool primalFeasibleAtTol() const;
+
+  /// Simplex iterations so far, and those chosen by Devex pricing.
   [[nodiscard]] int totalPivots() const { return pivots_; }
-  [[nodiscard]] int dualPivots() const { return dualPivots_; }
-  [[nodiscard]] int installPivots() const { return installPivots_; }
   [[nodiscard]] int devexPivots() const { return devexPivots_; }
 
   // Introspection for tests.
@@ -78,7 +80,7 @@ class Tableau {
   [[nodiscard]] double rowRhs(int row) const;
   [[nodiscard]] int basicColumn(int row) const;
 
-  /// Stable column ids (also documented on lp::Basis).
+  /// Column ids of a row's slack/surplus and artificial.
   [[nodiscard]] static int slackColumn(int numVars, int row) {
     return numVars + 2 * row;
   }
@@ -87,8 +89,10 @@ class Tableau {
   }
 
  private:
-  /// Test-only access to pivot() and the column index.
+  /// Test-only access to pivot() and the column index, and to the
+  /// budget and right-hand sides a LiveTableau test forces failures with.
   friend struct TableauInspector;
+  friend struct LiveTableauInspector;
 
   struct Entry {
     int col = 0;
@@ -128,17 +132,10 @@ class Tableau {
   [[nodiscard]] double objectiveValue() const { return objRhs_; }
 
   [[nodiscard]] SolveStatus optimize(bool allowArtificialEntering);
-  [[nodiscard]] SolveStatus dualSimplex();
-  /// Audit after a claimed-Optimal solve: true when every basic value is
-  /// nonnegative within a scale-aware tolerance.  Accumulated pivot
-  /// drift can push a row's rhs genuinely negative (an ignored
-  /// constraint); callers treat a failed audit as IterationLimit so the
-  /// solver re-solves on a fresh tableau under Bland's rule.
-  [[nodiscard]] bool primalFeasibleAtTol() const;
-  bool evictArtificials();
-  /// Gauss-Jordan refactorization to the target basis; false when the
-  /// target is singular/unreachable at the pivot tolerance.
-  bool installBasis(const Basis& from);
+  /// Pivots every artificial still basic after phase 1 out on its row's
+  /// smallest-index real column; a row with no real entry is redundant
+  /// and keeps its artificial at level zero.
+  void evictArtificials();
   void fillSolutionValues(Solution* solution) const;
 
   SimplexOptions opt_;
@@ -168,8 +165,6 @@ class Tableau {
   /// whenever they grow past the reset threshold.
   std::vector<double> devexWeights_;
   int pivots_ = 0;
-  int dualPivots_ = 0;
-  int installPivots_ = 0;
   int devexPivots_ = 0;
 };
 

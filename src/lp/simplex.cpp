@@ -1,12 +1,14 @@
 #include "cinderella/lp/simplex.hpp"
 
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "cinderella/lp/presolve.hpp"
 #include "cinderella/lp/tableau.hpp"
+#include "cinderella/support/error.hpp"
 #include "cinderella/support/metrics_sink.hpp"
 
 namespace cinderella::lp {
@@ -59,220 +61,264 @@ DenseObjective maximizedObjective(const LinearExpr& objective, Sense sense,
   return out;
 }
 
-DenseObjective maximizedObjective(const Problem& problem) {
-  return maximizedObjective(problem.objective(), problem.sense(),
-                            problem.numVars());
+/// `problem`'s objective over the variables the simplex sees: replayed
+/// through `reduction` when there is one (a shared reduction may have
+/// been made under another objective), the problem's own otherwise.
+DenseObjective effectiveObjective(const Problem& problem,
+                                  const Reduction* reduction) {
+  if (reduction == nullptr) {
+    return maximizedObjective(problem.objective(), problem.sense(),
+                              problem.numVars());
+  }
+  return maximizedObjective(reduction->reducedObjective(problem.objective()),
+                            problem.sense(), reduction->reduced().numVars());
 }
 
-void reportToSink(support::MetricsSink* sink, const Solution& solution,
-                  std::chrono::steady_clock::time_point solveStart) {
-  if (sink == nullptr) return;
-  sink->add("lp.solves", 1);
-  if (solution.blandRestart) sink->add("lp.blandRestarts", 1);
-  if (solution.warmUsed) sink->add("lp.warmStarts", 1);
-  if (solution.warmFailed) sink->add("lp.warmFailures", 1);
-  sink->observe("lp.pivots", solution.pivots);
-  if (solution.dualPivots > 0) {
-    sink->observe("lp.dualPivots", solution.dualPivots);
+/// The from-scratch retry ladder after an attempt under
+/// options.pivotRule ended in `failed` (IterationLimit).  The configured
+/// rule exhausted its budget, stalled on a degenerate vertex or drifted
+/// out of the feasible region.  Epsilon-step pivots through
+/// near-singular elements erode a tableau numerically, so continuing
+/// from the stalled basis is hopeless — re-solve `effective` from
+/// scratch under progressively more conservative rules: Dantzig (cheap
+/// pricing, rarely stalls on IPET systems), then Bland (cannot cycle).
+/// Only the last rung's failure is reported upward; pivots of every
+/// attempt add up.
+Solution retryFromScratch(const Problem& effective,
+                          const DenseObjective& objective,
+                          const SimplexOptions& options, Solution failed) {
+  Solution solution = std::move(failed);
+  if (!options.blandRetry) return solution;
+  for (const PivotRule retryRule : {PivotRule::Dantzig, PivotRule::Bland}) {
+    if (retryRule == options.pivotRule) continue;
+    const int wastedPivots = solution.pivots;
+    const int wastedDevex = solution.devexPivots;
+    SimplexOptions retryOptions = options;
+    retryOptions.pivotRule = retryRule;
+    Tableau tableau(effective, retryOptions);
+    solution = tableau.run(objective.coeffs, objective.constant);
+    solution.pivots += wastedPivots;
+    solution.devexPivots += wastedDevex;
+    solution.blandRestart = true;
+    if (solution.status != SolveStatus::IterationLimit) break;
   }
-  if (solution.installPivots > 0) {
-    sink->observe("lp.installPivots", solution.installPivots);
-  }
-  if (solution.devexPivots > 0) {
-    sink->observe("lp.devexPivots", solution.devexPivots);
-  }
-  if (solution.presolve.rowsRemoved > 0) {
-    sink->observe("lp.presolveRowsRemoved", solution.presolve.rowsRemoved);
-  }
-  if (solution.presolve.colsFixed + solution.presolve.substitutions > 0) {
-    sink->observe("lp.presolveColsRemoved",
-                  solution.presolve.colsFixed +
-                      solution.presolve.substitutions);
-  }
-  sink->observe("lp.micros",
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - solveStart)
-                    .count());
-}
-
-}  // namespace
-
-Solution solveWarm(const Problem& problem, const SimplexOptions& options,
-                   const Basis* warmBasis, Basis* finalBasis,
-                   const Reduction* presolved) {
-  // Observability is off on the default path: one relaxed atomic load.
-  support::MetricsSink* const sink = support::metricsSink();
-  const auto solveStart = sink != nullptr
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
-  const bool minimize = (problem.sense() == Sense::Minimize);
-
-  // Presolve: shrink the problem before any tableau is built, or take
-  // the caller's reduction of the same rows.  The reduction is dropped
-  // again when it removed nothing (the copy would only add overhead)
-  // and short-circuits exact infeasibility.
-  std::optional<Reduction> owned;
-  const Reduction* reduction = nullptr;
-  PresolveStats presolveStats;
-  if (options.presolve) {
-    if (presolved == nullptr) {
-      owned.emplace(Reduction::reduce(problem, options));
-      presolved = &*owned;
-    }
-    presolveStats = presolved->stats();
-    if (presolved->provedInfeasible()) {
-      Solution solution;
-      solution.status = SolveStatus::Infeasible;
-      solution.presolve = presolveStats;
-      reportToSink(sink, solution, solveStart);
-      return solution;
-    }
-    if (presolved->effective()) reduction = presolved;
-  }
-
-  const Problem& effective = reduction ? reduction->reduced() : problem;
-  // A shared reduction may have been made under another objective, so
-  // this problem's objective is always replayed through it.
-  const DenseObjective objective =
-      reduction != nullptr
-          ? maximizedObjective(
-                reduction->reducedObjective(problem.objective()),
-                problem.sense(), effective.numVars())
-          : maximizedObjective(problem);
-
-  Solution solution;
-  int wastedWarmPivots = 0;
-  int wastedInstallPivots = 0;
-  int wastedDevexPivots = 0;
-  bool warmFailed = false;
-  bool solved = false;
-  bool solvedOnReduced = false;
-
-  if (warmBasis != nullptr && !warmBasis->empty()) {
-    // Warm ladder: reduced tableau with the translated basis first,
-    // then the original tableau with the basis as supplied.  Only when
-    // both warm attempts fail does the solve fall back cold — so
-    // presolve never turns a previously-working warm start into a
-    // failure.
-    if (reduction) {
-      if (std::optional<Basis> translated =
-              reduction->translateBasis(*warmBasis)) {
-        Tableau warm(effective, options);
-        if (std::optional<Solution> warmSolution =
-                warm.runWarm(objective.coeffs, objective.constant,
-                             *translated)) {
-          solution = std::move(*warmSolution);
-          solution.devexPivots = warm.devexPivots();
-          solvedOnReduced = true;
-          solved = true;
-          if (finalBasis != nullptr &&
-              solution.status == SolveStatus::Optimal) {
-            *finalBasis = reduction->postsolveBasis(warm.extractBasis());
-          }
-        } else {
-          wastedWarmPivots += warm.totalPivots();
-          wastedInstallPivots += warm.installPivots();
-          wastedDevexPivots += warm.devexPivots();
-        }
-      }
-    }
-    if (!solved && reduction) {
-      const DenseObjective origObjective = maximizedObjective(problem);
-      Tableau warm(problem, options);
-      if (std::optional<Solution> warmSolution = warm.runWarm(
-              origObjective.coeffs, origObjective.constant, *warmBasis)) {
-        solution = std::move(*warmSolution);
-        solution.pivots += wastedWarmPivots;
-        solution.installPivots += wastedInstallPivots;
-        solution.devexPivots = warm.devexPivots() + wastedDevexPivots;
-        solved = true;
-        if (finalBasis != nullptr &&
-            solution.status == SolveStatus::Optimal) {
-          *finalBasis = warm.extractBasis();
-        }
-      } else {
-        wastedWarmPivots += warm.totalPivots();
-        wastedInstallPivots += warm.installPivots();
-        wastedDevexPivots += warm.devexPivots();
-        warmFailed = true;
-      }
-    } else if (!solved) {
-      Tableau warm(problem, options);
-      if (std::optional<Solution> warmSolution = warm.runWarm(
-              objective.coeffs, objective.constant, *warmBasis)) {
-        solution = std::move(*warmSolution);
-        solution.devexPivots = warm.devexPivots();
-        solved = true;
-        if (finalBasis != nullptr &&
-            solution.status == SolveStatus::Optimal) {
-          *finalBasis = warm.extractBasis();
-        }
-      } else {
-        // The basis was unusable; the cold re-solve below still pays
-        // for the pivots spent discovering that.
-        wastedWarmPivots += warm.totalPivots();
-        wastedInstallPivots += warm.installPivots();
-        wastedDevexPivots += warm.devexPivots();
-        warmFailed = true;
-      }
-    }
-  }
-
-  if (!solved) {
-    std::optional<Tableau> cold;
-    cold.emplace(effective, options);
-    solution = cold->run(objective.coeffs, objective.constant);
-    solution.devexPivots = cold->devexPivots();
-    if (solution.status == SolveStatus::IterationLimit &&
-        options.blandRetry) {
-      // The configured rule exhausted its budget or stalled on a
-      // degenerate vertex.  Epsilon-step pivots through near-singular
-      // elements erode the tableau numerically, so continuing from the
-      // stalled basis is hopeless — re-solve from scratch under
-      // progressively more conservative rules: Dantzig (cheap pricing,
-      // rarely stalls on IPET systems), then Bland (cannot cycle).
-      // Only the last rung's failure is reported upward.
-      for (const PivotRule retryRule :
-           {PivotRule::Dantzig, PivotRule::Bland}) {
-        if (retryRule == options.pivotRule) continue;
-        const int wastedPivots = solution.pivots;
-        const int wastedDevex = solution.devexPivots;
-        SimplexOptions retryOptions = options;
-        retryOptions.pivotRule = retryRule;
-        cold.emplace(effective, retryOptions);
-        solution = cold->run(objective.coeffs, objective.constant);
-        solution.pivots += wastedPivots;
-        solution.devexPivots = wastedDevex;
-        solution.blandRestart = true;
-        if (solution.status != SolveStatus::IterationLimit) break;
-      }
-    }
-    solution.pivots += wastedWarmPivots;
-    solution.installPivots += wastedInstallPivots;
-    solution.devexPivots += wastedDevexPivots;
-    solution.warmFailed = warmFailed;
-    solvedOnReduced = reduction != nullptr;
-    if (finalBasis != nullptr && solution.status == SolveStatus::Optimal) {
-      *finalBasis = reduction
-                        ? reduction->postsolveBasis(cold->extractBasis())
-                        : cold->extractBasis();
-    }
-  }
-
-  if (solvedOnReduced && solution.status == SolveStatus::Optimal) {
-    solution.values = reduction->postsolveValues(solution.values);
-  }
-  solution.presolve = presolveStats;
-  if (solution.status == SolveStatus::Optimal && minimize) {
-    solution.objective = -solution.objective;
-  }
-
-  reportToSink(sink, solution, solveStart);
   return solution;
 }
 
+/// A cold solve of `effective`: the configured rule on a fresh tableau,
+/// then the retry ladder.
+Solution solveCold(const Problem& effective, const DenseObjective& objective,
+                   const SimplexOptions& options) {
+  Tableau tableau(effective, options);
+  Solution solution = tableau.run(objective.coeffs, objective.constant);
+  if (solution.status != SolveStatus::IterationLimit) return solution;
+  return retryFromScratch(effective, objective, options, std::move(solution));
+}
+
+/// Maps a solution of the effective problem back to `problem`'s space
+/// and sense.
+void postsolve(const Problem& problem, const Reduction* reduction,
+               const PresolveStats& presolve, Solution* solution) {
+  if (solution->status == SolveStatus::Optimal) {
+    if (reduction != nullptr) {
+      solution->values = reduction->postsolveValues(solution->values);
+    }
+    if (problem.sense() == Sense::Minimize) {
+      solution->objective = -solution->objective;
+    }
+  }
+  solution->presolve = presolve;
+}
+
+/// Reports one answered LP to the metrics sink, when one is installed.
+class SinkReport {
+ public:
+  SinkReport()
+      : sink_(support::metricsSink()),
+        start_(sink_ != nullptr ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{}) {}
+
+  void report(const Solution& solution) const {
+    if (sink_ == nullptr) return;
+    sink_->add("lp.solves", 1);
+    if (solution.blandRestart) sink_->add("lp.blandRestarts", 1);
+    sink_->observe("lp.pivots", solution.pivots);
+    if (solution.devexPivots > 0) {
+      sink_->observe("lp.devexPivots", solution.devexPivots);
+    }
+    if (solution.presolve.rowsRemoved > 0) {
+      sink_->observe("lp.presolveRowsRemoved", solution.presolve.rowsRemoved);
+    }
+    if (solution.presolve.colsFixed + solution.presolve.substitutions > 0) {
+      sink_->observe("lp.presolveColsRemoved",
+                     solution.presolve.colsFixed +
+                         solution.presolve.substitutions);
+    }
+    sink_->observe("lp.micros",
+                   std::chrono::duration_cast<std::chrono::microseconds>(
+                       std::chrono::steady_clock::now() - start_)
+                       .count());
+  }
+
+ private:
+  // Observability is off on the default path: one relaxed atomic load.
+  support::MetricsSink* sink_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+}  // namespace
+
 Solution solve(const Problem& problem, const SimplexOptions& options) {
-  return solveWarm(problem, options, nullptr, nullptr);
+  const SinkReport sink;
+  // Presolve: shrink the problem before any tableau is built.  The
+  // reduction is dropped again when it removed nothing (the copy would
+  // only add overhead) and short-circuits exact infeasibility.
+  std::optional<Reduction> reduction;
+  PresolveStats presolve;
+  if (options.presolve) {
+    reduction.emplace(Reduction::reduce(problem, options));
+    presolve = reduction->stats();
+    if (reduction->provedInfeasible()) {
+      Solution solution;
+      solution.status = SolveStatus::Infeasible;
+      solution.presolve = presolve;
+      sink.report(solution);
+      return solution;
+    }
+    if (!reduction->effective()) reduction.reset();
+  }
+  const Reduction* const effective = reduction ? &*reduction : nullptr;
+  Solution solution =
+      solveCold(effective != nullptr ? effective->reduced() : problem,
+                effectiveObjective(problem, effective), options);
+  postsolve(problem, effective, presolve, &solution);
+  sink.report(solution);
+  return solution;
+}
+
+LiveTableau::LiveTableau(const Problem& rows, const SimplexOptions& options)
+    : options_(options), rows_(&rows) {
+  if (options.presolve) {
+    Reduction reduction = Reduction::reduce(rows, options);
+    presolve_ = reduction.stats();
+    if (reduction.provedInfeasible()) {
+      provedInfeasible_ = true;
+      return;
+    }
+    if (reduction.effective()) {
+      reduction_ = std::make_unique<Reduction>(std::move(reduction));
+    }
+  }
+  tableau_ = std::make_unique<Tableau>(effective(), options);
+}
+
+LiveTableau::~LiveTableau() = default;
+
+const Problem& LiveTableau::effective() const {
+  return reduction_ != nullptr ? reduction_->reduced() : *rows_;
+}
+
+bool LiveTableau::ensurePhaseOne(Solution* wasted) {
+  if (phaseOneDone_) return true;
+  SolveStatus status = SolveStatus::IterationLimit;
+  try {
+    status = tableau_->phaseOne();
+    if (status == SolveStatus::Optimal && !tableau_->primalFeasibleAtTol()) {
+      status = SolveStatus::IterationLimit;
+    }
+  } catch (const InjectedFaultError&) {
+    // Retired below, like a phase that ran out of budget.
+  }
+  if (status == SolveStatus::IterationLimit) {
+    wasted->status = SolveStatus::IterationLimit;
+    wasted->pivots = tableau_->totalPivots();
+    wasted->devexPivots = tableau_->devexPivots();
+    tableau_.reset();
+    return false;
+  }
+  phaseOneDone_ = true;
+  phaseOneInfeasible_ = status == SolveStatus::Infeasible;
+  return true;
+}
+
+Solution LiveTableau::feasibility() {
+  const SinkReport sink;
+  Solution solution;
+  if (provedInfeasible_ || phaseOneDone_) {
+    solution.status = provedInfeasible_ || phaseOneInfeasible_
+                          ? SolveStatus::Infeasible
+                          : SolveStatus::Optimal;
+  } else {
+    const DenseObjective zero{
+        std::vector<double>(static_cast<std::size_t>(effective().numVars()),
+                            0.0),
+        0.0};
+    if (tableau_ == nullptr) {
+      solution = solveCold(effective(), zero, options_);
+    } else if (ensurePhaseOne(&solution)) {
+      solution.status =
+          phaseOneInfeasible_ ? SolveStatus::Infeasible : SolveStatus::Optimal;
+      solution.pivots = tableau_->totalPivots();
+      solution.devexPivots = tableau_->devexPivots();
+    } else {
+      solution = retryFromScratch(effective(), zero, options_,
+                                  std::move(solution));
+    }
+  }
+  // Only the verdict is an answer here; no caller needs the point.
+  solution.values.clear();
+  solution.presolve = presolve_;
+  sink.report(solution);
+  return solution;
+}
+
+Solution LiveTableau::solve(const Problem& problem) {
+  const SinkReport sink;
+  Solution solution;
+  const bool infeasible =
+      provedInfeasible_ || (phaseOneDone_ && phaseOneInfeasible_);
+  if (infeasible) {
+    solution.status = SolveStatus::Infeasible;
+  } else {
+    const DenseObjective objective =
+        effectiveObjective(problem, reduction_.get());
+    if (tableau_ == nullptr) {
+      // Retired by an earlier call: a plain cold solve.
+      solution = solveCold(effective(), objective, options_);
+    } else {
+      const int pivotsBefore = tableau_->totalPivots();
+      const int devexBefore = tableau_->devexPivots();
+      bool live = ensurePhaseOne(&solution);
+      if (live && phaseOneInfeasible_) {
+        solution.status = SolveStatus::Infeasible;
+      } else if (live) {
+        try {
+          tableau_->resetPivotBudget();
+          solution = tableau_->phaseTwo(objective.coeffs, objective.constant);
+        } catch (const InjectedFaultError&) {
+          solution = Solution{};
+          solution.status = SolveStatus::IterationLimit;
+        }
+        live = solution.status != SolveStatus::IterationLimit;
+      }
+      if (live) {
+        solution.pivots = tableau_->totalPivots() - pivotsBefore;
+        solution.devexPivots = tableau_->devexPivots() - devexBefore;
+      } else {
+        // Retire the tableau; this call climbs the from-scratch ladder.
+        if (tableau_ != nullptr) {
+          solution.pivots = tableau_->totalPivots() - pivotsBefore;
+          solution.devexPivots = tableau_->devexPivots() - devexBefore;
+          tableau_.reset();
+        }
+        solution = retryFromScratch(effective(), objective, options_,
+                                    std::move(solution));
+      }
+    }
+  }
+  postsolve(problem, reduction_.get(), presolve_, &solution);
+  sink.report(solution);
+  return solution;
 }
 
 }  // namespace cinderella::lp

@@ -174,13 +174,6 @@ int Tableau::basicColumn(int row) const {
   return basis_[static_cast<std::size_t>(row)];
 }
 
-Basis Tableau::extractBasis() const {
-  Basis b;
-  b.numVars = numOriginal_;
-  b.basicCol = basis_;
-  return b;
-}
-
 void Tableau::pivot(int row, int col) {
   gatherCarriers(col);
   pivotGathered(row, col);
@@ -386,57 +379,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
   }
 }
 
-SolveStatus Tableau::dualSimplex() {
-  while (true) {
-    if (pivots_ >= pivotBudget_) return SolveStatus::IterationLimit;
-    // Leaving row: most negative rhs under Devex/Dantzig (ties:
-    // smallest row); smallest-index violated row under Bland.  (Devex
-    // pricing is a primal entering-column rule; the dual repair keeps
-    // the most-violated-row heuristic.)
-    int leave = -1;
-    if (rule_ != PivotRule::Bland) {
-      double mostNegative = -opt_.tol;
-      for (int i = 0; i < m_; ++i) {
-        if (rhs_[static_cast<std::size_t>(i)] < mostNegative) {
-          mostNegative = rhs_[static_cast<std::size_t>(i)];
-          leave = i;
-        }
-      }
-    } else {
-      for (int i = 0; i < m_; ++i) {
-        if (rhs_[static_cast<std::size_t>(i)] < -opt_.tol) {
-          leave = i;
-          break;
-        }
-      }
-    }
-    if (leave < 0) return SolveStatus::Optimal;
-
-    // Entering column: minimum dual ratio |rc_j / a_rj| over columns
-    // with a negative coefficient in the leaving row (ties: smallest
-    // column id).  No candidate means the row is unsatisfiable: the
-    // problem is primal infeasible (dual unbounded).
-    int enter = -1;
-    double bestRatio = std::numeric_limits<double>::infinity();
-    for (const Entry& e : rows_[static_cast<std::size_t>(leave)]) {
-      if (e.val >= -opt_.pivotTol) continue;
-      if (isArtificialColumn(e.col)) continue;
-      const double ratio = obj_[static_cast<std::size_t>(e.col)] / (-e.val);
-      if (ratio < bestRatio - opt_.tol ||
-          (ratio < bestRatio + opt_.tol && (enter < 0 || e.col < enter))) {
-        bestRatio = ratio;
-        enter = e.col;
-      }
-    }
-    if (enter < 0) return SolveStatus::Infeasible;
-    pivot(leave, enter);
-    ++pivots_;
-    ++dualPivots_;
-  }
-}
-
-bool Tableau::evictArtificials() {
-  bool allEvicted = true;
+void Tableau::evictArtificials() {
   for (int i = 0; i < m_; ++i) {
     const int b = basis_[static_cast<std::size_t>(i)];
     if (!isArtificialColumn(b)) continue;
@@ -452,57 +395,40 @@ bool Tableau::evictArtificials() {
     if (enter >= 0) {
       pivot(i, enter);
       ++pivots_;
-    } else {
-      allEvicted = false;
     }
   }
-  return allEvicted;
 }
 
-Solution Tableau::run(const std::vector<double>& objective, double constant) {
-  Solution solution;
-
+SolveStatus Tableau::phaseOne() {
   bool anyArtificial = false;
   for (int i = 0; i < m_ && !anyArtificial; ++i) {
     anyArtificial = colExists_[static_cast<std::size_t>(
         artificialColumn(numOriginal_, i))] != 0;
   }
-  if (anyArtificial) {
-    // Phase 1: maximize -(sum of artificials).
-    setObjectiveRow([&](int col) {
-      return isArtificialColumn(col) ? -1.0 : 0.0;
-    });
-    const SolveStatus st = optimize(/*allowArtificialEntering=*/true);
-    if (st == SolveStatus::IterationLimit) {
-      solution.status = st;
-      solution.pivots = pivots_;
-      solution.installPivots = installPivots_;
-      return solution;
-    }
-    CIN_REQUIRE(st != SolveStatus::Unbounded);  // phase-1 obj is <= 0
-    if (objectiveValue() < -opt_.tol) {
-      solution.status = SolveStatus::Infeasible;
-      solution.pivots = pivots_;
-      solution.installPivots = installPivots_;
-      return solution;
-    }
-    if (!evictArtificials()) {
-      // Rows whose artificial could not be pivoted out are redundant
-      // (all real coefficients zero); they can be ignored because their
-      // rhs is zero at this point.
-    }
-  }
+  if (!anyArtificial) return SolveStatus::Optimal;
+  // Maximize -(sum of artificials).
+  setObjectiveRow([&](int col) {
+    return isArtificialColumn(col) ? -1.0 : 0.0;
+  });
+  const SolveStatus st = optimize(/*allowArtificialEntering=*/true);
+  if (st == SolveStatus::IterationLimit) return st;
+  CIN_REQUIRE(st != SolveStatus::Unbounded);  // phase-1 obj is <= 0
+  if (objectiveValue() < -opt_.tol) return SolveStatus::Infeasible;
+  evictArtificials();
+  return SolveStatus::Optimal;
+}
 
-  // Phase 2: the real objective.
+Solution Tableau::phaseTwo(const std::vector<double>& objective,
+                           double constant) {
   setObjectiveRow([&](int col) {
     return (col < numOriginal_) ? objective[static_cast<std::size_t>(col)]
                                 : 0.0;
   });
-  const SolveStatus st = optimize(/*allowArtificialEntering=*/false);
-  solution.status = st;
+  Solution solution;
+  solution.status = optimize(/*allowArtificialEntering=*/false);
   solution.pivots = pivots_;
-  solution.installPivots = installPivots_;
-  if (st != SolveStatus::Optimal) return solution;
+  solution.devexPivots = devexPivots_;
+  if (solution.status != SolveStatus::Optimal) return solution;
   if (!primalFeasibleAtTol()) {
     // The "optimum" sits outside the feasible region: pivot drift ate a
     // constraint.  Report IterationLimit so the solver re-solves on a
@@ -511,11 +437,24 @@ Solution Tableau::run(const std::vector<double>& objective, double constant) {
     solution.status = SolveStatus::IterationLimit;
     return solution;
   }
-
   fillSolutionValues(&solution);
   solution.objective = objectiveValue() + constant;
   return solution;
 }
+
+Solution Tableau::run(const std::vector<double>& objective, double constant) {
+  const SolveStatus st = phaseOne();
+  if (st != SolveStatus::Optimal) {
+    Solution solution;
+    solution.status = st;
+    solution.pivots = pivots_;
+    solution.devexPivots = devexPivots_;
+    return solution;
+  }
+  return phaseTwo(objective, constant);
+}
+
+void Tableau::resetPivotBudget() { pivotBudget_ = pivots_ + opt_.maxPivots; }
 
 bool Tableau::primalFeasibleAtTol() const {
   double scale = 1.0;
@@ -527,219 +466,6 @@ bool Tableau::primalFeasibleAtTol() const {
     if (rhs_[static_cast<std::size_t>(i)] < limit) return false;
   }
   return true;
-}
-
-bool Tableau::installBasis(const Basis& from) {
-  if (from.numVars != numOriginal_) return false;
-  if (static_cast<int>(from.basicCol.size()) > m_) return false;
-
-  // Target basic column per row: the snapshot where it reaches, the
-  // natural slack/surplus for appended rows (an appended Equal row keeps
-  // its artificial — runWarm's final level check guards soundness).
-  std::vector<int> target(static_cast<std::size_t>(m_));
-  for (int i = 0; i < m_; ++i) {
-    if (i < static_cast<int>(from.basicCol.size())) {
-      target[static_cast<std::size_t>(i)] =
-          from.basicCol[static_cast<std::size_t>(i)];
-    } else {
-      const int slack = slackColumn(numOriginal_, i);
-      target[static_cast<std::size_t>(i)] =
-          colExists_[static_cast<std::size_t>(slack)]
-              ? slack
-              : basis_[static_cast<std::size_t>(i)];
-    }
-  }
-
-  std::vector<unsigned char> taken(static_cast<std::size_t>(numCols_), 0);
-  for (const int col : target) {
-    if (col < 0 || col >= numCols_) return false;
-    if (!colExists_[static_cast<std::size_t>(col)]) return false;
-    if (taken[static_cast<std::size_t>(col)]) return false;
-    taken[static_cast<std::size_t>(col)] = 1;
-  }
-
-  // Gauss-Jordan refactorization to the target basis.  A pass pivots
-  // every row whose target column currently has a usable coefficient;
-  // pivoting can enable rows an earlier pass could not reach, so iterate
-  // to a fixpoint.  No progress with rows outstanding means the target
-  // basis is singular at the pivot tolerance: report failure so the
-  // caller re-solves cold.
-  int remaining = 0;
-  for (int i = 0; i < m_; ++i) {
-    if (basis_[static_cast<std::size_t>(i)] !=
-        target[static_cast<std::size_t>(i)]) {
-      ++remaining;
-    }
-  }
-  while (remaining > 0) {
-    bool progress = false;
-    for (int i = 0; i < m_; ++i) {
-      const int want = target[static_cast<std::size_t>(i)];
-      if (basis_[static_cast<std::size_t>(i)] == want) continue;
-      const double p = rowCoeff(rows_[static_cast<std::size_t>(i)], want);
-      if (std::abs(p) <= opt_.pivotTol) continue;
-      pivot(i, want);
-      // Refactorization eliminations, not simplex iterations: counted
-      // apart so pivot totals compare warm vs cold like for like.
-      ++installPivots_;
-      --remaining;
-      progress = true;
-    }
-    if (!progress) {
-      // Deadlock: every remaining row has a zero on its own target
-      // column.  The basis is a *set* of columns — the row assignment is
-      // free — so permute instead: pivot a remaining row on another
-      // remaining row's target it can reach and swap the two
-      // assignments.  (A pending column basic in a different row is a
-      // unit vector there and zero here, so the tolerance test skips it
-      // naturally.)  No cross pivot anywhere means the target basis
-      // really is singular at the pivot tolerance.
-      for (int i = 0; i < m_ && !progress; ++i) {
-        if (basis_[static_cast<std::size_t>(i)] ==
-            target[static_cast<std::size_t>(i)]) {
-          continue;
-        }
-        for (int j = 0; j < m_ && !progress; ++j) {
-          if (j == i || basis_[static_cast<std::size_t>(j)] ==
-                            target[static_cast<std::size_t>(j)]) {
-            continue;
-          }
-          const double p = rowCoeff(rows_[static_cast<std::size_t>(i)],
-                                    target[static_cast<std::size_t>(j)]);
-          if (std::abs(p) <= opt_.pivotTol) continue;
-          std::swap(target[static_cast<std::size_t>(i)],
-                    target[static_cast<std::size_t>(j)]);
-          pivot(i, target[static_cast<std::size_t>(i)]);
-          ++installPivots_;
-          --remaining;
-          progress = true;
-        }
-      }
-      if (!progress) return false;
-    }
-  }
-  return true;
-}
-
-std::optional<Solution> Tableau::runWarm(const std::vector<double>& objective,
-                                         double constant, const Basis& from) {
-  if (!installBasis(from)) return std::nullopt;
-
-  setObjectiveRow([&](int col) {
-    return (col < numOriginal_) ? objective[static_cast<std::size_t>(col)]
-                                : 0.0;
-  });
-  bool realObjectivePriced = true;
-
-  // Packages a result that is genuine (something the cold path would
-  // also report), as opposed to a warm-path dead end (std::nullopt).
-  auto genuine = [&](SolveStatus st) {
-    Solution solution;
-    solution.status = st;
-    solution.pivots = pivots_;
-    solution.installPivots = installPivots_;
-    solution.dualPivots = dualPivots_;
-    solution.warmUsed = true;
-    return solution;
-  };
-
-  bool primalInfeasible = false;
-  for (int i = 0; i < m_ && !primalInfeasible; ++i) {
-    primalInfeasible = rhs_[static_cast<std::size_t>(i)] < -opt_.tol;
-  }
-  if (primalInfeasible) {
-    // Dual simplex needs dual feasibility (no negative reduced cost on
-    // an admissible column).  The installed basis usually provides it
-    // for the real objective — the branch-and-bound parent was optimal
-    // and only the new cut row is violated; when it does not, the zero
-    // objective is trivially dual feasible and restores rhs >= 0 all the
-    // same, at the cost of repricing afterwards.
-    for (const int j : existingCols_) {
-      if (isArtificialColumn(j)) continue;
-      if (obj_[static_cast<std::size_t>(j)] < -opt_.tol) {
-        realObjectivePriced = false;
-        break;
-      }
-    }
-    if (!realObjectivePriced) setObjectiveRow([](int) { return 0.0; });
-    const SolveStatus st = dualSimplex();
-    // A budget blowout on the warm path must not surface outcomes the
-    // cold path would not produce: fall back instead of reporting it.
-    if (st == SolveStatus::IterationLimit) return std::nullopt;
-    if (st == SolveStatus::Infeasible) {
-      // Genuine result: the dual-unbounded row is an infeasibility
-      // certificate for the original system (artificials are pinned to
-      // zero in any admissible solution).
-      return genuine(st);
-    }
-  }
-
-  // Appended Equal rows keep their artificial basic, at whatever level
-  // the installed point leaves the equality violated by.  Repair exactly
-  // as cold phase 1 would — minimize the artificial levels — but from
-  // the warm (primal feasible) basis instead of from scratch.
-  bool artificialAtLevel = false;
-  for (int i = 0; i < m_ && !artificialAtLevel; ++i) {
-    artificialAtLevel =
-        isArtificialColumn(basis_[static_cast<std::size_t>(i)]) &&
-        rhs_[static_cast<std::size_t>(i)] > opt_.tol;
-  }
-  if (artificialAtLevel) {
-    setObjectiveRow([&](int col) {
-      return isArtificialColumn(col) ? -1.0 : 0.0;
-    });
-    realObjectivePriced = false;
-    const SolveStatus st = optimize(/*allowArtificialEntering=*/true);
-    if (st == SolveStatus::IterationLimit) return std::nullopt;
-    CIN_REQUIRE(st != SolveStatus::Unbounded);  // phase-1 obj is <= 0
-    if (objectiveValue() < -opt_.tol) {
-      // Genuine: cold phase 1 reaches the same verdict.
-      return genuine(SolveStatus::Infeasible);
-    }
-  }
-
-  // A warm basis may leave artificials basic at level zero in
-  // non-redundant rows (e.g. a postsolved basis hosting a removed Equal
-  // row).  Phase 2's unboundedness certificate is only valid when every
-  // artificial-basic row is redundant in the real columns, so pivot
-  // them out exactly as the cold path does after phase 1; whatever
-  // cannot be evicted is a genuinely redundant zero row.
-  evictArtificials();
-
-  if (!realObjectivePriced) {
-    setObjectiveRow([&](int col) {
-      return (col < numOriginal_) ? objective[static_cast<std::size_t>(col)]
-                                  : 0.0;
-    });
-  }
-
-  const SolveStatus st = optimize(/*allowArtificialEntering=*/false);
-  if (st == SolveStatus::IterationLimit) return std::nullopt;
-  Solution solution;
-  solution.status = st;
-  solution.pivots = pivots_;
-  solution.installPivots = installPivots_;
-  solution.dualPivots = dualPivots_;
-  solution.warmUsed = true;
-  if (st != SolveStatus::Optimal) return solution;
-  // Same audit as the cold path: a warm "optimum" outside the feasible
-  // region falls back to a cold re-solve.
-  if (!primalFeasibleAtTol()) return std::nullopt;
-
-  // An artificial still basic at a nonzero level means the point
-  // violates that row's original constraint: the warm result would be
-  // unsound, so reject it and let the caller re-solve cold (phase 1
-  // decides feasibility properly).
-  for (int i = 0; i < m_; ++i) {
-    if (isArtificialColumn(basis_[static_cast<std::size_t>(i)]) &&
-        std::abs(rhs_[static_cast<std::size_t>(i)]) > opt_.tol) {
-      return std::nullopt;
-    }
-  }
-
-  fillSolutionValues(&solution);
-  solution.objective = objectiveValue() + constant;
-  return solution;
 }
 
 void Tableau::fillSolutionValues(Solution* solution) const {

@@ -43,7 +43,7 @@ enum class RequestStage {
   Frontend,      ///< MiniC lex/parse/sema/codegen (or LP-format parse).
   Cfg,           ///< Analyzer construction: CFGs, contexts, constraints.
   Digest,        ///< Content-addressed system digests.
-  CacheLookup,   ///< SolveCache bound + basis lookups.
+  CacheLookup,   ///< SolveCache bound lookup.
   Solve,         ///< The estimate() call (ILP build + solves).
   CacheStore,    ///< Admission-gated SolveCache insert.
   Report,        ///< Report document serialisation.

@@ -54,18 +54,6 @@ void statsToJson(JsonWriter* w, const ipet::SolveStats& stats) {
       .value(stats.dedupedSets)
       .key("dominatedSets")
       .value(stats.dominatedSets)
-      .key("warmStarts")
-      .value(stats.warmStarts)
-      .key("coldStarts")
-      .value(stats.coldStarts)
-      .key("dualPivots")
-      .value(stats.dualPivots)
-      .key("warmFailures")
-      .value(stats.warmFailures)
-      .key("installPivots")
-      .value(stats.installPivots)
-      .key("seedPivots")
-      .value(stats.seedPivots)
       .key("devexPivots")
       .value(stats.devexPivots)
       .key("presolveRowsRemoved")
@@ -106,15 +94,6 @@ void ilpRecordToJson(JsonWriter* w, const ipet::IlpSolveRecord& record,
   }
   if (record.blandRestarts != 0) {
     w->key("blandRestarts").value(record.blandRestarts);
-  }
-  if (record.warmStarts != 0) w->key("warmStarts").value(record.warmStarts);
-  if (record.coldStarts != 0) w->key("coldStarts").value(record.coldStarts);
-  if (record.dualPivots != 0) w->key("dualPivots").value(record.dualPivots);
-  if (record.warmFailures != 0) {
-    w->key("warmFailures").value(record.warmFailures);
-  }
-  if (record.installPivots != 0) {
-    w->key("installPivots").value(record.installPivots);
   }
   if (record.devexPivots != 0) {
     w->key("devexPivots").value(record.devexPivots);

@@ -25,8 +25,6 @@ void RequestRecord::toJson(obs::JsonWriter* w) const {
   if (op == "analyze" && ok) {
     w->key("cacheHit")
         .value(cacheHit)
-        .key("basisWarmStarted")
-        .value(basisWarmStarted)
         .key("degradedAdmission")
         .value(degradedAdmission)
         .key("bound")

@@ -41,7 +41,6 @@ struct RequestRecord {
   std::int64_t durationMicros = 0;
   bool ok = false;
   bool cacheHit = false;
-  bool basisWarmStarted = false;
   bool degradedAdmission = false;
   std::string errorCode;  ///< Empty when ok.
   std::int64_t boundLo = 0;

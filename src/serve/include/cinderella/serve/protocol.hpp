@@ -23,14 +23,13 @@
 //    "jobs":1,                  // solve worker threads [1]
 //    "deadlineMs":0,            // solve deadline [none]
 //    "maxNodes":0,              // branch-and-bound node cap [solver default]
-//    "maxMemoryMb":0,           // per-request solve memory ceiling [none;
+//    "maxMemoryMb":0}           // per-request solve memory ceiling [none;
 //                               // the server may clamp it further]
-//    "warmStart":true}          // incremental solve engine [on]
+//   (a "warmStart" field from older clients is accepted and ignored)
 //
 // Analyze response frame:
 //   {"id":7,"ok":true,"protocolVersion":4,
 //    "cacheHit":false,          // bound served from the solve cache
-//    "basisWarmStarted":false,  // cached structural basis seeded the solve
 //    "degradedAdmission":false, // overload clamped the deadline
 //    "digest":"<32 hex>","structuralDigest":"<32 hex>",
 //    "wallMicros":N,"solveMicros":N,
@@ -180,7 +179,6 @@ struct Response {
   std::string errorCode;
   std::string error;
   bool cacheHit = false;
-  bool basisWarmStarted = false;
   bool degradedAdmission = false;
   std::int64_t wallMicros = 0;
   std::int64_t solveMicros = 0;
@@ -235,8 +233,7 @@ struct Response {
 /// obs::MetricsSnapshot document) and is embedded as "metrics".
 [[nodiscard]] std::string encodeStatsResponse(
     const WireId& id, const ipet::SolveCacheStats& cache,
-    std::size_t boundEntries, std::size_t basisEntries,
-    const ServeCounters& server, std::string_view metricsJson = {});
+    std::size_t boundEntries, const ServeCounters& server, std::string_view metricsJson = {});
 /// `prometheus` is the text-exposition body (obs::prometheusText).
 [[nodiscard]] std::string encodeMetricsResponse(const WireId& id,
                                                 std::string_view prometheus);

@@ -171,7 +171,6 @@ class Server {
     std::string errorCode;  ///< Empty on success.
     bool degradedAdmission = false;
     bool cacheHit = false;
-    bool basisWarmStarted = false;
     std::int64_t boundLo = 0;
     std::int64_t boundHi = 0;
   };

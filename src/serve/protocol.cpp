@@ -124,7 +124,6 @@ std::string encodeRequest(const RequestFrame& frame) {
       w.key("maxMemoryMb")
           .value(static_cast<std::int64_t>(r.control.maxMemoryBytes >> 20));
     }
-    w.key("warmStart").value(r.control.warmStart);
   }
   if (frame.op == Op::Evaluate) {
     w.key("digest").value(frame.evaluateDigest);
@@ -315,7 +314,8 @@ bool decodeRequest(std::string_view line, RequestFrame* out,
     return false;
   }
   r.control.maxMemoryBytes = static_cast<std::size_t>(maxMemoryMb) << 20;
-  r.control.warmStart = doc->boolOr("warmStart", true);
+  // Older clients may still send "warmStart"; like any unknown field it
+  // is ignored.
   return true;
 }
 
@@ -328,8 +328,6 @@ std::string encodeAnalyzeResponse(const WireId& id,
   beginResponse(&w, id, true);
   w.key("cacheHit")
       .value(result.cacheHit)
-      .key("basisWarmStarted")
-      .value(result.basisWarmStarted)
       .key("degradedAdmission")
       .value(degradedAdmission)
       .key("digest")
@@ -382,7 +380,6 @@ std::string encodePong(const WireId& id) {
 std::string encodeStatsResponse(const WireId& id,
                                 const ipet::SolveCacheStats& cache,
                                 std::size_t boundEntries,
-                                std::size_t basisEntries,
                                 const ServeCounters& server,
                                 std::string_view metricsJson) {
   obs::JsonWriter w;
@@ -393,10 +390,6 @@ std::string encodeStatsResponse(const WireId& id,
       .value(cache.boundHits)
       .key("boundMisses")
       .value(cache.boundMisses)
-      .key("basisHits")
-      .value(cache.basisHits)
-      .key("basisMisses")
-      .value(cache.basisMisses)
       .key("insertions")
       .value(cache.insertions)
       .key("evictions")
@@ -405,8 +398,6 @@ std::string encodeStatsResponse(const WireId& id,
       .value(cache.rejectedInserts)
       .key("boundEntries")
       .value(static_cast<std::int64_t>(boundEntries))
-      .key("basisEntries")
-      .value(static_cast<std::int64_t>(basisEntries))
       .endObject();
   w.key("server")
       .beginObject()
@@ -506,7 +497,6 @@ std::optional<Response> decodeResponse(std::string_view line,
   response.errorCode = doc->stringOr("code", "");
   response.error = doc->stringOr("error", "");
   response.cacheHit = doc->boolOr("cacheHit", false);
-  response.basisWarmStarted = doc->boolOr("basisWarmStarted", false);
   response.degradedAdmission = doc->boolOr("degradedAdmission", false);
   response.wallMicros = doc->intOr("wallMicros", 0);
   response.solveMicros = doc->intOr("solveMicros", 0);

@@ -281,8 +281,7 @@ std::string Server::handleLine(const std::string& line,
       case Op::Stats:
         response = encodeStatsResponse(
             wireId, service_.cache().stats(), service_.cache().boundEntries(),
-            service_.cache().basisEntries(), counters(),
-            metricsSnapshot().json());
+            counters(), metricsSnapshot().json());
         break;
       case Op::Metrics:
         response = encodeMetricsResponse(wireId, prometheusText());
@@ -346,9 +345,6 @@ std::string Server::handleLine(const std::string& line,
       metrics_.counter(outcome.cacheHit ? "serve.cache_hits"
                                         : "serve.cache_misses")
           .add(1);
-      if (outcome.basisWarmStarted) {
-        metrics_.counter("serve.basis_warm_starts").add(1);
-      }
     }
     if (outcome.degradedAdmission) {
       metrics_.counter("serve.degraded_admissions").add(1);
@@ -374,7 +370,6 @@ std::string Server::handleLine(const std::string& line,
     record.ok = outcome.errorCode.empty();
     record.errorCode = outcome.errorCode;
     record.cacheHit = outcome.cacheHit;
-    record.basisWarmStarted = outcome.basisWarmStarted;
     record.degradedAdmission = outcome.degradedAdmission;
     record.boundLo = outcome.boundLo;
     record.boundHi = outcome.boundHi;
@@ -396,7 +391,6 @@ std::string Server::handleLine(const std::string& line,
         .field("ok", outcome.errorCode.empty())
         .field("code", outcome.errorCode)
         .field("cacheHit", outcome.cacheHit)
-        .field("basisWarmStarted", outcome.basisWarmStarted)
         .field("degradedAdmission", outcome.degradedAdmission)
         .field("boundLo", outcome.boundLo)
         .field("boundHi", outcome.boundHi)
@@ -476,7 +470,6 @@ Server::AnalyzeOutcome Server::handleAnalyze(const RequestFrame& frame,
       const ipet::AnalysisResult result =
           service_.analyze(admitted.request, telemetry);
       outcome.cacheHit = result.cacheHit;
-      outcome.basisWarmStarted = result.basisWarmStarted;
       outcome.boundLo = result.estimate.bound.lo;
       outcome.boundHi = result.estimate.bound.hi;
       std::string report;
@@ -618,8 +611,6 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   const ipet::SolveCacheStats cache = service_.cache().stats();
   snapshot.counters["cache.bound_hits"] = cache.boundHits;
   snapshot.counters["cache.bound_misses"] = cache.boundMisses;
-  snapshot.counters["cache.basis_hits"] = cache.basisHits;
-  snapshot.counters["cache.basis_misses"] = cache.basisMisses;
   snapshot.counters["cache.formula_hits"] = cache.formulaHits;
   snapshot.counters["cache.formula_misses"] = cache.formulaMisses;
   snapshot.counters["cache.insertions"] = cache.insertions;
@@ -627,8 +618,6 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   snapshot.counters["cache.rejected_inserts"] = cache.rejectedInserts;
   snapshot.counters["cache.bound_entries"] =
       static_cast<std::int64_t>(service_.cache().boundEntries());
-  snapshot.counters["cache.basis_entries"] =
-      static_cast<std::int64_t>(service_.cache().basisEntries());
   snapshot.counters["cache.formula_entries"] =
       static_cast<std::int64_t>(service_.cache().formulaEntries());
   return snapshot;
@@ -637,7 +626,7 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
 std::string Server::prometheusText() const {
   obs::PrometheusOptions options;
   options.gauges = {"serve.inflight", "serve.draining", "cache.bound_entries",
-                    "cache.basis_entries", "cache.formula_entries"};
+                    "cache.formula_entries"};
   return obs::prometheusText(metricsSnapshot(), options);
 }
 

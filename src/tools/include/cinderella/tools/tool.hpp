@@ -50,10 +50,6 @@ struct ToolOptions {
   /// --degraded forbid: exit with code 3 when any constraint set fell
   /// back to a non-exact (relaxed/structural/failed) bound.
   bool forbidDegraded = false;
-  /// --no-warm-start clears this: run the non-incremental pipeline (no
-  /// set deduplication, no domination pruning, no basis reuse) for A/B
-  /// performance comparison.  The bound is identical either way.
-  bool warmStart = true;
   /// --no-presolve clears this: solve every LP without the
   /// presolve/postsolve reduction engine for A/B performance
   /// comparison.  The bound is identical either way.

@@ -80,8 +80,7 @@ Runs the IPET analyzer as a persistent daemon on 127.0.0.1, speaking
 newline-delimited JSON (one request object per line, one response per
 line; see DESIGN.md "Serve protocol").  Repeat submissions of an
 identical constraint system are answered from a content-addressed solve
-cache without solving; near-identical ones warm-start from a cached
-basis.
+cache without solving.
 
 options:
   --port <N>                listen port (default 0 = pick an ephemeral
@@ -385,7 +384,7 @@ int runServeTool(const ServeToolOptions& options, std::ostream& out,
     if (!options.snapshotPath.empty()) {
       const ipet::SnapshotRestoreReport& restore = server.restoreReport();
       out << "cinderella-serve: cache restore: " << restore.bounds
-          << " bounds, " << restore.bases << " bases, " << restore.formulas
+          << " bounds, " << restore.formulas
           << " formulas, " << restore.journalRecords << " journaled\n";
     }
     out << "cinderella-serve: listening on 127.0.0.1:" << server.port()

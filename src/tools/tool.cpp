@@ -65,11 +65,6 @@ options:
   --degraded <mode>        allow (default) accepts degraded per-set
                            bounds; forbid exits with code 3 when any
                            constraint set is not solved exactly
-  --no-warm-start          disable the incremental solve pipeline
-                           (constraint-set deduplication, domination
-                           pruning, and basis warm starts); the bound is
-                           identical either way — this is for A/B
-                           performance measurement
   --no-presolve            disable the presolve/postsolve reduction
                            engine (singleton substitution, bound
                            propagation, fixed-variable elimination,
@@ -340,8 +335,6 @@ bool parseArgs(int argc, const char* const* argv, ToolOptions* options,
         err << "cinderella: --degraded must be 'allow' or 'forbid'\n";
         return false;
       }
-    } else if (arg == "--no-warm-start") {
-      options->warmStart = false;
     } else if (arg == "--no-presolve") {
       options->presolve = false;
     } else if (arg == "--cache-entries") {
@@ -504,7 +497,6 @@ int runTool(const ToolOptions& options, std::ostream& out,
         !options.benchmark.empty() ? options.benchmark : options.sourcePath;
     request.cachePolicy = options.cachePolicy;
     request.control.threads = options.jobs;
-    request.control.warmStart = options.warmStart;
     request.control.presolve = options.presolve;
     request.control.tracer = tracer.get();
     if (options.deadlineMs > 0) {

@@ -2,12 +2,11 @@
 // — singleton substitution, bound propagation, fixed-variable
 // elimination, redundant-row removal) is a pure performance feature.
 // Bounds must be bit-identical with it on or off, for every suite
-// benchmark, every cache mode, warm starts on or off, several thread
-// counts, and under injected faults.
+// benchmark, every cache mode, several thread counts, and under
+// injected faults.
 //
-// These run in CI's warmstart-equivalence job next to a 200-seed fuzz
-// sweep whose oracle re-solves every generated program with presolve
-// off.
+// These run in CI's equivalence job next to a 500-seed fuzz sweep whose
+// oracle re-solves every generated program with presolve off.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -26,7 +25,7 @@ using support::ScopedFaultInjector;
 
 ipet::Estimate estimateBenchmark(const suite::Benchmark& bench,
                                  ipet::CacheMode mode, bool presolve,
-                                 bool warm = true, int threads = 1) {
+                                 int threads = 1) {
   const auto compiled = codegen::compileSource(bench.source);
   ipet::AnalyzerOptions aopt;
   aopt.cacheMode = mode;
@@ -36,7 +35,6 @@ ipet::Estimate estimateBenchmark(const suite::Benchmark& bench,
   }
   ipet::SolveControl control;
   control.presolve = presolve;
-  control.warmStart = warm;
   control.threads = threads;
   return analyzer.estimate(control);
 }
@@ -65,32 +63,26 @@ void expectSameBounds(const ipet::Estimate& on, const ipet::Estimate& off) {
   }
 }
 
-TEST(PresolveEquivalence, SuiteBitIdenticalAcrossCacheModesAndWarm) {
+TEST(PresolveEquivalence, SuiteBitIdenticalAcrossCacheModes) {
   for (const auto& bench : suite::allBenchmarks()) {
     for (const ipet::CacheMode mode :
          {ipet::CacheMode::AllMiss, ipet::CacheMode::FirstIterationSplit,
           ipet::CacheMode::ConflictGraph}) {
-      for (const bool warm : {true, false}) {
-        SCOPED_TRACE(bench.name + "/" + ipet::cacheModeStr(mode) +
-                     (warm ? "/warm" : "/cold"));
-        const ipet::Estimate on = estimateBenchmark(bench, mode, true, warm);
-        const ipet::Estimate off =
-            estimateBenchmark(bench, mode, false, warm);
-        expectSameBounds(on, off);
-        // The engine must actually engage: IPET systems are built from
-        // flow-conservation equalities, which presolve substitutes away
-        // on every benchmark.
-        EXPECT_GT(on.stats.presolveRowsRemoved, 0);
-        EXPECT_GT(on.stats.presolveSubstitutions +
-                      on.stats.presolveColsFixed,
-                  0);
-        EXPECT_EQ(off.stats.presolveRowsRemoved, 0);
-        EXPECT_EQ(off.stats.presolveColsFixed, 0);
-        EXPECT_EQ(off.stats.presolveSubstitutions, 0);
-        // No per-combination pivot assertion: a warm raw basis can be
-        // optimal outright while the reduced path repricies for a few
-        // pivots.  The aggregate payoff is gated by bench_presolve.
-      }
+      SCOPED_TRACE(bench.name + "/" + ipet::cacheModeStr(mode));
+      const ipet::Estimate on = estimateBenchmark(bench, mode, true);
+      const ipet::Estimate off = estimateBenchmark(bench, mode, false);
+      expectSameBounds(on, off);
+      // The engine must actually engage: IPET systems are built from
+      // flow-conservation equalities, which presolve substitutes away
+      // on every benchmark.
+      EXPECT_GT(on.stats.presolveRowsRemoved, 0);
+      EXPECT_GT(on.stats.presolveSubstitutions + on.stats.presolveColsFixed,
+                0);
+      EXPECT_EQ(off.stats.presolveRowsRemoved, 0);
+      EXPECT_EQ(off.stats.presolveColsFixed, 0);
+      EXPECT_EQ(off.stats.presolveSubstitutions, 0);
+      // No per-combination pivot assertion: the aggregate payoff is
+      // gated by bench_presolve.
     }
   }
 }
@@ -101,8 +93,8 @@ TEST(PresolveEquivalence, MultiThreadedPresolveMatchesOff) {
       estimateBenchmark(bench, ipet::CacheMode::AllMiss, false);
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(threads);
-    const ipet::Estimate on = estimateBenchmark(
-        bench, ipet::CacheMode::AllMiss, true, true, threads);
+    const ipet::Estimate on =
+        estimateBenchmark(bench, ipet::CacheMode::AllMiss, true, threads);
     expectSameBounds(on, off);
   }
 }

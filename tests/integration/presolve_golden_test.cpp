@@ -1,9 +1,9 @@
 // Golden presolve output: a hash of everything lp::Reduction::reduce
-// produces — the reduced rows and objective, the variable and row maps,
-// the restore stack, the basic column of every removed row and the
-// stats — pinned for the root systems the analyzer solves (worst-case
-// ILP, best-case ILP, zero-objective feasibility probe) of every Table I
-// program in every cache mode, and of seeded fuzz programs.
+// produces — the reduced rows and objective, the variable maps, the
+// restore stack and the stats — pinned for the root systems the
+// analyzer solves (worst-case ILP, best-case ILP, zero-objective
+// feasibility probe) of every Table I program in every cache mode, and
+// of seeded fuzz programs.
 //
 // A change to the reduction engine that is meant to be a pure speed-up
 // must keep every hash.  A deliberate change to the reductions re-pins
@@ -28,18 +28,12 @@ struct ReductionInspector : test_util::Fnv {
   void add(const Reduction& r) {
     i64(r.infeasible_);
     i64(r.origVars_);
-    i64(r.origRows_);
     i64(r.stats_.rowsRemoved);
     i64(r.stats_.colsFixed);
     i64(r.stats_.substitutions);
     i64(r.stats_.propagationRounds);
     ints(r.varMap_);
     ints(r.reducedVars_);
-    ints(r.rowMap_);
-    ints(r.survivingRows_);
-    ints(r.removedRowBasic_);
-    u64(r.origRel_.size());
-    for (const Relation rel : r.origRel_) i64(static_cast<int>(rel));
     u64(r.restores_.size());
     for (const Reduction::Restore& restore : r.restores_) {
       i64(restore.var);
@@ -69,7 +63,8 @@ struct ReductionInspector : test_util::Fnv {
   /// reduced problem, for any objective.
   static Reduction retarget(const Reduction& r, const Problem& problem) {
     Reduction out = r;
-    if (!r.infeasible_ && static_cast<int>(r.rowMap_.size()) == r.origRows_) {
+    if (!r.infeasible_ &&
+        static_cast<int>(r.varMap_.size()) == r.origVars_) {
       out.reduced_.setObjective(r.reducedObjective(problem.objective()),
                                 problem.sense());
     }
@@ -175,45 +170,45 @@ TEST(PresolveReuse, RetargetEqualsFreshReduceOnSeededFuzzRootSystems) {
 // One entry per Table I program and cache mode (every constraint set,
 // three systems each).
 constexpr Golden kSuiteGolden[] = {
-    {"check_data/all-miss", 0x018d7eba8c0be1e8ULL},
-    {"check_data/first-iteration-split", 0x7df85905e3db0086ULL},
-    {"check_data/conflict-graph", 0x401dd1551b7b345cULL},
-    {"fft/all-miss", 0x960803afe4c6ad65ULL},
-    {"fft/first-iteration-split", 0xc00101a1bc9676d0ULL},
-    {"fft/conflict-graph", 0x810fa7c23afe6f56ULL},
-    {"piksrt/all-miss", 0xe493b25297310ea8ULL},
-    {"piksrt/first-iteration-split", 0xf1f301f51ad8f309ULL},
-    {"piksrt/conflict-graph", 0xd037935efdac6336ULL},
-    {"des/all-miss", 0xb8c3926b347d7124ULL},
-    {"des/first-iteration-split", 0xb8ed54132946684eULL},
-    {"des/conflict-graph", 0x57a9009399a4b910ULL},
-    {"line/all-miss", 0xca3e269f25dd82f8ULL},
-    {"line/first-iteration-split", 0x20e38f6ad49bc26eULL},
-    {"line/conflict-graph", 0x51e18882cfcd53a7ULL},
-    {"circle/all-miss", 0xe962096513cc3440ULL},
-    {"circle/first-iteration-split", 0xcf77af67bd2ca28aULL},
-    {"circle/conflict-graph", 0x34c2c21ff6494a01ULL},
-    {"jpeg_fdct_islow/all-miss", 0x4ce70b3af8f0687aULL},
-    {"jpeg_fdct_islow/first-iteration-split", 0x4ce70b3af8f0687aULL},
-    {"jpeg_fdct_islow/conflict-graph", 0x6e612289dfd5834eULL},
-    {"jpeg_idct_islow/all-miss", 0xf0b5904586f64a38ULL},
-    {"jpeg_idct_islow/first-iteration-split", 0xf0b5904586f64a38ULL},
-    {"jpeg_idct_islow/conflict-graph", 0x35563adfba4dcbb9ULL},
-    {"recon/all-miss", 0xd7b5f4ee3ebb3d20ULL},
-    {"recon/first-iteration-split", 0x727f22ec562483feULL},
-    {"recon/conflict-graph", 0xddab071d9a18f1ecULL},
-    {"fullsearch/all-miss", 0x0f29974b7033c107ULL},
-    {"fullsearch/first-iteration-split", 0x929d59094e7810d5ULL},
-    {"fullsearch/conflict-graph", 0x5912cd1860c0e46dULL},
-    {"whetstone/all-miss", 0x9223d68344cb6a0fULL},
-    {"whetstone/first-iteration-split", 0x4914213997162626ULL},
-    {"whetstone/conflict-graph", 0xb005a246193ffb37ULL},
-    {"dhry/all-miss", 0x7e76d4e8b68b3eb3ULL},
-    {"dhry/first-iteration-split", 0xc0990316b56f6edaULL},
-    {"dhry/conflict-graph", 0x177cc2b250434b29ULL},
-    {"matgen/all-miss", 0x516f35e94ef6fb5bULL},
-    {"matgen/first-iteration-split", 0xa5f35114c0cbaab9ULL},
-    {"matgen/conflict-graph", 0x8834d8bafd7d7011ULL},
+    {"check_data/all-miss", 0xbcb7cf7fdd1624deULL},
+    {"check_data/first-iteration-split", 0xacde073513dfb14aULL},
+    {"check_data/conflict-graph", 0xba4cea95fa0f124eULL},
+    {"fft/all-miss", 0x4f1af236240d0f9eULL},
+    {"fft/first-iteration-split", 0x4f6ce03d4d95302cULL},
+    {"fft/conflict-graph", 0x2647a51267f229a8ULL},
+    {"piksrt/all-miss", 0xef0e1ef95f844998ULL},
+    {"piksrt/first-iteration-split", 0xe04ca5245f6c2b3cULL},
+    {"piksrt/conflict-graph", 0x48c9ce665e6db8feULL},
+    {"des/all-miss", 0x6bd8fa4da6966b70ULL},
+    {"des/first-iteration-split", 0x7fee9c1063f8f4adULL},
+    {"des/conflict-graph", 0xb3ee090424e45f5dULL},
+    {"line/all-miss", 0x243d0968a6f0c839ULL},
+    {"line/first-iteration-split", 0xee015872b4fa74bbULL},
+    {"line/conflict-graph", 0x5bbe36a10b75afcaULL},
+    {"circle/all-miss", 0x6a4a8bf0f26d28e7ULL},
+    {"circle/first-iteration-split", 0x41df848e7adfdfeeULL},
+    {"circle/conflict-graph", 0x55831bb448cea0ffULL},
+    {"jpeg_fdct_islow/all-miss", 0x2ca21e5065fefaacULL},
+    {"jpeg_fdct_islow/first-iteration-split", 0x2ca21e5065fefaacULL},
+    {"jpeg_fdct_islow/conflict-graph", 0x7a64f21a8ef83cf3ULL},
+    {"jpeg_idct_islow/all-miss", 0x580863f969a85d2bULL},
+    {"jpeg_idct_islow/first-iteration-split", 0x580863f969a85d2bULL},
+    {"jpeg_idct_islow/conflict-graph", 0x9cad17d22898163dULL},
+    {"recon/all-miss", 0x5d9d38fa6566a28cULL},
+    {"recon/first-iteration-split", 0xe67ca73e4d41b7a2ULL},
+    {"recon/conflict-graph", 0x2c79493bd5e79011ULL},
+    {"fullsearch/all-miss", 0xa45a9b95ceb0b2f2ULL},
+    {"fullsearch/first-iteration-split", 0x66221a8ccd04b155ULL},
+    {"fullsearch/conflict-graph", 0x5617cb1ff514e896ULL},
+    {"whetstone/all-miss", 0x71bdd12fdb01c900ULL},
+    {"whetstone/first-iteration-split", 0x0edd40ebb29967a4ULL},
+    {"whetstone/conflict-graph", 0xe612560f2ac56f41ULL},
+    {"dhry/all-miss", 0x0a550b8fb99a01fbULL},
+    {"dhry/first-iteration-split", 0x0f930a46d6282d06ULL},
+    {"dhry/conflict-graph", 0x4b3f7bafaa7c1a93ULL},
+    {"matgen/all-miss", 0xa0fb951b4a3ef94eULL},
+    {"matgen/first-iteration-split", 0x7e5818db35d73fb2ULL},
+    {"matgen/conflict-graph", 0xc34f61e11b3037bdULL},
 };
 
 TEST(PresolveGolden, TableIRootSystemsAcrossCacheModes) {
@@ -239,66 +234,66 @@ TEST(PresolveGolden, TableIRootSystemsAcrossCacheModes) {
 // One entry per generated program (all three cache modes) with
 // redundant functionality constraints on.
 constexpr Golden kFuzzGolden[] = {
-    {"seed 1", 0x9e81d72df567a5f6ULL},
-    {"seed 2", 0x45d5e8a5e4a748a4ULL},
-    {"seed 3", 0x5bd45b36a791b2e2ULL},
-    {"seed 4", 0x7957ba6c3813c78dULL},
-    {"seed 5", 0x8b032f3476aba73dULL},
-    {"seed 6", 0xc3835c1c33e8df64ULL},
-    {"seed 7", 0xd5403de66c2130b7ULL},
-    {"seed 8", 0x73d341abb4447223ULL},
-    {"seed 9", 0xc2eaae88d84010fdULL},
-    {"seed 10", 0xf6ccf701a1483fa9ULL},
-    {"seed 11", 0x4e25c01c04fbf985ULL},
-    {"seed 12", 0x03b0743abd36eeccULL},
-    {"seed 13", 0x32ec9eb494ec46e0ULL},
-    {"seed 14", 0x2670fda585e723bdULL},
-    {"seed 15", 0x389efc0029e0843fULL},
-    {"seed 16", 0x66dd70e781809fa2ULL},
-    {"seed 17", 0x59797bbe43ae7131ULL},
-    {"seed 18", 0xf14e9b012ea400f9ULL},
-    {"seed 19", 0xc1c9b9bcee0abcfbULL},
-    {"seed 20", 0xff3e5f455bdc635aULL},
-    {"seed 21", 0x738016f27936d3f9ULL},
-    {"seed 22", 0x0cf2f2dcf17452cdULL},
-    {"seed 23", 0xec07e50c05025795ULL},
-    {"seed 24", 0xe94f0e70dd3b80a7ULL},
-    {"seed 25", 0xbc94286f2ab30f6aULL},
-    {"seed 26", 0xbc5e7f4e9c8178acULL},
-    {"seed 27", 0x216e7c8ff4c2e505ULL},
-    {"seed 28", 0x38df0d209e53242dULL},
-    {"seed 29", 0x59c1a32f3f4b40ffULL},
-    {"seed 30", 0x1204af99a6830ce2ULL},
-    {"seed 31", 0xe54fb517e57ba376ULL},
-    {"seed 32", 0x54d5bc6a823e484aULL},
-    {"seed 33", 0x4393f2e1bc3d9a8fULL},
-    {"seed 34", 0xfcb292c05e8a542fULL},
-    {"seed 35", 0xcc25ecf3d4dcc8e8ULL},
-    {"seed 36", 0x8111c16c046a75ffULL},
-    {"seed 37", 0x5c00d84919f0fd02ULL},
-    {"seed 38", 0x8de95ce76dff0acdULL},
-    {"seed 39", 0x2f011bb682aabe60ULL},
-    {"seed 40", 0x76655a3ebe5e6a29ULL},
-    {"seed 41", 0x778dffc377ccccfbULL},
-    {"seed 42", 0x637061a397620145ULL},
-    {"seed 43", 0x32d269d8e352aafcULL},
-    {"seed 44", 0x7c50e6ff17f46e70ULL},
-    {"seed 45", 0xb8c9b6f2e34916c4ULL},
-    {"seed 46", 0xed81866bb2203facULL},
-    {"seed 47", 0xdd18d1888dfd4105ULL},
-    {"seed 48", 0x6f5cbfa43ece9a47ULL},
-    {"seed 49", 0xa46e8121237c7fa4ULL},
-    {"seed 50", 0x79e80b019122314bULL},
-    {"seed 51", 0x8b05a3f5009c8a68ULL},
-    {"seed 52", 0xc0f22c08c3f49800ULL},
-    {"seed 53", 0xcfed4ff8148a67bcULL},
-    {"seed 54", 0x088e82768b6eb637ULL},
-    {"seed 55", 0x3cc1db8f06b5186cULL},
-    {"seed 56", 0x0ce5a427bc7b0f1fULL},
-    {"seed 57", 0x2924f4e5ca3ead07ULL},
-    {"seed 58", 0xfe5a3425a7f1adcbULL},
-    {"seed 59", 0x81c145ccd4a1e796ULL},
-    {"seed 60", 0x3709c8a3e083effeULL},
+    {"seed 1", 0x84c377be6bc0f9a0ULL},
+    {"seed 2", 0x5760ea4b13e3f702ULL},
+    {"seed 3", 0xf26e08f80a0ba6d7ULL},
+    {"seed 4", 0x98849b2d1be138a6ULL},
+    {"seed 5", 0xa8b24e329709d060ULL},
+    {"seed 6", 0x5bd3c2cc2abe8e8fULL},
+    {"seed 7", 0xe0d85094f8b249e6ULL},
+    {"seed 8", 0x759fc9dfa2bb9fa3ULL},
+    {"seed 9", 0x5e765da88baa5956ULL},
+    {"seed 10", 0xdd60f5d776f399b3ULL},
+    {"seed 11", 0xa28d371f55a310a3ULL},
+    {"seed 12", 0x4c9042ce5efb1380ULL},
+    {"seed 13", 0xcdd4108980beb264ULL},
+    {"seed 14", 0x6fdbb2e5af5f5a25ULL},
+    {"seed 15", 0x500deb9523cd7cd0ULL},
+    {"seed 16", 0xfb6c6ab9eec1406aULL},
+    {"seed 17", 0x2c112c75426c18a4ULL},
+    {"seed 18", 0xf1cd1f01c5830075ULL},
+    {"seed 19", 0xf1fb7eac54efbdd1ULL},
+    {"seed 20", 0x8651140fd25c7f85ULL},
+    {"seed 21", 0x667949f4c9ff97f0ULL},
+    {"seed 22", 0x0a6262889a4882eeULL},
+    {"seed 23", 0x65ed8c722950f500ULL},
+    {"seed 24", 0x4735a4df10f50ce4ULL},
+    {"seed 25", 0x2fbc6f0c3dd4f501ULL},
+    {"seed 26", 0xa212cb51078bd3acULL},
+    {"seed 27", 0x576103ed123f0af4ULL},
+    {"seed 28", 0xa9eacf2621a73dfaULL},
+    {"seed 29", 0xa3634885f4436790ULL},
+    {"seed 30", 0xbd6572531b425b1cULL},
+    {"seed 31", 0xcdf52414609a89a7ULL},
+    {"seed 32", 0xef20cc6b71d54e08ULL},
+    {"seed 33", 0x113863a0b80d7449ULL},
+    {"seed 34", 0x120cdaeb0828ac13ULL},
+    {"seed 35", 0x8488b52a1f806c8aULL},
+    {"seed 36", 0x98b18c99fb2ee0c3ULL},
+    {"seed 37", 0x49b0c0cdfc01d628ULL},
+    {"seed 38", 0xc3dc2b9d164ef5cbULL},
+    {"seed 39", 0x9fb985d3a87558c4ULL},
+    {"seed 40", 0x2035c0ad81ef848fULL},
+    {"seed 41", 0xa5099e2557a375cdULL},
+    {"seed 42", 0x06af66e96ba454eaULL},
+    {"seed 43", 0x209b99743884b47aULL},
+    {"seed 44", 0xdee2b56c8910345cULL},
+    {"seed 45", 0x6ca2111ce6b225d9ULL},
+    {"seed 46", 0xbc31f95db6a2ef38ULL},
+    {"seed 47", 0xb290155eef4ce6faULL},
+    {"seed 48", 0xdec77caf763dffb2ULL},
+    {"seed 49", 0xf48702190aefff55ULL},
+    {"seed 50", 0x967629d64c99a7f8ULL},
+    {"seed 51", 0x1c31ddd08e0126ebULL},
+    {"seed 52", 0x349893dc2c0d35edULL},
+    {"seed 53", 0x7205066e95465169ULL},
+    {"seed 54", 0x678d624994e29632ULL},
+    {"seed 55", 0xc39beb84ebbc3d30ULL},
+    {"seed 56", 0xde50ded1c9013643ULL},
+    {"seed 57", 0xabda993976acda0fULL},
+    {"seed 58", 0xadf3223d1157a9b3ULL},
+    {"seed 59", 0x7dccb418782903f2ULL},
+    {"seed 60", 0xee87993a86127514ULL},
 };
 
 TEST(PresolveGolden, SeededFuzzRootSystemsAcrossCacheModes) {

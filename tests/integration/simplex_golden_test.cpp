@@ -36,12 +36,8 @@ struct SolveHash : test_util::Fnv {
     f64(s.objective);
     doubles(s.values);
     i64(s.pivots);
-    i64(s.dualPivots);
-    i64(s.installPivots);
     i64(s.devexPivots);
     i64(s.blandRestart);
-    i64(s.warmUsed);
-    i64(s.warmFailed);
     i64(s.presolve.rowsRemoved);
     i64(s.presolve.colsFixed);
     i64(s.presolve.substitutions);
@@ -57,16 +53,12 @@ struct SolveHash : test_util::Fnv {
     i64(s.objectiveSaturated);
     f64(s.relaxationBound);
     i64(s.haveRelaxationBound);
-    i64(s.rootBasis.numVars);
-    ints(s.rootBasis.basicCol);
-    i64(s.haveRootBasis);
     const ilp::IlpStats& st = s.stats;
     for (const int v :
          {st.nodesExpanded, st.lpCalls,
           static_cast<int>(st.firstRelaxationIntegral), st.totalPivots,
-          st.checkedPromotions, st.blandRestarts, st.warmStarts,
-          st.coldStarts, st.dualPivots, st.installPivots, st.warmFailures,
-          st.devexPivots, st.presolveRowsRemoved, st.presolveColsFixed,
+          st.checkedPromotions, st.blandRestarts, st.devexPivots,
+          st.presolveRowsRemoved, st.presolveColsFixed,
           st.presolveSubstitutions, st.presolveRounds}) {
       i64(v);
     }
@@ -78,9 +70,7 @@ struct SolveHash : test_util::Fnv {
           std::int64_t{r.nodes}, std::int64_t{r.lpCalls},
           std::int64_t{r.pivots}, std::int64_t{r.firstRelaxationIntegral},
           std::int64_t{r.checkedPromotions}, std::int64_t{r.blandRestarts},
-          std::int64_t{r.warmStarts}, std::int64_t{r.coldStarts},
-          std::int64_t{r.dualPivots}, std::int64_t{r.warmFailures},
-          std::int64_t{r.installPivots}, std::int64_t{r.devexPivots},
+          std::int64_t{r.devexPivots},
           std::int64_t{r.presolveRowsRemoved},
           std::int64_t{r.presolveColsFixed},
           std::int64_t{r.presolveSubstitutions},
@@ -102,10 +92,9 @@ struct SolveHash : test_util::Fnv {
           st.totalPivots, st.cacheFlowVars, st.cacheFallbackSets,
           st.relaxedSets, st.structuralSets, st.failedSets,
           st.checkedPromotions, st.blandRestarts, st.dedupedSets,
-          st.dominatedSets, st.warmStarts, st.coldStarts, st.dualPivots,
-          st.warmFailures, st.installPivots, st.seedPivots, st.devexPivots,
-          st.presolveRowsRemoved, st.presolveColsFixed,
-          st.presolveSubstitutions, st.presolveRounds}) {
+          st.dominatedSets, st.devexPivots, st.presolveRowsRemoved,
+          st.presolveColsFixed, st.presolveSubstitutions,
+          st.presolveRounds}) {
       i64(v);
     }
     u64(e.setRecords.size());
@@ -215,216 +204,216 @@ Hashes fuzzHashes(HashFn hashOne) {
 // One entry per Table I program and cache mode: lp::solve and ilp::solve
 // of the worst-case and best-case ILP of every constraint set.
 constexpr Golden kSuiteSolves[] = {
-    {"check_data/all-miss", 0xb985d4eed9768972ULL},
-    {"check_data/first-iteration-split", 0x8ea700c25838908fULL},
-    {"check_data/conflict-graph", 0xc6bb533579d43206ULL},
-    {"fft/all-miss", 0x0ef9565e4231cae7ULL},
-    {"fft/first-iteration-split", 0x818df23f8d504b44ULL},
-    {"fft/conflict-graph", 0x446e23d96d4f924aULL},
-    {"piksrt/all-miss", 0x93a21255e441d9f3ULL},
-    {"piksrt/first-iteration-split", 0xe9ac4618c907710bULL},
-    {"piksrt/conflict-graph", 0xdc4bd42f762e1854ULL},
-    {"des/all-miss", 0xafd4e214eb5ac522ULL},
-    {"des/first-iteration-split", 0xf580c141c3770f2fULL},
-    {"des/conflict-graph", 0x0372435f3b97af03ULL},
-    {"line/all-miss", 0x795a220d8f2a5b11ULL},
-    {"line/first-iteration-split", 0x239259e0ce0cec54ULL},
-    {"line/conflict-graph", 0xf039e381cf4d44c0ULL},
-    {"circle/all-miss", 0x0051a72d7cf36aacULL},
-    {"circle/first-iteration-split", 0xb7678b1126f4f880ULL},
-    {"circle/conflict-graph", 0x5d57e644e5e49560ULL},
-    {"jpeg_fdct_islow/all-miss", 0xe304ae8ff1fe349eULL},
-    {"jpeg_fdct_islow/first-iteration-split", 0xe304ae8ff1fe349eULL},
-    {"jpeg_fdct_islow/conflict-graph", 0x4112a09c33cb379bULL},
-    {"jpeg_idct_islow/all-miss", 0x9c51a9cfb1b7ac7dULL},
-    {"jpeg_idct_islow/first-iteration-split", 0x9c51a9cfb1b7ac7dULL},
-    {"jpeg_idct_islow/conflict-graph", 0xfd5229e1e9af39f0ULL},
-    {"recon/all-miss", 0x30bb6664dcfdbddeULL},
-    {"recon/first-iteration-split", 0xec209c2e4655fc8bULL},
-    {"recon/conflict-graph", 0xba8729dd8f77923bULL},
-    {"fullsearch/all-miss", 0x6df2301a5d16aaa1ULL},
-    {"fullsearch/first-iteration-split", 0xcf4a0d59e6ed54f0ULL},
-    {"fullsearch/conflict-graph", 0x78bb036139b886e4ULL},
-    {"whetstone/all-miss", 0x37ff47991b1d34c4ULL},
-    {"whetstone/first-iteration-split", 0xdc977bbbbcb12f14ULL},
-    {"whetstone/conflict-graph", 0x153ea1b4c898c50aULL},
-    {"dhry/all-miss", 0xaa5713c567511881ULL},
-    {"dhry/first-iteration-split", 0x79dfca6b4c33b6fcULL},
-    {"dhry/conflict-graph", 0x31be6ed7ab711261ULL},
-    {"matgen/all-miss", 0xc1c51407cc9d387cULL},
-    {"matgen/first-iteration-split", 0xb6d2d41f5ee5340dULL},
-    {"matgen/conflict-graph", 0x7cfaa2f9a8071556ULL},
+    {"check_data/all-miss", 0x37616caf13a712fbULL},
+    {"check_data/first-iteration-split", 0x71a302d31e2cd991ULL},
+    {"check_data/conflict-graph", 0x33dd91979e541961ULL},
+    {"fft/all-miss", 0x06d47cc55e44fd23ULL},
+    {"fft/first-iteration-split", 0x784c156fc5c04d7bULL},
+    {"fft/conflict-graph", 0xee29884108b4fefdULL},
+    {"piksrt/all-miss", 0x3e16f344279a1d27ULL},
+    {"piksrt/first-iteration-split", 0x2e4e19f563901034ULL},
+    {"piksrt/conflict-graph", 0x8d822b3760b7f636ULL},
+    {"des/all-miss", 0x8122e27684e8c66eULL},
+    {"des/first-iteration-split", 0x779450a85f93a416ULL},
+    {"des/conflict-graph", 0xac1d84e43fe625baULL},
+    {"line/all-miss", 0xa1648360ceedf10fULL},
+    {"line/first-iteration-split", 0xbd3ee4216d8147c9ULL},
+    {"line/conflict-graph", 0x3f0e3c0e1fa80bdeULL},
+    {"circle/all-miss", 0xf7ffc9c1bed4d46bULL},
+    {"circle/first-iteration-split", 0x2a446604b89953f2ULL},
+    {"circle/conflict-graph", 0x0c18c22506dbc9b6ULL},
+    {"jpeg_fdct_islow/all-miss", 0x87f2414df8d0e2aaULL},
+    {"jpeg_fdct_islow/first-iteration-split", 0x87f2414df8d0e2aaULL},
+    {"jpeg_fdct_islow/conflict-graph", 0x79b3e303f2b0d856ULL},
+    {"jpeg_idct_islow/all-miss", 0x52bd66e07c7f4672ULL},
+    {"jpeg_idct_islow/first-iteration-split", 0x52bd66e07c7f4672ULL},
+    {"jpeg_idct_islow/conflict-graph", 0xc0df8e8fa3ec6950ULL},
+    {"recon/all-miss", 0x1b2e1be411807aa0ULL},
+    {"recon/first-iteration-split", 0xf4c2d9591012e7c0ULL},
+    {"recon/conflict-graph", 0xbe67e9fbd6d592a1ULL},
+    {"fullsearch/all-miss", 0xb1f10461d7d3bf9dULL},
+    {"fullsearch/first-iteration-split", 0x86cdd90a21cc62b2ULL},
+    {"fullsearch/conflict-graph", 0xcabc8015a312ded9ULL},
+    {"whetstone/all-miss", 0x93367b6a3dfbe50cULL},
+    {"whetstone/first-iteration-split", 0x92e7baa2facaafd1ULL},
+    {"whetstone/conflict-graph", 0x45bbfe8535cdad88ULL},
+    {"dhry/all-miss", 0x4a5e9e9450902fe1ULL},
+    {"dhry/first-iteration-split", 0x075c13a36ff209f5ULL},
+    {"dhry/conflict-graph", 0xc861f9c0de068a13ULL},
+    {"matgen/all-miss", 0x4025a9c8e4cd3930ULL},
+    {"matgen/first-iteration-split", 0xfd0d586b8dd4fe9cULL},
+    {"matgen/conflict-graph", 0xc298585c43ea1af6ULL},
 };
 
 // One entry per generated program (all three cache modes).
 constexpr Golden kFuzzSolves[] = {
-    {"seed 1", 0xa7d7f50107474e81ULL},
-    {"seed 2", 0xbfd7395493daf225ULL},
-    {"seed 3", 0xdb745391948d49dfULL},
-    {"seed 4", 0x8442c24ca6fdd409ULL},
-    {"seed 5", 0xb118db6a8fbd20a5ULL},
-    {"seed 6", 0x0ae1fb45b583471aULL},
-    {"seed 7", 0x1248db5737a2ba81ULL},
-    {"seed 8", 0xce9f2cdb21543ffdULL},
-    {"seed 9", 0x4974f31b2c9f3439ULL},
-    {"seed 10", 0x7ed63216ab18b049ULL},
-    {"seed 11", 0xf796b083bb29b363ULL},
-    {"seed 12", 0x6e4bd49b956a27adULL},
-    {"seed 13", 0x329a7a442675c61cULL},
-    {"seed 14", 0x1e02b33e10fee767ULL},
-    {"seed 15", 0xd8afa9612c2070c8ULL},
-    {"seed 16", 0x3555b729d33a5976ULL},
-    {"seed 17", 0x2dde9b8820334e7aULL},
-    {"seed 18", 0x5b7cf80dba76f44dULL},
-    {"seed 19", 0xd2e390321c0c6663ULL},
-    {"seed 20", 0x510652cf6bbeef7fULL},
-    {"seed 21", 0x3966ec2293efe85dULL},
-    {"seed 22", 0xe70d7942206b71c5ULL},
-    {"seed 23", 0xf79c3caab2041803ULL},
-    {"seed 24", 0xef8cfbe01edca31fULL},
-    {"seed 25", 0xc9c85a2e5038587aULL},
-    {"seed 26", 0x670e751bc6f28d4cULL},
-    {"seed 27", 0xf7539114069e9389ULL},
-    {"seed 28", 0xa859f5ccb9a862adULL},
-    {"seed 29", 0x3e170f74fceba619ULL},
-    {"seed 30", 0xf791d533c3143fddULL},
-    {"seed 31", 0xa98de576b1550dc3ULL},
-    {"seed 32", 0x7ab8e17c30c96952ULL},
-    {"seed 33", 0xf493836e34a2e4c1ULL},
-    {"seed 34", 0x10b5e84fbff3bc08ULL},
-    {"seed 35", 0xd4ac1cc6cc7691cdULL},
-    {"seed 36", 0xe88e1001387f1836ULL},
-    {"seed 37", 0x32f4fe5daddee5c1ULL},
-    {"seed 38", 0x4489ab0722811790ULL},
-    {"seed 39", 0xe83b3d9779a4e3e0ULL},
-    {"seed 40", 0x54781a6b43a66f81ULL},
-    {"seed 41", 0xb5b55e4b099605c4ULL},
-    {"seed 42", 0x79d001a9b56a8585ULL},
-    {"seed 43", 0xbf77350b4030eb7dULL},
-    {"seed 44", 0xeb5becf43a0166d7ULL},
-    {"seed 45", 0x000b3a70018cfb91ULL},
-    {"seed 46", 0x4dbfc312a2aa6dd8ULL},
-    {"seed 47", 0xf05af337e927e0e9ULL},
-    {"seed 48", 0x78abfb14c307a1c5ULL},
-    {"seed 49", 0xf0e896c2b5ae4cddULL},
-    {"seed 50", 0x4e9c3cec77f3dc16ULL},
-    {"seed 51", 0x45d619915e396221ULL},
-    {"seed 52", 0xad246fc9482c6e0eULL},
-    {"seed 53", 0xa47c8af7ce897218ULL},
-    {"seed 54", 0x3927997f258accb3ULL},
-    {"seed 55", 0x68a3f2cd67fc8d01ULL},
-    {"seed 56", 0xc101b9cd8f59a565ULL},
-    {"seed 57", 0x530640fbd9297044ULL},
-    {"seed 58", 0xb531a148e4ff0408ULL},
-    {"seed 59", 0x225c81c741648dd8ULL},
-    {"seed 60", 0x6439faa607fb8aafULL},
+    {"seed 1", 0x915c068c878a97b3ULL},
+    {"seed 2", 0xace209bd5f284beaULL},
+    {"seed 3", 0x5fcf353d3def6665ULL},
+    {"seed 4", 0x0ca5a3fb8c7a3f99ULL},
+    {"seed 5", 0xd6dba4ac27f4e666ULL},
+    {"seed 6", 0x81ecee4ddff85182ULL},
+    {"seed 7", 0x51e733f18b79704fULL},
+    {"seed 8", 0x7f9a64f8b77d789dULL},
+    {"seed 9", 0x060d17ff270442afULL},
+    {"seed 10", 0x67bb6db29897a379ULL},
+    {"seed 11", 0x85ca2e4a94ae2ce4ULL},
+    {"seed 12", 0x210d7506149455a1ULL},
+    {"seed 13", 0xa2be565ed99a9292ULL},
+    {"seed 14", 0x3b8700affc499d9aULL},
+    {"seed 15", 0x310e76ff6e000e4fULL},
+    {"seed 16", 0x7c5c85ad0fe3adf3ULL},
+    {"seed 17", 0xd021c8cb17369ee7ULL},
+    {"seed 18", 0x0d853bc595f5abf6ULL},
+    {"seed 19", 0x93f0d9d5876b2e32ULL},
+    {"seed 20", 0x5cc4ef69750ac4e6ULL},
+    {"seed 21", 0x7f7f44aa4dd000e5ULL},
+    {"seed 22", 0x7ea4df918543c775ULL},
+    {"seed 23", 0x6cdfda4179b100e1ULL},
+    {"seed 24", 0xd5dac0fdc7b12a5fULL},
+    {"seed 25", 0x0a07fcaa38d855beULL},
+    {"seed 26", 0x004545b1b1a3de3eULL},
+    {"seed 27", 0xf35ed06c26acfca1ULL},
+    {"seed 28", 0xdfa1977e272ceacdULL},
+    {"seed 29", 0x939c89d521438e3dULL},
+    {"seed 30", 0x5db2f4bf7ec29fb5ULL},
+    {"seed 31", 0x5d9a30f6e3b8585eULL},
+    {"seed 32", 0x12ee2fea7d5d710eULL},
+    {"seed 33", 0xd27b30cdfa1fee1fULL},
+    {"seed 34", 0x8118d0b9b310785cULL},
+    {"seed 35", 0xb0f9da2526851785ULL},
+    {"seed 36", 0xefddd17b696b4660ULL},
+    {"seed 37", 0x0d81fa250642b943ULL},
+    {"seed 38", 0xac83c9a7beea5a83ULL},
+    {"seed 39", 0x62c20d04c369da5cULL},
+    {"seed 40", 0x4a8182f85fc8a103ULL},
+    {"seed 41", 0x1e38790419e25a09ULL},
+    {"seed 42", 0xec885f588b6a6158ULL},
+    {"seed 43", 0xacf92ea84b7da805ULL},
+    {"seed 44", 0x389209d599418849ULL},
+    {"seed 45", 0xd45f2d714a2ea0f7ULL},
+    {"seed 46", 0x838117d8db6e3447ULL},
+    {"seed 47", 0xc6bcc49ec25621a1ULL},
+    {"seed 48", 0x84a71a29056f9dd1ULL},
+    {"seed 49", 0xf9dcb21e7d59383fULL},
+    {"seed 50", 0x2d646e75c79356cbULL},
+    {"seed 51", 0x6470daa1b23b5e72ULL},
+    {"seed 52", 0x4dd7f77fe5e3f4adULL},
+    {"seed 53", 0x50fc4092bc3a7a8aULL},
+    {"seed 54", 0xe2a7961b1a3ad381ULL},
+    {"seed 55", 0x927acbfaadb5f42dULL},
+    {"seed 56", 0xd78fab4b8c764195ULL},
+    {"seed 57", 0x0e368f2567a35e97ULL},
+    {"seed 58", 0xc2bf02a271ab616eULL},
+    {"seed 59", 0xf4bc90bdf699aef9ULL},
+    {"seed 60", 0xb286932eff9e53fdULL},
 };
 
 // One entry per Table I program and cache mode: Analyzer::estimate.
 constexpr Golden kSuiteEstimates[] = {
-    {"check_data/all-miss", 0xdf5c6d4cf3847720ULL},
-    {"check_data/first-iteration-split", 0x9cc4833cc74a8396ULL},
-    {"check_data/conflict-graph", 0x51305c52f5ecfa51ULL},
-    {"fft/all-miss", 0xf77f9bafb2f1cfbfULL},
-    {"fft/first-iteration-split", 0x91b8e3d40e3fa61aULL},
-    {"fft/conflict-graph", 0xce45d5c153679733ULL},
-    {"piksrt/all-miss", 0x604be5a17408f547ULL},
-    {"piksrt/first-iteration-split", 0x98f43daef7ee1d01ULL},
-    {"piksrt/conflict-graph", 0xd9aab74bb71919d6ULL},
-    {"des/all-miss", 0xedca4af97e82cbfaULL},
-    {"des/first-iteration-split", 0xa78143d3f2453d9aULL},
-    {"des/conflict-graph", 0x3b15bb007eea1c02ULL},
-    {"line/all-miss", 0x33d680dc8e777060ULL},
-    {"line/first-iteration-split", 0xf9301619feb55d5dULL},
-    {"line/conflict-graph", 0x0f539c6d95040e99ULL},
-    {"circle/all-miss", 0x660a58b8fb1ea716ULL},
-    {"circle/first-iteration-split", 0x691c602f151387b1ULL},
-    {"circle/conflict-graph", 0x7e5d90490a3a5595ULL},
-    {"jpeg_fdct_islow/all-miss", 0x398beb3b9fb8778cULL},
-    {"jpeg_fdct_islow/first-iteration-split", 0x398beb3b9fb8778cULL},
-    {"jpeg_fdct_islow/conflict-graph", 0x757895871667d50dULL},
-    {"jpeg_idct_islow/all-miss", 0x73b018da48deb180ULL},
-    {"jpeg_idct_islow/first-iteration-split", 0x73b018da48deb180ULL},
-    {"jpeg_idct_islow/conflict-graph", 0x98f7e027b2809cd7ULL},
-    {"recon/all-miss", 0xb0d094c2183501e1ULL},
-    {"recon/first-iteration-split", 0x13c1c1b2b58721e9ULL},
-    {"recon/conflict-graph", 0x909c0146920f8c6cULL},
-    {"fullsearch/all-miss", 0xaf9c52444e98687bULL},
-    {"fullsearch/first-iteration-split", 0x49c3e4cc0b5a63b7ULL},
-    {"fullsearch/conflict-graph", 0xde7121bbc9f3567bULL},
-    {"whetstone/all-miss", 0x24a797e3afec7458ULL},
-    {"whetstone/first-iteration-split", 0xc71df8cf34a99058ULL},
-    {"whetstone/conflict-graph", 0x04fd75a834cbcf52ULL},
-    {"dhry/all-miss", 0x3a941d542edd45d7ULL},
-    {"dhry/first-iteration-split", 0x17c047299a126fc3ULL},
-    {"dhry/conflict-graph", 0x3dffb4ed31a4d296ULL},
-    {"matgen/all-miss", 0xef11afc74aa56a8fULL},
-    {"matgen/first-iteration-split", 0x0b745f14996e2f9eULL},
-    {"matgen/conflict-graph", 0xad10b65f983bc761ULL},
+    {"check_data/all-miss", 0x73da6f881a9c9425ULL},
+    {"check_data/first-iteration-split", 0xe270c18c26ad108aULL},
+    {"check_data/conflict-graph", 0xffd5eda34ba11c5bULL},
+    {"fft/all-miss", 0x87e84311332be5a5ULL},
+    {"fft/first-iteration-split", 0x84668ea6952cdd4bULL},
+    {"fft/conflict-graph", 0xde3ca2bcdd0fd47bULL},
+    {"piksrt/all-miss", 0x11ce1054faf9c04cULL},
+    {"piksrt/first-iteration-split", 0x0e56cbbb758207c4ULL},
+    {"piksrt/conflict-graph", 0x1e68f9b26dc0ff48ULL},
+    {"des/all-miss", 0xf204b2b9adb4a610ULL},
+    {"des/first-iteration-split", 0x9c076b0504650212ULL},
+    {"des/conflict-graph", 0xa41477396ba73c91ULL},
+    {"line/all-miss", 0xec9a8af76310a330ULL},
+    {"line/first-iteration-split", 0x4cbb45facce9424fULL},
+    {"line/conflict-graph", 0xf461458aa137286eULL},
+    {"circle/all-miss", 0x3371bbd8d9b5c817ULL},
+    {"circle/first-iteration-split", 0x26652cb3a5a5ccd0ULL},
+    {"circle/conflict-graph", 0x1975a4ac16f0f4a9ULL},
+    {"jpeg_fdct_islow/all-miss", 0x5f9953b14a8478d2ULL},
+    {"jpeg_fdct_islow/first-iteration-split", 0x5f9953b14a8478d2ULL},
+    {"jpeg_fdct_islow/conflict-graph", 0xf35a489b4ee4a3c4ULL},
+    {"jpeg_idct_islow/all-miss", 0x193112a410c4d19bULL},
+    {"jpeg_idct_islow/first-iteration-split", 0x193112a410c4d19bULL},
+    {"jpeg_idct_islow/conflict-graph", 0xe2cd5c6bf565ed4aULL},
+    {"recon/all-miss", 0xba7b8ef6d3f519f2ULL},
+    {"recon/first-iteration-split", 0xa7cc92d4d42be116ULL},
+    {"recon/conflict-graph", 0xd9cedb5dd201e384ULL},
+    {"fullsearch/all-miss", 0x65cdcd9814dbbb56ULL},
+    {"fullsearch/first-iteration-split", 0xec83b39ea9ba0fa8ULL},
+    {"fullsearch/conflict-graph", 0x73548a93e5bdf808ULL},
+    {"whetstone/all-miss", 0xb59a006239d85e91ULL},
+    {"whetstone/first-iteration-split", 0xa1ba17b331fdc114ULL},
+    {"whetstone/conflict-graph", 0x8305d5bf975b7d48ULL},
+    {"dhry/all-miss", 0xe5a393728ffe3383ULL},
+    {"dhry/first-iteration-split", 0x5b3e37886b5188c6ULL},
+    {"dhry/conflict-graph", 0x98a210784762c84dULL},
+    {"matgen/all-miss", 0xdc4eb770829f1cc2ULL},
+    {"matgen/first-iteration-split", 0xb9df7de5b78863b9ULL},
+    {"matgen/conflict-graph", 0xfb199ccb233579fdULL},
 };
 
 // One entry per generated program (all three cache modes).
 constexpr Golden kFuzzEstimates[] = {
-    {"seed 1", 0x654514158fdca7b7ULL},
-    {"seed 2", 0x49c2e4b16e9f9187ULL},
-    {"seed 3", 0xcdfc83448463c613ULL},
-    {"seed 4", 0x8244b1486d79bad5ULL},
-    {"seed 5", 0xdc08c56d6ebb9386ULL},
-    {"seed 6", 0xa2690c6810633aa3ULL},
-    {"seed 7", 0x4beecdce422352eaULL},
-    {"seed 8", 0xa6629a5e1be9cfbeULL},
-    {"seed 9", 0xc9fb8934aef64909ULL},
-    {"seed 10", 0x6fff1cbb52a2538cULL},
-    {"seed 11", 0x20f734fb8af71cb0ULL},
-    {"seed 12", 0x3583bc1d18bb9250ULL},
-    {"seed 13", 0xdb6526002bd30178ULL},
-    {"seed 14", 0xad85b7004c1c54bcULL},
-    {"seed 15", 0x4dd33ef6176cda4fULL},
-    {"seed 16", 0x500443963ecee8bbULL},
-    {"seed 17", 0x111f2bf8a21baf4fULL},
-    {"seed 18", 0xef5392cf60f6e16bULL},
-    {"seed 19", 0x6a29698c5e97cd65ULL},
-    {"seed 20", 0x03204694fb6d0b87ULL},
-    {"seed 21", 0x63ec5d330887c622ULL},
-    {"seed 22", 0x4f19582c77e00d54ULL},
-    {"seed 23", 0x82298637b9b7f3e5ULL},
-    {"seed 24", 0x77964f72f0ee930fULL},
-    {"seed 25", 0x77d7a90955dbbf90ULL},
-    {"seed 26", 0xc143a3d1f32c4fc2ULL},
-    {"seed 27", 0x1c47cb1d49592c57ULL},
-    {"seed 28", 0x63a41145ecad3820ULL},
-    {"seed 29", 0x1ca46ac12ca5524cULL},
-    {"seed 30", 0x397aa173ec0ae7b5ULL},
-    {"seed 31", 0x2a4666fc648a69ebULL},
-    {"seed 32", 0x5b7720cd9e6f385dULL},
-    {"seed 33", 0x4de5506334082800ULL},
-    {"seed 34", 0xa625b448970925deULL},
-    {"seed 35", 0xde396d26222064f6ULL},
-    {"seed 36", 0x124923ba6dd02622ULL},
-    {"seed 37", 0x06b5f5c131f8ba54ULL},
-    {"seed 38", 0x1577db98458e299bULL},
-    {"seed 39", 0x63ea7b292d8149abULL},
-    {"seed 40", 0x233390dd5f652e12ULL},
-    {"seed 41", 0x4589c6e6c85539d1ULL},
-    {"seed 42", 0x5a2d7aecc0b7021aULL},
-    {"seed 43", 0xa645ec5bb566ed86ULL},
-    {"seed 44", 0x902103f87595d3f9ULL},
-    {"seed 45", 0xeb4c2ff34f324d02ULL},
-    {"seed 46", 0xd81437752906c5e5ULL},
-    {"seed 47", 0x5e9264fdd8db4a0bULL},
-    {"seed 48", 0xbb3f3f4d11641244ULL},
-    {"seed 49", 0x7eeda532fca0caacULL},
-    {"seed 50", 0x7b8fb59ecb2f0004ULL},
-    {"seed 51", 0xbe88158907c8fa03ULL},
-    {"seed 52", 0x9b7e01cca0503d37ULL},
-    {"seed 53", 0xd788119496871001ULL},
-    {"seed 54", 0x890304e1125b3a0cULL},
-    {"seed 55", 0x557b55daf3fae3b2ULL},
-    {"seed 56", 0xf36e9c7fadfbd169ULL},
-    {"seed 57", 0x8defafa7aad63de2ULL},
-    {"seed 58", 0x1e80dd2f2712e2f0ULL},
-    {"seed 59", 0x4099ee25c90198dfULL},
-    {"seed 60", 0x13f1bb6fbf15c08dULL},
+    {"seed 1", 0x6a005e7427dadcaaULL},
+    {"seed 2", 0x701956e09a041d0bULL},
+    {"seed 3", 0x38388dd32249156cULL},
+    {"seed 4", 0x3af20535e10719b1ULL},
+    {"seed 5", 0x0f0ba09ab3ee8a94ULL},
+    {"seed 6", 0xa68e12fe6aeaad6cULL},
+    {"seed 7", 0x04abdb1ac8c9baaaULL},
+    {"seed 8", 0xbdc244d74c15df3dULL},
+    {"seed 9", 0xe451059a6d2a62f7ULL},
+    {"seed 10", 0x4287bd2a908499d7ULL},
+    {"seed 11", 0x4e94b54f2725b7f1ULL},
+    {"seed 12", 0xb2315d3c7a9d5811ULL},
+    {"seed 13", 0x8e9b36e0d7a623f3ULL},
+    {"seed 14", 0xbac906a810888addULL},
+    {"seed 15", 0xc9294d6ba6e61544ULL},
+    {"seed 16", 0x8def0a53b39414c1ULL},
+    {"seed 17", 0xdb76aa1e7f6520b7ULL},
+    {"seed 18", 0x31b56f639c5be061ULL},
+    {"seed 19", 0x659b802440c78951ULL},
+    {"seed 20", 0x63809227c20e32feULL},
+    {"seed 21", 0x9aa6011fef9f28eaULL},
+    {"seed 22", 0xd94a2b4abefd08a8ULL},
+    {"seed 23", 0x24d33c1afe8b0ebcULL},
+    {"seed 24", 0xb746b7c563e135d1ULL},
+    {"seed 25", 0x91db5ff94c8ee344ULL},
+    {"seed 26", 0x5abb3538538264bfULL},
+    {"seed 27", 0x690c6e2dd29d9e18ULL},
+    {"seed 28", 0x6e08278644a2c2feULL},
+    {"seed 29", 0x23337c343e7c7f79ULL},
+    {"seed 30", 0x3eb234ca101d047cULL},
+    {"seed 31", 0x577c3435fabff1d0ULL},
+    {"seed 32", 0xed8953848d0ad97dULL},
+    {"seed 33", 0x87927bea12bd7a84ULL},
+    {"seed 34", 0xb7230ab927cb258dULL},
+    {"seed 35", 0x77555b6a28814719ULL},
+    {"seed 36", 0x3a64c3ca27c8da22ULL},
+    {"seed 37", 0x1753766e6b624c65ULL},
+    {"seed 38", 0xa626c864b36ad886ULL},
+    {"seed 39", 0xc5f7c43e6c7cdedbULL},
+    {"seed 40", 0x3e82863f7d31b59cULL},
+    {"seed 41", 0x74738295c0980ca9ULL},
+    {"seed 42", 0xec98f33babf8bce5ULL},
+    {"seed 43", 0xa51ab9afb7b5a5c4ULL},
+    {"seed 44", 0x970b9ac4f1a4213eULL},
+    {"seed 45", 0xc867bf4a2b018db1ULL},
+    {"seed 46", 0x25ceab56043d0420ULL},
+    {"seed 47", 0x01092dbff06421efULL},
+    {"seed 48", 0x5b605999ffbf5aa5ULL},
+    {"seed 49", 0xd9bde73f854b1f76ULL},
+    {"seed 50", 0x291a2a248519624cULL},
+    {"seed 51", 0x75f088f35adc97f4ULL},
+    {"seed 52", 0xbdf4e0aebfa32ffdULL},
+    {"seed 53", 0xe4091ecc7145bf9cULL},
+    {"seed 54", 0x1511e002e5ba3461ULL},
+    {"seed 55", 0x04518a45dd1058d2ULL},
+    {"seed 56", 0x95247d3db0a9f505ULL},
+    {"seed 57", 0x9a33fc26aef8bc26ULL},
+    {"seed 58", 0x7abe0459b155f683ULL},
+    {"seed 59", 0x4440d18261edb99dULL},
+    {"seed 60", 0x9cd2be05126e1d24ULL},
 };
 
 

@@ -1,19 +1,24 @@
-// Warm/cold equivalence: the incremental solve engine (SolveControl::
-// warmStart — dedup, shared seed basis, warm-started dual simplex) is a
-// pure performance feature.  Bounds must be bit-identical with it on or
-// off, for every suite benchmark, every cache mode, several thread
-// counts, and under injected faults.
+// Warm/cold equivalence: each constraint set's probe and both root
+// relaxations run on one live tableau, each phase continuing from the
+// previous basis (lp::LiveTableau).  That is purely a performance
+// choice: every set's bounds must equal those of solving its worst-case
+// and best-case ILP cold with ilp::solve, for every suite benchmark,
+// every cache mode and several thread counts, and injected faults must
+// keep the estimate sound.
 //
-// These run in CI's warmstart-equivalence job next to a 200-seed fuzz
-// sweep whose oracle re-solves every generated program cold.
+// These run in CI's equivalence job next to BoundGolden and a 500-seed
+// fuzz sweep.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cinderella/codegen/codegen.hpp"
+#include "cinderella/ilp/branch_and_bound.hpp"
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/suite/suite.hpp"
 #include "cinderella/support/fault_injector.hpp"
+#include "test_util/root_systems.hpp"
 
 namespace cinderella {
 namespace {
@@ -22,90 +27,87 @@ using support::FaultInjector;
 using support::FaultPlan;
 using support::ScopedFaultInjector;
 
-ipet::Estimate estimateBenchmark(const suite::Benchmark& bench,
-                                 ipet::CacheMode mode, bool warm,
-                                 int threads = 1) {
-  const auto compiled = codegen::compileSource(bench.source);
+ipet::Analyzer makeAnalyzer(const codegen::CompileResult& compiled,
+                            const suite::Benchmark& bench,
+                            ipet::CacheMode mode) {
   ipet::AnalyzerOptions aopt;
   aopt.cacheMode = mode;
   ipet::Analyzer analyzer(compiled, bench.rootFunction, aopt);
   for (const auto& c : bench.constraints) {
     analyzer.addConstraint(c.text, c.scope);
   }
+  return analyzer;
+}
+
+ipet::Estimate estimateBenchmark(const suite::Benchmark& bench,
+                                 ipet::CacheMode mode, int threads = 1) {
+  const auto compiled = codegen::compileSource(bench.source);
+  const ipet::Analyzer analyzer = makeAnalyzer(compiled, bench, mode);
   ipet::SolveControl control;
-  control.warmStart = warm;
   control.threads = threads;
   return analyzer.estimate(control);
 }
 
-/// Bit-identity of everything the solve *means*: the merged interval
-/// and, per set, the pruned flag and both objectives.  (Solver-effort
-/// stats legitimately differ; skipped sets exist only on the warm side
-/// and are covered by their representative, which both sides solve.)
-void expectSameBounds(const ipet::Estimate& warm,
-                      const ipet::Estimate& cold) {
-  EXPECT_EQ(warm.bound, cold.bound);
-  EXPECT_EQ(warm.sound(), cold.sound());
-  ASSERT_EQ(warm.setRecords.size(), cold.setRecords.size());
-  for (std::size_t i = 0; i < warm.setRecords.size(); ++i) {
+/// Each set's verdict and both objectives match a cold ilp::solve of its
+/// exported worst-case and best-case ILP.
+void expectColdBounds(const ipet::Analyzer& analyzer,
+                      const ipet::Estimate& warm) {
+  const auto best = test_util::bestCosts(analyzer);
+  std::vector<lp::Problem> systems = test_util::exportedSystems(analyzer);
+  ASSERT_EQ(systems.size(), warm.setRecords.size());
+  for (std::size_t i = 0; i < systems.size(); ++i) {
     SCOPED_TRACE(i);
-    const ipet::SetSolveRecord& w = warm.setRecords[i];
-    const ipet::SetSolveRecord& c = cold.setRecords[i];
-    EXPECT_EQ(w.pruned, c.pruned);
-    if (w.sharedWith >= 0) continue;  // solved via its representative
-    EXPECT_EQ(w.worst.feasible, c.worst.feasible);
-    EXPECT_EQ(w.best.feasible, c.best.feasible);
-    if (w.worst.feasible && c.worst.feasible) {
-      EXPECT_EQ(w.worst.objective, c.worst.objective);
+    const ipet::SetSolveRecord& rec = warm.setRecords[i];
+    if (rec.sharedWith >= 0) continue;  // solved via its representative
+    lp::Problem& p = systems[i];
+    const ilp::IlpSolution worst = ilp::solve(p);
+    p.setObjective(test_util::bestObjective(p, best), lp::Sense::Minimize);
+    const ilp::IlpSolution bestIlp = ilp::solve(p);
+    const bool coldFeasible = worst.status == ilp::IlpStatus::Optimal;
+    EXPECT_EQ(rec.verdict, ipet::SetVerdict::Exact);
+    if (rec.pruned) {
+      EXPECT_FALSE(coldFeasible);
+      continue;
     }
-    if (w.best.feasible && c.best.feasible) {
-      EXPECT_EQ(w.best.objective, c.best.objective);
-    }
+    ASSERT_EQ(rec.worst.feasible, coldFeasible);
+    ASSERT_EQ(rec.best.feasible, bestIlp.status == ilp::IlpStatus::Optimal);
+    if (!coldFeasible) continue;
+    EXPECT_EQ(rec.worst.objective, worst.objectiveExact);
+    EXPECT_EQ(rec.best.objective, bestIlp.objectiveExact);
   }
 }
 
 TEST(WarmEquivalence, SuiteBitIdenticalAcrossCacheModes) {
   for (const auto& bench : suite::allBenchmarks()) {
-    for (const ipet::CacheMode mode :
-         {ipet::CacheMode::AllMiss, ipet::CacheMode::FirstIterationSplit,
-          ipet::CacheMode::ConflictGraph}) {
+    const auto compiled = codegen::compileSource(bench.source);
+    for (const ipet::CacheMode mode : test_util::kCacheModes) {
       SCOPED_TRACE(bench.name + "/" + ipet::cacheModeStr(mode));
-      const ipet::Estimate warm = estimateBenchmark(bench, mode, true);
-      const ipet::Estimate cold = estimateBenchmark(bench, mode, false);
-      expectSameBounds(warm, cold);
-      // The engine must actually engage; individual warm failures are
-      // the designed cold fallback (deep branch-and-bound nodes under
-      // the cache-refinement modes occasionally install a singular
-      // basis), but the all-miss baseline warm-starts every LP.
-      EXPECT_GT(warm.stats.warmStarts, 0);
-      EXPECT_EQ(cold.stats.warmStarts, 0);
-      if (mode == ipet::CacheMode::AllMiss) {
-        EXPECT_EQ(warm.stats.warmFailures, 0);
-      }
+      const ipet::Analyzer analyzer = makeAnalyzer(compiled, bench, mode);
+      expectColdBounds(analyzer, analyzer.estimate());
     }
   }
 }
 
 TEST(WarmEquivalence, MultiThreadedWarmMatchesCold) {
   const suite::Benchmark& bench = suite::benchmarkByName("dhry");
-  const ipet::Estimate cold =
-      estimateBenchmark(bench, ipet::CacheMode::AllMiss, false, 1);
+  const auto compiled = codegen::compileSource(bench.source);
+  const ipet::Analyzer analyzer =
+      makeAnalyzer(compiled, bench, ipet::CacheMode::AllMiss);
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE(threads);
-    const ipet::Estimate warm =
-        estimateBenchmark(bench, ipet::CacheMode::AllMiss, true, threads);
-    expectSameBounds(warm, cold);
+    ipet::SolveControl control;
+    control.threads = threads;
+    expectColdBounds(analyzer, analyzer.estimate(control));
   }
 }
 
 TEST(WarmEquivalence, InjectedFaultsStaySoundWarm) {
-  // Faults land at different pivots warm vs cold (the call sequences
-  // differ), so exact equality is not expected — but the warm engine
-  // must degrade exactly as gracefully: never throw, and any sound
-  // result encloses the exact interval.
+  // A fault in a live phase sends that side to the from-scratch ladder,
+  // and a fault there walks the degradation ladder: the estimate never
+  // throws, and any sound result encloses the exact interval.
   const suite::Benchmark& bench = suite::benchmarkByName("check_data");
   const ipet::Estimate exact =
-      estimateBenchmark(bench, ipet::CacheMode::AllMiss, true);
+      estimateBenchmark(bench, ipet::CacheMode::AllMiss);
 
   for (const std::uint64_t seed : {1ULL, 5ULL, 9ULL}) {
     SCOPED_TRACE(seed);
@@ -116,37 +118,12 @@ TEST(WarmEquivalence, InjectedFaultsStaySoundWarm) {
     ScopedFaultInjector install(&injector);
 
     ipet::Estimate degraded;
-    ASSERT_NO_THROW(
-        degraded = estimateBenchmark(bench, ipet::CacheMode::AllMiss, true));
+    ASSERT_NO_THROW(degraded =
+                        estimateBenchmark(bench, ipet::CacheMode::AllMiss));
     if (degraded.sound()) {
       EXPECT_TRUE(degraded.bound.encloses(exact.bound));
     }
   }
-}
-
-TEST(WarmEquivalence, SaturatedFaultsDegradeIdenticallyWarmAndCold) {
-  // At rate 1.0 every LP pivot faults on both sides: all sets walk the
-  // same degradation ladder to the same rungs, so even the degraded
-  // results must agree exactly.
-  const suite::Benchmark& bench = suite::benchmarkByName("check_data");
-
-  const auto run = [&](bool warm) {
-    FaultPlan plan;
-    plan.seed = 7;
-    plan.lpPivotRate = 1.0;
-    FaultInjector injector{plan};
-    ScopedFaultInjector install(&injector);
-    ipet::Estimate e;
-    EXPECT_NO_THROW(
-        e = estimateBenchmark(bench, ipet::CacheMode::AllMiss, warm));
-    return e;
-  };
-  const ipet::Estimate warm = run(true);
-  const ipet::Estimate cold = run(false);
-  EXPECT_EQ(warm.bound, cold.bound);
-  EXPECT_EQ(warm.sound(), cold.sound());
-  EXPECT_EQ(warm.stats.failedSets, cold.stats.failedSets);
-  EXPECT_EQ(warm.stats.structuralSets, cold.stats.structuralSets);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include "cinderella/ipet/solve_cache.hpp"
 #include "cinderella/support/fault_injector.hpp"
+#include "cinderella/support/io.hpp"
 #include "test_util/temp_path.hpp"
 
 namespace cinderella::ipet {
@@ -32,13 +33,6 @@ Estimate cleanEstimate(std::int64_t lo, std::int64_t hi) {
   return e;
 }
 
-lp::Basis someBasis() {
-  lp::Basis basis;
-  basis.numVars = 4;
-  basis.basicCol = {0, 6, 3};
-  return basis;
-}
-
 class SolveCacheTest : public ::testing::Test {
  protected:
   std::string tmpPath_ = test_util::uniqueTempPath("solve_cache_test.csnap");
@@ -48,7 +42,7 @@ class SolveCacheTest : public ::testing::Test {
 TEST_F(SolveCacheTest, HitReturnsBitIdenticalBound) {
   SolveCache cache(SolveCacheOptions{4});
   const Estimate e = cleanEstimate(449, 5884);
-  ASSERT_TRUE(cache.insert(key(1), key(100), e, someBasis(), 777));
+  ASSERT_TRUE(cache.insert(key(1), e, 777));
 
   const auto hit = cache.lookupBound(key(1));
   ASSERT_TRUE(hit.has_value());
@@ -57,33 +51,27 @@ TEST_F(SolveCacheTest, HitReturnsBitIdenticalBound) {
   EXPECT_EQ(hit->constraintSets, 3);
   EXPECT_EQ(hit->solveWallMicros, 777);
 
-  const auto basis = cache.lookupBasis(key(100));
-  ASSERT_TRUE(basis.has_value());
-  EXPECT_EQ(basis->numVars, 4);
-  EXPECT_EQ(basis->basicCol, (std::vector<int>{0, 6, 3}));
-
   const SolveCacheStats stats = cache.stats();
   EXPECT_EQ(stats.boundHits, 1);
-  EXPECT_EQ(stats.basisHits, 1);
   EXPECT_EQ(stats.insertions, 1);
 }
 
 TEST_F(SolveCacheTest, MissesAreCountedAndEmpty) {
   SolveCache cache(SolveCacheOptions{4});
   EXPECT_FALSE(cache.lookupBound(key(9)).has_value());
-  EXPECT_FALSE(cache.lookupBasis(key(9)).has_value());
+  EXPECT_FALSE(cache.lookupFormula(key(9)).has_value());
   const SolveCacheStats stats = cache.stats();
   EXPECT_EQ(stats.boundMisses, 1);
-  EXPECT_EQ(stats.basisMisses, 1);
+  EXPECT_EQ(stats.formulaMisses, 1);
 }
 
 TEST_F(SolveCacheTest, LruEvictionUnderCapacityPressure) {
   SolveCache cache(SolveCacheOptions{2});
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
-  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 1));
+  ASSERT_TRUE(cache.insert(key(1), cleanEstimate(1, 10), 1));
+  ASSERT_TRUE(cache.insert(key(2), cleanEstimate(2, 20), 1));
   // Touch 1 so 2 is the LRU victim.
   ASSERT_TRUE(cache.lookupBound(key(1)).has_value());
-  ASSERT_TRUE(cache.insert(key(3), {}, cleanEstimate(3, 30), {}, 1));
+  ASSERT_TRUE(cache.insert(key(3), cleanEstimate(3, 30), 1));
 
   EXPECT_FALSE(cache.lookupBound(key(2)).has_value());
   EXPECT_TRUE(cache.lookupBound(key(1)).has_value());
@@ -95,11 +83,9 @@ TEST_F(SolveCacheTest, LruEvictionUnderCapacityPressure) {
 TEST_F(SolveCacheTest, CapacityZeroDisablesEverything) {
   SolveCache cache(SolveCacheOptions{0});
   EXPECT_FALSE(cache.enabled());
-  EXPECT_FALSE(cache.insert(key(1), key(2), cleanEstimate(1, 10),
-                            someBasis(), 1));
+  EXPECT_FALSE(cache.insert(key(1), cleanEstimate(1, 10), 1));
   EXPECT_FALSE(cache.lookupBound(key(1)).has_value());
   EXPECT_EQ(cache.boundEntries(), 0u);
-  EXPECT_EQ(cache.basisEntries(), 0u);
 }
 
 TEST_F(SolveCacheTest, AdmissionGateRejectsDegradedResults) {
@@ -127,24 +113,27 @@ TEST_F(SolveCacheTest, AdmissionGateRejectsDegradedResults) {
   EXPECT_TRUE(SolveCache::admissible(cleanEstimate(1, 10)));
 
   SolveCache cache(SolveCacheOptions{4});
-  EXPECT_FALSE(cache.insert(key(1), {}, timedOut, {}, 1));
+  EXPECT_FALSE(cache.insert(key(1), timedOut, 1));
   EXPECT_FALSE(cache.lookupBound(key(1)).has_value());
   EXPECT_EQ(cache.stats().rejectedInserts, 1);
 }
 
 TEST_F(SolveCacheTest, EmptyBasisIsNotStored) {
+  // The five-argument insert the benchmark driver calls ignores the
+  // structural digest and the basis: only the bound is stored.
   SolveCache cache(SolveCacheOptions{4});
-  ASSERT_TRUE(cache.insert(key(1), key(2), cleanEstimate(1, 10), {}, 1));
-  EXPECT_EQ(cache.basisEntries(), 0u);
+  ASSERT_TRUE(
+      cache.insert(key(1), key(2), cleanEstimate(1, 10), lp::Basis{}, 1));
   EXPECT_EQ(cache.boundEntries(), 1u);
+  EXPECT_TRUE(cache.lookupBound(key(1)).has_value());
+  EXPECT_FALSE(cache.lookupBound(key(2)).has_value());
+  EXPECT_EQ(cache.stats().basisHits, 0);
 }
 
 TEST_F(SolveCacheTest, SnapshotRoundTripPreservesEntriesAndRecency) {
   SolveCache cache(SolveCacheOptions{2});
-  ASSERT_TRUE(cache.insert(key(1), key(100), cleanEstimate(1, 10),
-                           someBasis(), 11));
-  ASSERT_TRUE(cache.insert(key(2), key(200), cleanEstimate(2, 20),
-                           someBasis(), 22));
+  ASSERT_TRUE(cache.insert(key(1), cleanEstimate(1, 10), 11));
+  ASSERT_TRUE(cache.insert(key(2), cleanEstimate(2, 20), 22));
   ASSERT_TRUE(cache.lookupBound(key(1)).has_value());  // 2 is now LRU
 
   std::string error;
@@ -156,18 +145,17 @@ TEST_F(SolveCacheTest, SnapshotRoundTripPreservesEntriesAndRecency) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->bound.hi, 20);
   EXPECT_EQ(hit->solveWallMicros, 22);
-  ASSERT_TRUE(restored.lookupBasis(key(100)).has_value());
 
   // Recency survived the round trip: key(2) was oldest at save time,
   // but the lookup above refreshed it, so key(1) is evicted next.
-  ASSERT_TRUE(restored.insert(key(3), {}, cleanEstimate(3, 30), {}, 1));
+  ASSERT_TRUE(restored.insert(key(3), cleanEstimate(3, 30), 1));
   EXPECT_FALSE(restored.lookupBound(key(1)).has_value());
   EXPECT_TRUE(restored.lookupBound(key(3)).has_value());
 }
 
 TEST_F(SolveCacheTest, LoadRejectsCorruptionAndKeepsContents) {
   SolveCache cache(SolveCacheOptions{4});
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
+  ASSERT_TRUE(cache.insert(key(1), cleanEstimate(1, 10), 1));
   std::string error;
   ASSERT_TRUE(cache.save(tmpPath_, &error)) << error;
 
@@ -185,7 +173,7 @@ TEST_F(SolveCacheTest, LoadRejectsCorruptionAndKeepsContents) {
   }
 
   SolveCache victim(SolveCacheOptions{4});
-  ASSERT_TRUE(victim.insert(key(7), {}, cleanEstimate(7, 70), {}, 1));
+  ASSERT_TRUE(victim.insert(key(7), cleanEstimate(7, 70), 1));
   EXPECT_FALSE(victim.load(tmpPath_, &error));
   EXPECT_FALSE(error.empty());
   // The failed load left the existing contents untouched.
@@ -203,10 +191,11 @@ TEST_F(SolveCacheTest, LoadRejectsCorruptionAndKeepsContents) {
 TEST_F(SolveCacheTest, LoadReappliesOwnCapacity) {
   SolveCache big(SolveCacheOptions{8});
   for (std::uint64_t i = 1; i <= 5; ++i) {
-    ASSERT_TRUE(big.insert(key(i), {},
-                           cleanEstimate(static_cast<std::int64_t>(i),
-                                         static_cast<std::int64_t>(10 * i)),
-                           {}, 1));
+    ASSERT_TRUE(big.insert(
+        key(i),
+        cleanEstimate(static_cast<std::int64_t>(i),
+                      static_cast<std::int64_t>(10 * i)),
+        1));
   }
   std::string error;
   ASSERT_TRUE(big.save(tmpPath_, &error)) << error;
@@ -268,9 +257,8 @@ TEST_F(SolveCacheCrashTest, JournalReplaysAdmissionsAfterCrash) {
   // journal alone must reconstruct every admitted entry.
   {
     SolveCache cache(journaled(8));
-    ASSERT_TRUE(cache.insert(key(1), key(100), cleanEstimate(10, 100),
-                             someBasis(), 11));
-    ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(20, 200), {}, 22));
+    ASSERT_TRUE(cache.insert(key(1), cleanEstimate(10, 100), 11));
+    ASSERT_TRUE(cache.insert(key(2), cleanEstimate(20, 200), 22));
     cache.insertFormula(key(3), {someFormula(), 33});
     EXPECT_EQ(cache.stats().journaledInserts, 3);
     EXPECT_EQ(cache.stats().journalFailures, 0);
@@ -288,7 +276,6 @@ TEST_F(SolveCacheCrashTest, JournalReplaysAdmissionsAfterCrash) {
   EXPECT_EQ(hit->bound.lo, 10);
   EXPECT_EQ(hit->bound.hi, 100);
   EXPECT_EQ(hit->solveWallMicros, 11);
-  EXPECT_TRUE(revived.lookupBasis(key(100)).has_value());
   ASSERT_TRUE(revived.lookupBound(key(2)).has_value());
   const auto formula = revived.lookupFormula(key(3));
   ASSERT_TRUE(formula.has_value());
@@ -298,14 +285,14 @@ TEST_F(SolveCacheCrashTest, JournalReplaysAdmissionsAfterCrash) {
 
 TEST_F(SolveCacheCrashTest, SaveFoldsJournalIntoSnapshotAndResetsIt) {
   SolveCache cache(journaled(8));
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
+  ASSERT_TRUE(cache.insert(key(1), cleanEstimate(1, 10), 1));
   std::string error;
   ASSERT_TRUE(cache.save(snap_, &error)) << error;
   EXPECT_TRUE(readFileBytes(journal_).empty())
       << "save() must reset the journal";
 
   // One more admission after the snapshot: lives only in the journal.
-  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 2));
+  ASSERT_TRUE(cache.insert(key(2), cleanEstimate(2, 20), 2));
   EXPECT_FALSE(readFileBytes(journal_).empty());
 
   SolveCache revived(journaled(8));
@@ -320,19 +307,19 @@ TEST_F(SolveCacheCrashTest, SaveFoldsJournalIntoSnapshotAndResetsIt) {
 }
 
 TEST_F(SolveCacheCrashTest, TornSnapshotRecoversConsistentPrefixAtEveryByte) {
-  // Build a snapshot holding all three section kinds, plus a journal
-  // with one post-snapshot admission.
+  // Build a snapshot holding both section kinds, plus a journal with
+  // one post-snapshot admission.
   SolveCache cache(journaled(8));
   for (std::uint64_t i = 1; i <= 3; ++i) {
-    ASSERT_TRUE(cache.insert(key(i), key(100 + i),
+    ASSERT_TRUE(cache.insert(key(i),
                              cleanEstimate(static_cast<std::int64_t>(i),
                                            static_cast<std::int64_t>(10 * i)),
-                             someBasis(), static_cast<std::int64_t>(i)));
+                             static_cast<std::int64_t>(i)));
   }
   cache.insertFormula(key(50), {someFormula(), 5});
   std::string error;
   ASSERT_TRUE(cache.save(snap_, &error)) << error;
-  ASSERT_TRUE(cache.insert(key(9), {}, cleanEstimate(9, 90), {}, 9));
+  ASSERT_TRUE(cache.insert(key(9), cleanEstimate(9, 90), 9));
 
   const std::string blob = readFileBytes(snap_);
   const std::string journalBytes = readFileBytes(journal_);
@@ -366,7 +353,6 @@ TEST_F(SolveCacheCrashTest, TornSnapshotRecoversConsistentPrefixAtEveryByte) {
     } else {
       EXPECT_TRUE(report.complete) << report.detail;
       EXPECT_EQ(report.bounds, 3u);
-      EXPECT_EQ(report.bases, 3u);
       EXPECT_EQ(report.formulas, 1u);
       ++fullyRestored;
     }
@@ -377,9 +363,8 @@ TEST_F(SolveCacheCrashTest, TornSnapshotRecoversConsistentPrefixAtEveryByte) {
 TEST_F(SolveCacheCrashTest, TornJournalRecoversRecordPrefixAtEveryByte) {
   {
     SolveCache cache(journaled(8));
-    ASSERT_TRUE(cache.insert(key(1), key(101), cleanEstimate(1, 10),
-                             someBasis(), 1));
-    ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 2));
+    ASSERT_TRUE(cache.insert(key(1), cleanEstimate(1, 10), 1));
+    ASSERT_TRUE(cache.insert(key(2), cleanEstimate(2, 20), 2));
     cache.insertFormula(key(3), {someFormula(), 3});
   }
   const std::string journalBytes = readFileBytes(journal_);
@@ -407,8 +392,8 @@ TEST_F(SolveCacheCrashTest, TornJournalRecoversRecordPrefixAtEveryByte) {
 
 TEST_F(SolveCacheCrashTest, BitFlipIsDetectedNotInstalled) {
   SolveCache cache(journaled(8));
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
-  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 2));
+  ASSERT_TRUE(cache.insert(key(1), cleanEstimate(1, 10), 1));
+  ASSERT_TRUE(cache.insert(key(2), cleanEstimate(2, 20), 2));
   std::string error;
   ASSERT_TRUE(cache.save(snap_, &error)) << error;
 
@@ -431,11 +416,11 @@ TEST_F(SolveCacheCrashTest, BitFlipIsDetectedNotInstalled) {
 
 TEST_F(SolveCacheCrashTest, FaultedSaveLeavesPreviousSnapshotLoadable) {
   SolveCache cache(SolveCacheOptions{8});
-  ASSERT_TRUE(cache.insert(key(1), {}, cleanEstimate(1, 10), {}, 1));
+  ASSERT_TRUE(cache.insert(key(1), cleanEstimate(1, 10), 1));
   std::string error;
   ASSERT_TRUE(cache.save(snap_, &error)) << error;
 
-  ASSERT_TRUE(cache.insert(key(2), {}, cleanEstimate(2, 20), {}, 2));
+  ASSERT_TRUE(cache.insert(key(2), cleanEstimate(2, 20), 2));
   {
     support::FaultPlan plan;
     plan.snapshotWriteRate = 1.0;
@@ -452,6 +437,129 @@ TEST_F(SolveCacheCrashTest, FaultedSaveLeavesPreviousSnapshotLoadable) {
   ASSERT_TRUE(revived.load(snap_, &error)) << error;
   EXPECT_TRUE(revived.lookupBound(key(1)).has_value());
   EXPECT_FALSE(revived.lookupBound(key(2)).has_value());
+}
+
+/// Little-endian byte writers for hand-built legacy files.
+void putU32(std::string* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+void putU64(std::string* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// One bound entry in the snapshot/journal encoding (digest, interval,
+/// set count, solve µs).
+std::string boundEntryBytes(const Digest& digest, std::int64_t lo,
+                            std::int64_t hi, std::int64_t micros) {
+  std::string out;
+  putU64(&out, digest.hi);
+  putU64(&out, digest.lo);
+  putU64(&out, static_cast<std::uint64_t>(lo));
+  putU64(&out, static_cast<std::uint64_t>(hi));
+  putU32(&out, 3);
+  putU64(&out, static_cast<std::uint64_t>(micros));
+  return out;
+}
+
+/// One pre-v4 basis entry: digest, length, then the CBAS bytes (their
+/// content is never parsed again, so any bytes do).
+std::string basisEntryBytes(const Digest& digest) {
+  std::string out;
+  putU64(&out, digest.hi);
+  putU64(&out, digest.lo);
+  const std::string cbas = "CBAS-bytes-of-a-retired-seed-basis";
+  putU32(&out, static_cast<std::uint32_t>(cbas.size()));
+  out += cbas;
+  return out;
+}
+
+/// A snapshot in the v3 layout: magic, version 3, then bounds, bases
+/// and formulas sections and the end marker, each CRC-framed.
+std::string v3SnapshotBytes() {
+  std::string blob = "CSNAP";
+  putU32(&blob, 3);
+  auto section = [&](std::uint32_t tag, std::uint32_t count,
+                     const std::string& payload) {
+    putU32(&blob, tag);
+    putU32(&blob, count);
+    putU32(&blob, static_cast<std::uint32_t>(payload.size()));
+    blob += payload;
+    putU32(&blob, support::io::crc32(payload));
+  };
+  section(1, 2,
+          boundEntryBytes(key(1), 1, 10, 11) +
+              boundEntryBytes(key(2), 2, 20, 22));
+  section(2, 2, basisEntryBytes(key(100)) + basisEntryBytes(key(200)));
+  std::string formulas;
+  putU64(&formulas, key(3).hi);
+  putU64(&formulas, key(3).lo);
+  putU64(&formulas, 33);
+  const std::string json = someFormula().json();
+  putU32(&formulas, static_cast<std::uint32_t>(json.size()));
+  formulas += json;
+  section(3, 1, formulas);
+  section(0, 0, "");
+  return blob;
+}
+
+void expectV3Entries(SolveCache& cache) {
+  const auto one = cache.lookupBound(key(1));
+  ASSERT_TRUE(one.has_value());
+  EXPECT_EQ(one->bound.hi, 10);
+  EXPECT_EQ(one->solveWallMicros, 11);
+  const auto two = cache.lookupBound(key(2));
+  ASSERT_TRUE(two.has_value());
+  EXPECT_EQ(two->bound.lo, 2);
+  const auto formula = cache.lookupFormula(key(3));
+  ASSERT_TRUE(formula.has_value());
+  EXPECT_EQ(formula->formula, someFormula());
+  EXPECT_EQ(cache.boundEntries(), 2u);
+  EXPECT_EQ(cache.formulaEntries(), 1u);
+}
+
+TEST_F(SolveCacheCrashTest, V3SnapshotLoadsBoundsAndFormulasSkippingBases) {
+  writeFileBytes(snap_, v3SnapshotBytes());
+
+  SolveCache strict(SolveCacheOptions{8});
+  std::string error;
+  ASSERT_TRUE(strict.load(snap_, &error)) << error;
+  expectV3Entries(strict);
+
+  SolveCache recovering(SolveCacheOptions{8});
+  const SnapshotRestoreReport report = recovering.restore(snap_);
+  EXPECT_TRUE(report.complete) << report.detail;
+  EXPECT_EQ(report.bounds, 2u);
+  EXPECT_EQ(report.formulas, 1u);
+  expectV3Entries(recovering);
+
+  // Saving again writes v4, which loads to the same entries.
+  ASSERT_TRUE(recovering.save(snap_, &error)) << error;
+  EXPECT_NE(readFileBytes(snap_), v3SnapshotBytes());
+  SolveCache reloaded(SolveCacheOptions{8});
+  ASSERT_TRUE(reloaded.load(snap_, &error)) << error;
+  expectV3Entries(reloaded);
+}
+
+TEST_F(SolveCacheCrashTest, PreV4JournalRecordReplaysItsBoundAndSkipsItsBasis) {
+  // Before v4 a bound record also carried the structural digest and the
+  // seed basis after the bound entry.
+  std::string record;
+  putU32(&record, 1);
+  const std::string payload =
+      boundEntryBytes(key(1), 5, 50, 7) + basisEntryBytes(key(100));
+  putU32(&record, static_cast<std::uint32_t>(payload.size()));
+  record += payload;
+  putU32(&record, support::io::crc32(record));
+  writeFileBytes(journal_, record);
+
+  SolveCache revived(journaled(8));
+  const SnapshotRestoreReport report = revived.restore(snap_);
+  EXPECT_TRUE(report.complete) << report.detail;
+  EXPECT_EQ(report.journalRecords, 1u);
+  const auto hit = revived.lookupBound(key(1));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->bound.hi, 50);
+  EXPECT_EQ(revived.boundEntries(), 1u);
 }
 
 }  // namespace

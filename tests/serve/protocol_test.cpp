@@ -27,7 +27,6 @@ TEST(ServeProtocol, RequestRoundTripPreservesEveryField) {
   frame.request.control.threads = 4;
   frame.request.control.deadline = std::chrono::milliseconds(250);
   frame.request.control.maxNodes = 99;
-  frame.request.control.warmStart = false;
 
   const std::string line = encodeRequest(frame);
   EXPECT_EQ(line.find('\n'), std::string::npos);
@@ -48,7 +47,6 @@ TEST(ServeProtocol, RequestRoundTripPreservesEveryField) {
   EXPECT_EQ(back.request.control.threads, 4);
   EXPECT_EQ(back.request.control.deadline.count(), 250);
   EXPECT_EQ(back.request.control.maxNodes, 99);
-  EXPECT_FALSE(back.request.control.warmStart);
 }
 
 TEST(ServeProtocol, BenchmarkRequestAndDefaults) {
@@ -61,7 +59,21 @@ TEST(ServeProtocol, BenchmarkRequestAndDefaults) {
   EXPECT_TRUE(back.request.source.empty());
   EXPECT_EQ(back.request.cacheMode, ipet::CacheMode::AllMiss);
   EXPECT_EQ(back.request.cachePolicy, ipet::CachePolicy::ReadWrite);
-  EXPECT_TRUE(back.request.control.warmStart);
+}
+
+TEST(ServeProtocol, LegacyWarmStartFieldIsAcceptedAndIgnored) {
+  // Clients written against the warm-start engine still send the flag.
+  for (const char* line :
+       {R"({"id":1,"op":"analyze","benchmark":"piksrt","warmStart":false})",
+        R"({"id":2,"op":"analyze","benchmark":"piksrt","warmStart":true})"}) {
+    RequestFrame back;
+    std::string error;
+    ASSERT_TRUE(decodeRequest(line, &back, &error)) << error;
+    EXPECT_EQ(back.request.benchmark, "piksrt");
+  }
+  RequestFrame frame;
+  frame.request.benchmark = "piksrt";
+  EXPECT_EQ(encodeRequest(frame).find("warmStart"), std::string::npos);
 }
 
 TEST(ServeProtocol, ConstraintsAcceptBareStrings) {
@@ -224,6 +236,7 @@ TEST(ServeProtocol, AnalyzeResponseEmbedsReportWithSchemaVersion) {
   EXPECT_EQ(response->boundHi, 1234);
   EXPECT_EQ(response->solveMicros, 55);
   EXPECT_EQ(response->digest, result.fullDigest.hex());
+  EXPECT_EQ(response->raw.find("basisWarmStarted"), nullptr);
 
   // The embedded report is the obs::reportJson document verbatim, and
   // it carries the pinned schema version as its first field.
@@ -256,7 +269,7 @@ TEST(ServeProtocol, ErrorPongStatsAndAckFrames) {
   counters.requests = 14;
   counters.overloadAdmissions = 1;
   const auto stats =
-      decodeResponse(encodeStatsResponse(6, cacheStats, 3, 2, counters),
+      decodeResponse(encodeStatsResponse(6, cacheStats, 3, counters),
                      &error);
   ASSERT_TRUE(stats.has_value()) << error;
   EXPECT_TRUE(stats->ok);
