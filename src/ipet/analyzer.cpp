@@ -1154,12 +1154,12 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       .arg("flow-vars", numFlowVars_);
 
   // Pre-pass: canonicalize every expanded set, deduplicate identical
-  // ones, and prune sets whose
-  // canonical rows are a proper superset of another set's.  A superset
-  // of rows carves a sub-region, so the covering set's worst bound is >=
-  // and its best bound is <= the skipped set's — dropping the skipped
-  // set cannot change the merged interval.  Computed on the main thread
-  // before dispatch so the schedule is identical across thread counts.
+  // ones, and prune sets whose canonical rows are a proper superset of
+  // another set's.  A superset of rows carves a sub-region, so the
+  // covering set's worst bound is >= and its best bound is <= the
+  // skipped set's — dropping the skipped set cannot change the merged
+  // interval.  Computed on the main thread before dispatch so the
+  // schedule is identical across thread counts.
   struct SetPlan {
     int sharedWith = -1;  ///< scheduled set whose solve covers this one
     bool dominated = false;
@@ -1441,7 +1441,8 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       // these rows: phase 1 answers the probe, phase 2 under the worst
       // objective gives the worst ILP's root relaxation, and re-priced
       // under the best objective it continues to the best ILP's root.
-      // The rows are presolved once for all three.
+      // The rows are presolved once for all three; the span covers the
+      // presolve and the tableau build.
       std::optional<lp::LiveTableau> live;
       {
         obs::Span presolveSpan(tracer, "lp-presolve", "solve");

@@ -168,23 +168,26 @@ class LiveTableau {
 
   /// The rows the simplex sees: the reduced rows, or the rows as given.
   [[nodiscard]] const Problem& effective() const;
-  /// Runs phase 1 on the live tableau unless it has run.  Returns false
-  /// when the phase failed and retired the tableau; `wasted` then holds
-  /// an IterationLimit solution with the pivots the phase spent.
-  bool ensurePhaseOne(Solution* wasted);
+  /// Runs `phase` on the live tableau and returns its solution with the
+  /// pivots it spent.  A phase that ends in IterationLimit or throws
+  /// InjectedFaultError (reported as IterationLimit) retires the tableau.
+  template <typename Phase>
+  [[nodiscard]] Solution runLive(Phase phase);
+  /// Phase 1 with the feasibility audit, through runLive; on success
+  /// records the verdict.
+  [[nodiscard]] Solution runPhaseOne();
 
   SimplexOptions options_;
   const Problem* rows_;
   /// The presolve of the rows, kept only when it removed something.
   std::unique_ptr<Reduction> reduction_;
   PresolveStats presolve_;
-  /// Presolve proved the rows infeasible: every answer is Infeasible.
-  bool provedInfeasible_ = false;
   /// Null once retired (or when presolve proved infeasibility).
   std::unique_ptr<Tableau> tableau_;
-  bool phaseOneDone_ = false;
-  /// Phase 1 found the rows infeasible: every answer is Infeasible.
-  bool phaseOneInfeasible_ = false;
+  /// Presolve or phase 1 decided feasibility; `infeasible_` holds the
+  /// verdict, and an infeasible verdict answers every later call.
+  bool feasibilityKnown_ = false;
+  bool infeasible_ = false;
 };
 
 }  // namespace cinderella::lp

@@ -80,6 +80,12 @@ class Tableau {
   [[nodiscard]] double rowRhs(int row) const;
   [[nodiscard]] int basicColumn(int row) const;
 
+ private:
+  /// Test-only access to pivot() and the column index, and to the
+  /// budget and right-hand sides a LiveTableau test forces failures with.
+  friend struct TableauInspector;
+  friend struct LiveTableauInspector;
+
   /// Column ids of a row's slack/surplus and artificial.
   [[nodiscard]] static int slackColumn(int numVars, int row) {
     return numVars + 2 * row;
@@ -87,12 +93,6 @@ class Tableau {
   [[nodiscard]] static int artificialColumn(int numVars, int row) {
     return numVars + 2 * row + 1;
   }
-
- private:
-  /// Test-only access to pivot() and the column index, and to the
-  /// budget and right-hand sides a LiveTableau test forces failures with.
-  friend struct TableauInspector;
-  friend struct LiveTableauInspector;
 
   struct Entry {
     int col = 0;

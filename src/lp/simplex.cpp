@@ -202,7 +202,8 @@ LiveTableau::LiveTableau(const Problem& rows, const SimplexOptions& options)
     Reduction reduction = Reduction::reduce(rows, options);
     presolve_ = reduction.stats();
     if (reduction.provedInfeasible()) {
-      provedInfeasible_ = true;
+      feasibilityKnown_ = true;
+      infeasible_ = true;
       return;
     }
     if (reduction.effective()) {
@@ -218,36 +219,47 @@ const Problem& LiveTableau::effective() const {
   return reduction_ != nullptr ? reduction_->reduced() : *rows_;
 }
 
-bool LiveTableau::ensurePhaseOne(Solution* wasted) {
-  if (phaseOneDone_) return true;
-  SolveStatus status = SolveStatus::IterationLimit;
+template <typename Phase>
+Solution LiveTableau::runLive(Phase phase) {
+  const int pivotsBefore = tableau_->totalPivots();
+  const int devexBefore = tableau_->devexPivots();
+  Solution solution;
   try {
-    status = tableau_->phaseOne();
-    if (status == SolveStatus::Optimal && !tableau_->primalFeasibleAtTol()) {
-      status = SolveStatus::IterationLimit;
-    }
+    solution = phase();
   } catch (const InjectedFaultError&) {
     // Retired below, like a phase that ran out of budget.
+    solution = Solution{};
+    solution.status = SolveStatus::IterationLimit;
   }
-  if (status == SolveStatus::IterationLimit) {
-    wasted->status = SolveStatus::IterationLimit;
-    wasted->pivots = tableau_->totalPivots();
-    wasted->devexPivots = tableau_->devexPivots();
-    tableau_.reset();
-    return false;
+  solution.pivots = tableau_->totalPivots() - pivotsBefore;
+  solution.devexPivots = tableau_->devexPivots() - devexBefore;
+  if (solution.status == SolveStatus::IterationLimit) tableau_.reset();
+  return solution;
+}
+
+Solution LiveTableau::runPhaseOne() {
+  const Solution solution = runLive([&] {
+    Solution phase;
+    phase.status = tableau_->phaseOne();
+    if (phase.status == SolveStatus::Optimal &&
+        !tableau_->primalFeasibleAtTol()) {
+      phase.status = SolveStatus::IterationLimit;
+    }
+    return phase;
+  });
+  if (solution.status != SolveStatus::IterationLimit) {
+    feasibilityKnown_ = true;
+    infeasible_ = solution.status == SolveStatus::Infeasible;
   }
-  phaseOneDone_ = true;
-  phaseOneInfeasible_ = status == SolveStatus::Infeasible;
-  return true;
+  return solution;
 }
 
 Solution LiveTableau::feasibility() {
   const SinkReport sink;
   Solution solution;
-  if (provedInfeasible_ || phaseOneDone_) {
-    solution.status = provedInfeasible_ || phaseOneInfeasible_
-                          ? SolveStatus::Infeasible
-                          : SolveStatus::Optimal;
+  if (feasibilityKnown_) {
+    solution.status =
+        infeasible_ ? SolveStatus::Infeasible : SolveStatus::Optimal;
   } else {
     const DenseObjective zero{
         std::vector<double>(static_cast<std::size_t>(effective().numVars()),
@@ -255,14 +267,12 @@ Solution LiveTableau::feasibility() {
         0.0};
     if (tableau_ == nullptr) {
       solution = solveCold(effective(), zero, options_);
-    } else if (ensurePhaseOne(&solution)) {
-      solution.status =
-          phaseOneInfeasible_ ? SolveStatus::Infeasible : SolveStatus::Optimal;
-      solution.pivots = tableau_->totalPivots();
-      solution.devexPivots = tableau_->devexPivots();
     } else {
-      solution = retryFromScratch(effective(), zero, options_,
-                                  std::move(solution));
+      solution = runPhaseOne();
+      if (tableau_ == nullptr) {
+        solution = retryFromScratch(effective(), zero, options_,
+                                    std::move(solution));
+      }
     }
   }
   // Only the verdict is an answer here; no caller needs the point.
@@ -275,9 +285,7 @@ Solution LiveTableau::feasibility() {
 Solution LiveTableau::solve(const Problem& problem) {
   const SinkReport sink;
   Solution solution;
-  const bool infeasible =
-      provedInfeasible_ || (phaseOneDone_ && phaseOneInfeasible_);
-  if (infeasible) {
+  if (feasibilityKnown_ && infeasible_) {
     solution.status = SolveStatus::Infeasible;
   } else {
     const DenseObjective objective =
@@ -286,31 +294,21 @@ Solution LiveTableau::solve(const Problem& problem) {
       // Retired by an earlier call: a plain cold solve.
       solution = solveCold(effective(), objective, options_);
     } else {
-      const int pivotsBefore = tableau_->totalPivots();
-      const int devexBefore = tableau_->devexPivots();
-      bool live = ensurePhaseOne(&solution);
-      if (live && phaseOneInfeasible_) {
+      if (!feasibilityKnown_) solution = runPhaseOne();
+      if (tableau_ != nullptr && infeasible_) {
         solution.status = SolveStatus::Infeasible;
-      } else if (live) {
-        try {
-          tableau_->resetPivotBudget();
-          solution = tableau_->phaseTwo(objective.coeffs, objective.constant);
-        } catch (const InjectedFaultError&) {
-          solution = Solution{};
-          solution.status = SolveStatus::IterationLimit;
-        }
-        live = solution.status != SolveStatus::IterationLimit;
+      } else if (tableau_ != nullptr) {
+        const int phaseOnePivots = solution.pivots;
+        const int phaseOneDevex = solution.devexPivots;
+        tableau_->resetPivotBudget();
+        solution = runLive([&] {
+          return tableau_->phaseTwo(objective.coeffs, objective.constant);
+        });
+        solution.pivots += phaseOnePivots;
+        solution.devexPivots += phaseOneDevex;
       }
-      if (live) {
-        solution.pivots = tableau_->totalPivots() - pivotsBefore;
-        solution.devexPivots = tableau_->devexPivots() - devexBefore;
-      } else {
-        // Retire the tableau; this call climbs the from-scratch ladder.
-        if (tableau_ != nullptr) {
-          solution.pivots = tableau_->totalPivots() - pivotsBefore;
-          solution.devexPivots = tableau_->devexPivots() - devexBefore;
-          tableau_.reset();
-        }
+      if (tableau_ == nullptr) {
+        // This call's live phase failed: climb the from-scratch ladder.
         solution = retryFromScratch(effective(), objective, options_,
                                     std::move(solution));
       }
