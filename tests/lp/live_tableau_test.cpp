@@ -195,18 +195,13 @@ TEST(WarmStart, RepricedObjectiveOverSharedBasis) {
   }
 }
 
-/// Problems whose probe is feasible and whose objective-B phase 2 runs
-/// on the raw rows (presolve off, so the inspector's row numbers are the
-/// problem's own), each with a trailing all-zero row `0 <= 5` that no
-/// pivot ever touches.
-struct FeasibleCase {
-  Problem a;
-  Problem b;
-};
-
-std::vector<FeasibleCase> feasibleCases(int count) {
+/// Feasible random systems, each with a trailing all-zero row `0 <= 5`
+/// that no pivot ever touches.  The failure tests solve them with
+/// presolve off, so the tableau's rows are the problem's own and the
+/// inspector can address that last row.
+std::vector<RandomSystem> feasibleCases(int count) {
   std::mt19937 rng(99);
-  std::vector<FeasibleCase> out;
+  std::vector<RandomSystem> out;
   SimplexOptions cold;
   cold.presolve = false;
   while (static_cast<int>(out.size()) < count) {
@@ -214,7 +209,7 @@ std::vector<FeasibleCase> feasibleCases(int count) {
     s.a.addConstraint(LinearExpr{}, Relation::LessEq, 5);
     s.b.addConstraint(LinearExpr{}, Relation::LessEq, 5);
     if (solve(s.a, cold).status == SolveStatus::Infeasible) continue;
-    out.push_back({std::move(s.a), std::move(s.b)});
+    out.push_back(std::move(s));
   }
   return out;
 }
@@ -225,7 +220,7 @@ TEST(LiveTableau, ExhaustedPivotBudgetFallsBackToTheColdResult) {
     options.pivotRule = rule;
     options.presolve = false;
     int k = 0;
-    for (const FeasibleCase& c : feasibleCases(200)) {
+    for (const RandomSystem& c : feasibleCases(200)) {
       SCOPED_TRACE(testing::Message() << "case " << k++ << " rule "
                                       << pivotRuleStr(rule));
       LiveTableau live(c.a, options);
@@ -248,7 +243,7 @@ TEST(LiveTableau, FailedFeasibilityAuditFallsBackToTheColdResult) {
     options.pivotRule = rule;
     options.presolve = false;
     int k = 0;
-    for (const FeasibleCase& c : feasibleCases(200)) {
+    for (const RandomSystem& c : feasibleCases(200)) {
       SCOPED_TRACE(testing::Message() << "case " << k++ << " rule "
                                       << pivotRuleStr(rule));
       LiveTableau live(c.a, options);
@@ -269,7 +264,7 @@ TEST(LiveTableau, InjectedPivotFaultFallsBackToTheColdResult) {
   // A plan whose first pivot decision faults: that is the first pivot
   // of the live phase, and the fallback's own pivots must then get
   // through.  Plans are tried in seed order until one does.
-  auto firstPivotFaults = [](std::uint64_t seed) {
+  auto planWithSeed = [](std::uint64_t seed) {
     FaultPlan plan;
     plan.seed = seed;
     plan.lpPivotRate = 0.02;
@@ -277,13 +272,13 @@ TEST(LiveTableau, InjectedPivotFaultFallsBackToTheColdResult) {
   };
   int checked = 0;
   int k = 0;
-  for (const FeasibleCase& c : feasibleCases(40)) {
+  for (const RandomSystem& c : feasibleCases(40)) {
     SCOPED_TRACE(testing::Message() << "case " << k++);
     SimplexOptions options;
     options.presolve = false;
     const Solution cold = solve(c.b, options);
     for (std::uint64_t seed = 1; seed < 20000; ++seed) {
-      const FaultPlan plan = firstPivotFaults(seed);
+      const FaultPlan plan = planWithSeed(seed);
       FaultInjector predictor{plan};
       if (!predictor.shouldFault(FaultSite::LpPivot)) continue;
       LiveTableau live(c.a, options);
