@@ -196,7 +196,7 @@ struct SolveStats {
   /// set's region, so the merged interval already covers it.
   int dominatedSets = 0;
   /// Always 0: no structural seed is solved any more.  Stays only
-  /// because the benchmark driver adds it to its pivot count.
+  /// because perfbench/ adds it to its pivot count.
   int seedPivots = 0;
   /// Devex reference-framework pivots across the ILP solves (included
   /// in totalPivots; the remainder ran under Dantzig or Bland).

@@ -70,7 +70,7 @@ struct SolveCacheStats {
   std::int64_t boundHits = 0;
   std::int64_t boundMisses = 0;
   /// Always 0: the cache stores no bases any more.  Stays only because
-  /// the benchmark driver reports it.
+  /// perfbench/ reports it.
   std::int64_t basisHits = 0;
   std::int64_t formulaHits = 0;
   std::int64_t formulaMisses = 0;
@@ -124,7 +124,7 @@ class SolveCache {
   /// touching the cache when `estimate` is not admissible().
   bool insert(const Digest& full, const Estimate& estimate,
               std::int64_t solveWallMicros);
-  /// The same, in the form the benchmark driver calls; the structural
+  /// The same, in the form perfbench/ calls; the structural
   /// digest and the basis are ignored.
   bool insert(const Digest& full, const Digest& /*structural*/,
               const Estimate& estimate, lp::Basis /*unused*/,

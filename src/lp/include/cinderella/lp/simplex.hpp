@@ -53,7 +53,7 @@ enum class PivotRule {
 
 [[nodiscard]] const char* pivotRuleStr(PivotRule rule);
 
-/// Empty placeholder kept only for the benchmark driver, which passes
+/// Empty placeholder kept only for perfbench/, which passes
 /// `lp::Basis{}` as SolveCache::insert's ignored fourth argument.  No
 /// solver state is ever stored in it.
 struct Basis {};

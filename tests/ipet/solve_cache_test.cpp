@@ -119,7 +119,7 @@ TEST_F(SolveCacheTest, AdmissionGateRejectsDegradedResults) {
 }
 
 TEST_F(SolveCacheTest, EmptyBasisIsNotStored) {
-  // The five-argument insert the benchmark driver calls ignores the
+  // The five-argument insert perfbench/ calls ignores the
   // structural digest and the basis: only the bound is stored.
   SolveCache cache(SolveCacheOptions{4});
   ASSERT_TRUE(
