@@ -31,48 +31,27 @@ const char* ilpStatusStr(IlpStatus status) {
 
 namespace {
 
-/// A node of the search tree: extra bound constraints of the form
-/// x[var] <= bound or x[var] >= bound layered onto the base problem.
-struct BoundCut {
-  int var = 0;
+/// A node of the search tree: the cut that separates it from its
+/// parent, to apply on the parent's branch point.  The root has no cut,
+/// and takes its branch point from the live tableau if it branches.
+struct Node {
+  std::optional<lp::BranchPoint> branch;
+  int var = -1;
   lp::Relation rel = lp::Relation::LessEq;
   double bound = 0.0;
-};
-
-struct Node {
-  std::vector<BoundCut> cuts;
-  /// LP bound inherited from the parent (for best-first pruning).
+  /// LP bound inherited from the parent (for pruning).
   double parentBound = 0.0;
 };
 
-/// Index of the variable whose value is farthest from an integer, or
-/// nullopt when the point is integral within `tol`.
-std::optional<int> mostFractional(const std::vector<double>& values,
-                                  double tol) {
-  int best = -1;
-  double bestDist = tol;
+/// Index of the lowest-numbered variable that is not integral within
+/// `tol`, or nullopt when the point is integral.
+std::optional<int> firstFractional(const std::vector<double>& values,
+                                   double tol) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double frac = values[i] - std::floor(values[i]);
-    const double dist = std::min(frac, 1.0 - frac);
-    if (dist > bestDist) {
-      bestDist = dist;
-      best = static_cast<int>(i);
-    }
+    if (std::min(frac, 1.0 - frac) > tol) return static_cast<int>(i);
   }
-  if (best < 0) return std::nullopt;
-  return best;
-}
-
-/// Rewrites `work` (a copy of the base problem) to carry exactly `cuts`
-/// on top of the base rows, reusing the allocation across nodes.
-void applyCuts(lp::Problem* work, std::size_t baseRows,
-               const std::vector<BoundCut>& cuts) {
-  work->truncateConstraints(baseRows);
-  for (const auto& cut : cuts) {
-    lp::LinearExpr e;
-    e.add(cut.var, 1.0);
-    work->addConstraint(std::move(e), cut.rel, cut.bound);
-  }
+  return std::nullopt;
 }
 
 /// True when `x` is an integer within `tol`; *out receives the rounding.
@@ -169,13 +148,14 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
 
   auto better = [&](double a, double b) { return maximize ? a > b : a < b; };
 
-  std::vector<Node> stack;
-  stack.push_back(Node{{},
-                       maximize ? std::numeric_limits<double>::infinity()
-                                : -std::numeric_limits<double>::infinity()});
+  std::optional<lp::LiveTableau> ownLive;
+  if (options.live == nullptr) ownLive.emplace(problem, options.lpOptions);
+  lp::LiveTableau& live =
+      options.live != nullptr ? *options.live : *ownLive;
 
-  lp::Problem work = problem;
-  const std::size_t baseRows = problem.constraints().size();
+  std::vector<Node> stack(1);
+  stack.back().parentBound = -worst;
+
   bool rootNode = true;
   while (!stack.empty()) {
     if (result.stats.nodesExpanded >= options.maxNodes) {
@@ -194,11 +174,20 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
       continue;
     }
 
-    applyCuts(&work, baseRows, node.cuts);
-    const lp::Solution relax =
-        rootNode && options.rootRelaxation != nullptr
-            ? *options.rootRelaxation
-            : lp::solve(work, options.lpOptions);
+    lp::Solution relax;
+    if (rootNode) {
+      relax = live.solve(problem);
+    } else {
+      relax = node.branch->cut(node.var, node.rel, node.bound);
+      using Answer = lp::BranchPoint::Answer;
+      const Answer answer = node.branch->lastAnswer();
+      const bool fallback = answer == Answer::Fallback;
+      const bool confirmed = answer == Answer::Confirmed;
+      result.stats.coldNodes += answer != Answer::Dive ? 1 : 0;
+      result.stats.diveFallbacks += fallback ? 1 : 0;
+      result.stats.infeasibleConfirmations += confirmed ? 1 : 0;
+      result.stats.lpCalls += fallback || confirmed ? 1 : 0;  // the dive
+    }
     ++result.stats.nodesExpanded;
     ++result.stats.lpCalls;
     result.stats.totalPivots += relax.pivots;
@@ -224,10 +213,6 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
       // An unbounded relaxation at the root means the ILP itself is
       // unbounded (the feasible integral points are a subset, but the
       // recession direction is rational, so integral points also recede).
-      if (rootNode) {
-        result.status = IlpStatus::Unbounded;
-        return result;
-      }
       // In a child the direction survives too: still unbounded.
       result.status = IlpStatus::Unbounded;
       return result;
@@ -237,7 +222,7 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
       continue;
     }
 
-    const auto fractional = mostFractional(relax.values, options.intTol);
+    const auto fractional = firstFractional(relax.values, options.intTol);
     if (rootNode) {
       result.stats.firstRelaxationIntegral = !fractional.has_value();
       rootNode = false;
@@ -257,18 +242,16 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
       continue;
     }
 
+    // The up child is explored first and continues on this node's
+    // branch point; the down child keeps a copy of it.  The root's is
+    // taken only now, so an integral root copies nothing.
+    if (!node.branch) node.branch.emplace(live.branch(problem));
     const int var = *fractional;
     const double value = relax.values[static_cast<std::size_t>(var)];
-    Node down;
-    down.cuts = node.cuts;
-    down.cuts.push_back({var, lp::Relation::LessEq, std::floor(value)});
-    down.parentBound = relax.objective;
-    Node up;
-    up.cuts = std::move(node.cuts);
-    up.cuts.push_back({var, lp::Relation::GreaterEq, std::ceil(value)});
-    up.parentBound = relax.objective;
-    stack.push_back(std::move(down));
-    stack.push_back(std::move(up));
+    stack.push_back(Node{*node.branch, var, lp::Relation::LessEq,
+                         std::floor(value), relax.objective});
+    stack.push_back(Node{std::move(node.branch), var, lp::Relation::GreaterEq,
+                         std::ceil(value), relax.objective});
   }
 
   if (haveIncumbent) {

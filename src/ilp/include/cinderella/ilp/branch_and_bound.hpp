@@ -1,6 +1,11 @@
 // Pure integer linear programming by branch-and-bound over the LP
 // relaxation, as used by the paper's ILP step.
 //
+// The search is depth-first and branches on the lowest-index fractional
+// variable, so flow counts come before cache variables.  The root comes
+// from a LiveTableau; each child re-optimizes its parent's tableau plus
+// one cut row (lp::BranchPoint), its sibling a copy of it.
+//
 // The solver is instrumented: it records how many LP relaxations were
 // solved and whether the *first* relaxation already produced an integral
 // point.  Section III-D of the paper observes that for IPET constraint
@@ -27,9 +32,14 @@ struct IlpStats {
   /// budgets, so node accounting and LP-call accounting cannot drift
   /// apart if a node ever solves more (or fewer) than one LP.
   int nodesExpanded = 0;
-  /// Number of LP relaxations solved.  Today every expanded node solves
-  /// exactly one relaxation, so nodesExpanded == lpCalls.
+  /// Number of LP relaxations solved: one per expanded node, plus the
+  /// cold solve of a child whose dive failed or called it infeasible.
   int lpCalls = 0;
+  /// Children solved cold, and of those the ones whose dive failed
+  /// (its subtree goes cold too) or called them infeasible.
+  int coldNodes = 0;
+  int diveFallbacks = 0;
+  int infeasibleConfirmations = 0;
   /// True when the root relaxation was already integral (paper's claim).
   bool firstRelaxationIntegral = false;
   /// Total simplex pivots summed over all LP calls.
@@ -87,12 +97,11 @@ struct IlpOptions {
   /// IlpStatus::Interrupted (incumbent, if any, is preserved).  Used by
   /// the analyzer's deadline so a set never runs past its budget.
   std::function<bool()> interrupt;
-  /// Optional root relaxation computed by the caller: the LP optimum of
-  /// exactly `problem` (same rows, objective and sense), e.g. from the
-  /// constraint set's lp::LiveTableau.  Null: the root is solved by
-  /// lp::solve like every child node, which carries extra cut rows and
-  /// always solves cold.
-  const lp::Solution* rootRelaxation = nullptr;
+  /// The constraint set's live tableau over exactly `problem`'s rows:
+  /// the root relaxation is its solve(problem), and the children dive
+  /// from copies of it, which leave it untouched.  Null: solve() builds
+  /// its own over `problem`.
+  lp::LiveTableau* live = nullptr;
   lp::SimplexOptions lpOptions;
 };
 

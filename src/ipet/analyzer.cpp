@@ -1441,8 +1441,9 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       // these rows: phase 1 answers the probe, phase 2 under the worst
       // objective gives the worst ILP's root relaxation, and re-priced
       // under the best objective it continues to the best ILP's root.
-      // The rows are presolved once for all three; the span covers the
-      // presolve and the tableau build.
+      // Branch-and-bound children dive from copies of it, which leave it
+      // as it was.  The rows are presolved once for all of these; the
+      // span covers the presolve and the tableau build.
       std::optional<lp::LiveTableau> live;
       {
         obs::Span presolveSpan(tracer, "lp-presolve", "solve");
@@ -1486,9 +1487,8 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         obs::Span ilpSpan(tracer, spanName, "solve");
         ilpSpan.arg("set", static_cast<int>(index));
         const auto ilpStart = std::chrono::steady_clock::now();
-        const lp::Solution root = live->solve(problem);
         ilp::IlpOptions setOptions = ilpOptions;
-        setOptions.rootRelaxation = &root;
+        setOptions.live = &*live;
         ilp::IlpSolution solution = ilp::solve(problem, setOptions);
         slot->solved = true;
         slot->feasible = (solution.status == ilp::IlpStatus::Optimal);
@@ -1516,6 +1516,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         ilpSpan.arg("verdict", std::string(ilp::ilpStatusStr(solution.status)))
             .arg("nodes", solution.stats.nodesExpanded)
             .arg("lp-calls", solution.stats.lpCalls)
+            .arg("cold-nodes", solution.stats.coldNodes)
             .arg("pivots", solution.stats.totalPivots);
         if (slot->feasible) ilpSpan.arg("objective", slot->objective);
         return solution;

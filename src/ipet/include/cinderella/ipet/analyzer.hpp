@@ -164,9 +164,8 @@ struct SolveStats {
   /// LP relaxations across all ILPs.
   int lpCalls = 0;
   /// Branch-and-bound nodes expanded across all ILPs (the quantity
-  /// IlpOptions::maxNodes budgets; equals lpCalls while every node costs
-  /// exactly one relaxation, but tracked separately so budget and
-  /// LP-call accounting cannot drift apart).
+  /// IlpOptions::maxNodes budgets; below lpCalls by the children whose
+  /// dive was re-solved cold, see IlpStats::lpCalls).
   int nodesExpanded = 0;
   /// True when every root relaxation was already integral (paper §VI-A).
   bool allFirstRelaxationsIntegral = true;

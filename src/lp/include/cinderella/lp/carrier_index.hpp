@@ -25,6 +25,12 @@ class CarrierIndex {
     walk_ = 0;
   }
 
+  /// Extends the index to keys [0, keys) over rows [0, rows).
+  void grow(int keys, int rows) {
+    head_.resize(static_cast<std::size_t>(keys), -1);
+    seen_.resize(static_cast<std::size_t>(rows), 0);
+  }
+
   void reserve(std::size_t links) { pool_.reserve(links); }
 
   /// Links `row` at the front of `key`'s list.

@@ -77,12 +77,6 @@ class Problem {
   void addConstraint(Constraint c);
   void addConstraint(LinearExpr expr, Relation rel, double rhs);
 
-  /// Drops constraints beyond the first `count`, keeping variables and
-  /// objective.  Lets branch-and-bound reuse one work problem across
-  /// nodes (pop this node's cuts, push the next node's) instead of
-  /// copying the whole problem per node.
-  void truncateConstraints(std::size_t count);
-
   [[nodiscard]] int numVars() const { return static_cast<int>(names_.size()); }
   [[nodiscard]] const LinearExpr& objective() const { return objective_; }
   [[nodiscard]] Sense sense() const { return sense_; }

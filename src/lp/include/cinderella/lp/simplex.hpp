@@ -23,7 +23,8 @@
 // phase 1 once, then phase 2 per objective, each continuing from the
 // previous optimal (hence still feasible) basis.  Any phase that cannot
 // finish cleanly falls back to a from-scratch solve, so the answers are
-// those of solve().
+// those of solve(), as are those of the branch-and-bound children that
+// dive from copies of the tableau, one cut row each (BranchPoint).
 #pragma once
 
 #include <memory>
@@ -126,6 +127,52 @@ struct SimplexOptions {
 
 class Reduction;
 class Tableau;
+class LiveTableau;
+
+/// A branch-and-bound node's relaxation: the problem a LiveTableau last
+/// solved plus the cuts added since, on a copy of its tableau.
+///
+/// cut() maps `x[var] <= bound` or `x[var] >= bound` into the presolved
+/// space (Reduction::reducedObjective; the constant moves to the rhs),
+/// appends it as one `<=` row and re-optimizes (Tableau::reoptimize).
+/// A dive that hits IterationLimit, ends Unbounded, fails the audit or
+/// throws InjectedFaultError retires the copy: this and every later cut
+/// on it are answered by a cold solve() of the problem plus all cuts.
+/// That cold solve also confirms an Infeasible dive, whose verdict rests
+/// on pivotTol: a wrong one would prune a live subtree.  So answers never
+/// depend on the dive; only pivot counts do.
+///
+/// Copies share the tableau until one of them cuts, which copies it.
+/// The LiveTableau and the problem must outlive every copy.
+class BranchPoint {
+ public:
+  /// How the last cut() was answered: by the dive, or cold because the
+  /// copy was retired earlier (Cold), because this cut's dive failed
+  /// (Fallback) or to confirm the dive's infeasible verdict (Confirmed).
+  enum class Answer { Dive, Cold, Fallback, Confirmed };
+
+  /// Adds `x[var] rel bound` (rel LessEq or GreaterEq) and returns the
+  /// optimum; `pivots` counts this call's, a failed dive's included.
+  [[nodiscard]] Solution cut(int var, Relation rel, double bound);
+
+  [[nodiscard]] Answer lastAnswer() const { return last_; }
+
+ private:
+  friend class LiveTableau;
+  /// Test-only access to the copy, to force its failure paths.
+  friend struct LiveTableauInspector;
+
+  BranchPoint(const LiveTableau& live, const Problem& problem);
+
+  const LiveTableau* live_;
+  const Problem* problem_;
+  /// Null once retired, or when there was no live optimum to copy.
+  std::shared_ptr<Tableau> tableau_;
+  /// The objective's constant in the tableau's (maximization) space.
+  double constant_ = 0.0;
+  std::vector<Constraint> cuts_;
+  Answer last_ = Answer::Dive;
+};
 
 /// One constraint set's rows on a single tableau, kept alive across the
 /// feasibility probe and any number of objectives over those rows.
@@ -162,18 +209,21 @@ class LiveTableau {
   /// at construction (objective and sense are free).
   [[nodiscard]] Solution solve(const Problem& problem);
 
+  /// A branch point at the optimum of the last solve(), which must have
+  /// been of `problem`: a copy of the tableau when that solve ended on
+  /// it, cold solves otherwise.
+  [[nodiscard]] BranchPoint branch(const Problem& problem) const {
+    return BranchPoint(*this, problem);
+  }
+
  private:
+  friend class BranchPoint;
   /// Test-only access to the live tableau, to force its failure paths.
   friend struct LiveTableauInspector;
 
   /// The rows the simplex sees: the reduced rows, or the rows as given.
   [[nodiscard]] const Problem& effective() const;
-  /// Runs `phase` on the live tableau and returns its solution with the
-  /// pivots it spent.  A phase that ends in IterationLimit or throws
-  /// InjectedFaultError (reported as IterationLimit) retires the tableau.
-  template <typename Phase>
-  [[nodiscard]] Solution runLive(Phase phase);
-  /// Phase 1 with the feasibility audit, through runLive; on success
+  /// Phase 1 with the feasibility audit on the live tableau; on success
   /// records the verdict.
   [[nodiscard]] Solution runPhaseOne();
 
@@ -188,6 +238,8 @@ class LiveTableau {
   /// verdict, and an infeasible verdict answers every later call.
   bool feasibilityKnown_ = false;
   bool infeasible_ = false;
+  /// The last solve() ended on the live tableau at an optimum.
+  bool atOptimum_ = false;
 };
 
 }  // namespace cinderella::lp

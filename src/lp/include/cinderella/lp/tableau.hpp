@@ -1,6 +1,6 @@
 // Sparse-row simplex tableau in standard form: the cold two-phase solve,
-// and the phases a LiveTableau (simplex.hpp) runs one at a time on the
-// same rows.
+// the phases a LiveTableau (simplex.hpp) runs one at a time on the same
+// rows, and the cut rows a BranchPoint adds on a copy of it.
 //
 // Rows are kept as sorted (column, value) entry lists — IPET constraint
 // matrices are flow matrices with a handful of nonzeros per row, so the
@@ -25,7 +25,8 @@
 //
 // Column ids: original variable v is column v, the slack/surplus of row
 // r is column numVars + 2r, the artificial of row r is column
-// numVars + 2r + 1.
+// numVars + 2r + 1.  An appended row takes the next two ids, so ids stay
+// stable as the tableau grows.
 #pragma once
 
 #include <vector>
@@ -63,6 +64,19 @@ class Tableau {
 
   /// Grants a full maxPivots budget from the current pivot count on.
   void resetPivotBudget();
+
+  /// Appends the row `terms <= rhs` (terms over the original columns)
+  /// with its slack basic, written over the current basis: every basic
+  /// column is a unit column, so subtracting each basic term's row once
+  /// clears them all.  The new rhs may be negative.
+  void appendLessEqRow(const std::vector<Term>& terms, double rhs);
+
+  /// After appendLessEqRow() on an optimal basis: the dual simplex
+  /// restores primal feasibility, then phase 2 finishes as in
+  /// phaseTwo() under the current objective row.  Infeasible when a
+  /// violated row has no entry to pivot on, a verdict that rests on
+  /// pivotTol.
+  [[nodiscard]] Solution reoptimize(double constant);
 
   /// Audit after a claimed-Optimal phase: true when every basic value is
   /// nonnegative within a scale-aware tolerance.  Accumulated pivot
@@ -132,6 +146,11 @@ class Tableau {
   [[nodiscard]] double objectiveValue() const { return objRhs_; }
 
   [[nodiscard]] SolveStatus optimize(bool allowArtificialEntering);
+  /// optimize() under the installed objective row, the feasibility
+  /// audit, and the point and objective (plus `constant`) on success.
+  [[nodiscard]] Solution finishPhaseTwo(double constant);
+  /// A result carrying only `status` and the pivot counts.
+  [[nodiscard]] Solution stopped(SolveStatus status) const;
   /// Pivots every artificial still basic after phase 1 out on its row's
   /// smallest-index real column; a row with no real entry is redundant
   /// and keeps its artificial at level zero.

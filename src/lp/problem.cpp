@@ -98,12 +98,6 @@ void Problem::addConstraint(LinearExpr expr, Relation rel, double rhs) {
   addConstraint(Constraint{std::move(expr), rel, rhs});
 }
 
-void Problem::truncateConstraints(std::size_t count) {
-  if (count < constraints_.size()) {
-    constraints_.resize(count);
-  }
-}
-
 bool Problem::isFeasiblePoint(const std::vector<double>& point,
                               double tol) const {
   if (point.size() != static_cast<std::size_t>(numVars())) return false;

@@ -115,6 +115,27 @@ Solution solveCold(const Problem& effective, const DenseObjective& objective,
   return retryFromScratch(effective, objective, options, std::move(solution));
 }
 
+/// Runs `phase` on `tableau` and returns its solution with the pivots it
+/// spent.  A phase that ends in IterationLimit or throws
+/// InjectedFaultError (reported as IterationLimit) retires the tableau.
+template <typename TableauPtr, typename Phase>
+Solution runLive(TableauPtr& tableau, Phase phase) {
+  const int pivotsBefore = tableau->totalPivots();
+  const int devexBefore = tableau->devexPivots();
+  Solution solution;
+  try {
+    solution = phase();
+  } catch (const InjectedFaultError&) {
+    // Retired below, like a phase that ran out of budget.
+    solution = Solution{};
+    solution.status = SolveStatus::IterationLimit;
+  }
+  solution.pivots = tableau->totalPivots() - pivotsBefore;
+  solution.devexPivots = tableau->devexPivots() - devexBefore;
+  if (solution.status == SolveStatus::IterationLimit) tableau.reset();
+  return solution;
+}
+
 /// Maps a solution of the effective problem back to `problem`'s space
 /// and sense.
 void postsolve(const Problem& problem, const Reduction* reduction,
@@ -219,26 +240,8 @@ const Problem& LiveTableau::effective() const {
   return reduction_ != nullptr ? reduction_->reduced() : *rows_;
 }
 
-template <typename Phase>
-Solution LiveTableau::runLive(Phase phase) {
-  const int pivotsBefore = tableau_->totalPivots();
-  const int devexBefore = tableau_->devexPivots();
-  Solution solution;
-  try {
-    solution = phase();
-  } catch (const InjectedFaultError&) {
-    // Retired below, like a phase that ran out of budget.
-    solution = Solution{};
-    solution.status = SolveStatus::IterationLimit;
-  }
-  solution.pivots = tableau_->totalPivots() - pivotsBefore;
-  solution.devexPivots = tableau_->devexPivots() - devexBefore;
-  if (solution.status == SolveStatus::IterationLimit) tableau_.reset();
-  return solution;
-}
-
 Solution LiveTableau::runPhaseOne() {
-  const Solution solution = runLive([&] {
+  const Solution solution = runLive(tableau_, [&] {
     Solution phase;
     phase.status = tableau_->phaseOne();
     if (phase.status == SolveStatus::Optimal &&
@@ -257,6 +260,7 @@ Solution LiveTableau::runPhaseOne() {
 Solution LiveTableau::feasibility() {
   const SinkReport sink;
   Solution solution;
+  atOptimum_ = false;
   if (feasibilityKnown_) {
     solution.status =
         infeasible_ ? SolveStatus::Infeasible : SolveStatus::Optimal;
@@ -285,6 +289,7 @@ Solution LiveTableau::feasibility() {
 Solution LiveTableau::solve(const Problem& problem) {
   const SinkReport sink;
   Solution solution;
+  atOptimum_ = false;
   if (feasibilityKnown_ && infeasible_) {
     solution.status = SolveStatus::Infeasible;
   } else {
@@ -301,11 +306,12 @@ Solution LiveTableau::solve(const Problem& problem) {
         const int phaseOnePivots = solution.pivots;
         const int phaseOneDevex = solution.devexPivots;
         tableau_->resetPivotBudget();
-        solution = runLive([&] {
+        solution = runLive(tableau_, [&] {
           return tableau_->phaseTwo(objective.coeffs, objective.constant);
         });
         solution.pivots += phaseOnePivots;
         solution.devexPivots += phaseOneDevex;
+        atOptimum_ = solution.status == SolveStatus::Optimal;
       }
       if (tableau_ == nullptr) {
         // This call's live phase failed: climb the from-scratch ladder.
@@ -316,6 +322,65 @@ Solution LiveTableau::solve(const Problem& problem) {
   }
   postsolve(problem, reduction_.get(), presolve_, &solution);
   sink.report(solution);
+  return solution;
+}
+
+BranchPoint::BranchPoint(const LiveTableau& live, const Problem& problem)
+    : live_(&live), problem_(&problem),
+      tableau_(live.atOptimum_ && live.tableau_ != nullptr
+                   ? std::make_shared<Tableau>(*live.tableau_)
+                   : nullptr),
+      constant_(effectiveObjective(problem, live.reduction_.get()).constant) {
+}
+
+Solution BranchPoint::cut(int var, Relation rel, double bound) {
+  CIN_REQUIRE(rel != Relation::Equal);
+  cuts_.push_back(Constraint{LinearExpr{}, rel, bound});
+  cuts_.back().expr.add(var, 1.0);
+  const auto solveCold = [&] {
+    Problem work = *problem_;
+    for (const Constraint& c : cuts_) work.addConstraint(c);
+    return lp::solve(work, live_->options_);
+  };
+  if (tableau_ == nullptr) {
+    last_ = Answer::Cold;
+    return solveCold();
+  }
+  // Copy on write: another copy still needs the tableau as it is.
+  if (tableau_.use_count() > 1) tableau_ = std::make_shared<Tableau>(*tableau_);
+
+  const SinkReport sink;
+  const Reduction* const reduction = live_->reduction_.get();
+  // x_v <= b is terms <= b - c over the reduced space; x_v >= b is
+  // -terms <= c - b.
+  const LinearExpr& cutExpr = cuts_.back().expr;
+  const LinearExpr expr =
+      reduction != nullptr ? reduction->reducedObjective(cutExpr) : cutExpr;
+  const double sign = rel == Relation::LessEq ? 1.0 : -1.0;
+  std::vector<Term> terms = expr.terms();
+  for (Term& t : terms) t.coeff *= sign;
+  Solution dive = runLive(tableau_, [&] {
+    tableau_->appendLessEqRow(terms, sign * (bound - expr.constant()));
+    tableau_->resetPivotBudget();
+    Solution s = tableau_->reoptimize(constant_);
+    // A cut cannot unbound a bounded parent: this is numeric trouble.
+    if (s.status == SolveStatus::Unbounded) {
+      s.status = SolveStatus::IterationLimit;
+    }
+    return s;
+  });
+  if (dive.status == SolveStatus::Optimal) {
+    last_ = Answer::Dive;
+    postsolve(*problem_, reduction, PresolveStats{}, &dive);
+    sink.report(dive);
+    return dive;
+  }
+  last_ = dive.status == SolveStatus::Infeasible ? Answer::Confirmed
+                                                 : Answer::Fallback;
+  tableau_.reset();  // not at this node's optimum: the subtree goes cold
+  Solution solution = solveCold();
+  solution.pivots += dive.pivots;
+  solution.devexPivots += dive.devexPivots;
   return solution;
 }
 

@@ -424,37 +424,113 @@ Solution Tableau::phaseTwo(const std::vector<double>& objective,
     return (col < numOriginal_) ? objective[static_cast<std::size_t>(col)]
                                 : 0.0;
   });
-  Solution solution;
-  solution.status = optimize(/*allowArtificialEntering=*/false);
-  solution.pivots = pivots_;
-  solution.devexPivots = devexPivots_;
-  if (solution.status != SolveStatus::Optimal) return solution;
+  return finishPhaseTwo(constant);
+}
+
+Solution Tableau::finishPhaseTwo(double constant) {
+  const SolveStatus status = optimize(/*allowArtificialEntering=*/false);
+  if (status != SolveStatus::Optimal) return stopped(status);
   if (!primalFeasibleAtTol()) {
     // The "optimum" sits outside the feasible region: pivot drift ate a
     // constraint.  Report IterationLimit so the solver re-solves on a
     // fresh tableau under Bland's rule instead of returning an unsound
     // point.
-    solution.status = SolveStatus::IterationLimit;
-    return solution;
+    return stopped(SolveStatus::IterationLimit);
   }
+  Solution solution = stopped(SolveStatus::Optimal);
   fillSolutionValues(&solution);
   solution.objective = objectiveValue() + constant;
   return solution;
 }
 
+Solution Tableau::stopped(SolveStatus status) const {
+  Solution solution;
+  solution.status = status;
+  solution.pivots = pivots_;
+  solution.devexPivots = devexPivots_;
+  return solution;
+}
+
 Solution Tableau::run(const std::vector<double>& objective, double constant) {
   const SolveStatus st = phaseOne();
-  if (st != SolveStatus::Optimal) {
-    Solution solution;
-    solution.status = st;
-    solution.pivots = pivots_;
-    solution.devexPivots = devexPivots_;
-    return solution;
-  }
+  if (st != SolveStatus::Optimal) return stopped(st);
   return phaseTwo(objective, constant);
 }
 
 void Tableau::resetPivotBudget() { pivotBudget_ = pivots_ + opt_.maxPivots; }
+
+void Tableau::appendLessEqRow(const std::vector<Term>& terms, double rhs) {
+  const int row = m_++;
+  const int slack = slackColumn(numOriginal_, row);
+  numCols_ += 2;
+  obj_.resize(static_cast<std::size_t>(numCols_), 0.0);
+  colExists_.resize(static_cast<std::size_t>(numCols_), 0);
+  colExists_[static_cast<std::size_t>(slack)] = 1;
+  existingCols_.push_back(slack);
+  colIndex_.grow(numCols_, m_);
+
+  SparseRow cut;
+  for (const Term& t : terms) setRowCoeff(&cut, t.var, t.coeff);
+  cut.push_back(Entry{slack, 1.0});
+  for (const Entry& e : cut) colIndex_.add(e.col, row);
+  rows_.push_back(std::move(cut));
+  rhs_.push_back(rhs);
+  basis_.push_back(slack);
+
+  std::vector<int> basicRow(static_cast<std::size_t>(numCols_), -1);
+  for (int i = 0; i < row; ++i) {
+    basicRow[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])] =
+        i;
+  }
+  // A basic row is zero in every other basic column, so eliminating one
+  // basic term leaves the others' coefficients as given.
+  for (const Term& t : terms) {
+    const int i = basicRow[static_cast<std::size_t>(t.var)];
+    if (i < 0) continue;
+    subtractScaled(row, t.coeff, rows_[static_cast<std::size_t>(i)], t.var);
+    rhs_[static_cast<std::size_t>(row)] -=
+        t.coeff * rhs_[static_cast<std::size_t>(i)];
+  }
+}
+
+Solution Tableau::reoptimize(double constant) {
+  // Dual simplex.  One cut rarely needs more than a few pivots; a dive
+  // past optimize()'s stall limit is treated as stalled.
+  const int pivotLimit = std::min(pivotBudget_, pivots_ + std::max(500, m_));
+  while (true) {
+    if (pivots_ >= pivotLimit) return stopped(SolveStatus::IterationLimit);
+    // Leaving row: most negative rhs (ties: smallest row); smallest
+    // violated row under Bland.
+    int leave = -1;
+    double mostNegative = -opt_.tol;
+    for (int i = 0; i < m_; ++i) {
+      const double r = rhs_[static_cast<std::size_t>(i)];
+      if (r < mostNegative) {
+        mostNegative = r;
+        leave = i;
+        if (rule_ == PivotRule::Bland) break;
+      }
+    }
+    if (leave < 0) return finishPhaseTwo(constant);
+    // Entering column: minimum dual ratio rc_j / -a_rj over columns with
+    // a negative entry in the leaving row (ties: smallest column).  None
+    // means no point with every real column nonnegative satisfies the
+    // row (artificials are zero in any point of the rows).
+    int enter = -1;
+    double bestRatio = std::numeric_limits<double>::infinity();
+    for (const Entry& e : rows_[static_cast<std::size_t>(leave)]) {
+      if (e.val >= -opt_.pivotTol || isArtificialColumn(e.col)) continue;
+      const double ratio = obj_[static_cast<std::size_t>(e.col)] / -e.val;
+      if (ratio < bestRatio - opt_.tol) {
+        bestRatio = ratio;
+        enter = e.col;
+      }
+    }
+    if (enter < 0) return stopped(SolveStatus::Infeasible);
+    pivot(leave, enter);
+    ++pivots_;
+  }
+}
 
 bool Tableau::primalFeasibleAtTol() const {
   double scale = 1.0;

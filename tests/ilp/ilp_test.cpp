@@ -62,8 +62,13 @@ TEST(Ilp, FractionalRelaxationBranches) {
   EXPECT_NEAR(s.objective, 2.0, 1e-6);
   EXPECT_FALSE(s.stats.firstRelaxationIntegral);
   EXPECT_GT(s.stats.lpCalls, 1);
-  // Each expanded node solves exactly one LP relaxation today.
-  EXPECT_EQ(s.stats.nodesExpanded, s.stats.lpCalls);
+  // Each expanded node solves one LP relaxation, and a child whose dive
+  // failed or called it infeasible one more, cold.
+  EXPECT_EQ(s.stats.nodesExpanded + s.stats.diveFallbacks +
+                s.stats.infeasibleConfirmations,
+            s.stats.lpCalls);
+  EXPECT_EQ(s.stats.diveFallbacks, 0);
+  EXPECT_EQ(s.stats.coldNodes, s.stats.infeasibleConfirmations);
 }
 
 TEST(Ilp, KnapsackClassic) {
@@ -373,10 +378,24 @@ TEST_P(IlpBruteForceTest, MatchesExhaustiveEnumeration) {
   EXPECT_NEAR(s.objective, bestValue, 1e-6) << p.str();
   // The reported point must itself be feasible.
   EXPECT_TRUE(p.isFeasiblePoint(s.values)) << p.str();
+  // Children are answered by their dive; only an infeasible verdict is
+  // re-solved cold, to confirm it.
+  EXPECT_EQ(s.stats.diveFallbacks, 0) << p.str();
+  EXPECT_EQ(s.stats.coldNodes, s.stats.infeasibleConfirmations) << p.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, IlpBruteForceTest,
                          ::testing::Range<std::uint64_t>(1, 61));
+
+TEST(Ilp, RandomInstancesBranchOnTheDive) {
+  // The sweep above exercises the dive, not just integral roots.
+  int dived = 0;
+  for (std::uint64_t seed = 1; seed < 61; ++seed) {
+    const IlpStats stats = ilp::solve(makeRandom(seed).problem).stats;
+    dived += stats.nodesExpanded - 1 > stats.coldNodes ? 1 : 0;
+  }
+  EXPECT_GE(dived, 3);
+}
 
 }  // namespace
 }  // namespace cinderella::ilp

@@ -59,7 +59,8 @@ struct SolveHash : test_util::Fnv {
           static_cast<int>(st.firstRelaxationIntegral), st.totalPivots,
           st.checkedPromotions, st.blandRestarts, st.devexPivots,
           st.presolveRowsRemoved, st.presolveColsFixed,
-          st.presolveSubstitutions, st.presolveRounds}) {
+          st.presolveSubstitutions, st.presolveRounds, st.coldNodes,
+          st.diveFallbacks, st.infeasibleConfirmations}) {
       i64(v);
     }
   }
@@ -204,109 +205,109 @@ Hashes fuzzHashes(HashFn hashOne) {
 // One entry per Table I program and cache mode: lp::solve and ilp::solve
 // of the worst-case and best-case ILP of every constraint set.
 constexpr Golden kSuiteSolves[] = {
-    {"check_data/all-miss", 0x37616caf13a712fbULL},
-    {"check_data/first-iteration-split", 0x71a302d31e2cd991ULL},
-    {"check_data/conflict-graph", 0x33dd91979e541961ULL},
-    {"fft/all-miss", 0x06d47cc55e44fd23ULL},
-    {"fft/first-iteration-split", 0x784c156fc5c04d7bULL},
-    {"fft/conflict-graph", 0xee29884108b4fefdULL},
-    {"piksrt/all-miss", 0x3e16f344279a1d27ULL},
-    {"piksrt/first-iteration-split", 0x2e4e19f563901034ULL},
-    {"piksrt/conflict-graph", 0x8d822b3760b7f636ULL},
-    {"des/all-miss", 0x8122e27684e8c66eULL},
-    {"des/first-iteration-split", 0x779450a85f93a416ULL},
-    {"des/conflict-graph", 0xac1d84e43fe625baULL},
-    {"line/all-miss", 0xa1648360ceedf10fULL},
-    {"line/first-iteration-split", 0xbd3ee4216d8147c9ULL},
-    {"line/conflict-graph", 0x3f0e3c0e1fa80bdeULL},
-    {"circle/all-miss", 0xf7ffc9c1bed4d46bULL},
-    {"circle/first-iteration-split", 0x2a446604b89953f2ULL},
-    {"circle/conflict-graph", 0x0c18c22506dbc9b6ULL},
-    {"jpeg_fdct_islow/all-miss", 0x87f2414df8d0e2aaULL},
-    {"jpeg_fdct_islow/first-iteration-split", 0x87f2414df8d0e2aaULL},
-    {"jpeg_fdct_islow/conflict-graph", 0x79b3e303f2b0d856ULL},
-    {"jpeg_idct_islow/all-miss", 0x52bd66e07c7f4672ULL},
-    {"jpeg_idct_islow/first-iteration-split", 0x52bd66e07c7f4672ULL},
-    {"jpeg_idct_islow/conflict-graph", 0xc0df8e8fa3ec6950ULL},
-    {"recon/all-miss", 0x1b2e1be411807aa0ULL},
-    {"recon/first-iteration-split", 0xf4c2d9591012e7c0ULL},
-    {"recon/conflict-graph", 0xbe67e9fbd6d592a1ULL},
-    {"fullsearch/all-miss", 0xb1f10461d7d3bf9dULL},
-    {"fullsearch/first-iteration-split", 0x86cdd90a21cc62b2ULL},
-    {"fullsearch/conflict-graph", 0xcabc8015a312ded9ULL},
-    {"whetstone/all-miss", 0x93367b6a3dfbe50cULL},
-    {"whetstone/first-iteration-split", 0x92e7baa2facaafd1ULL},
-    {"whetstone/conflict-graph", 0x45bbfe8535cdad88ULL},
-    {"dhry/all-miss", 0x4a5e9e9450902fe1ULL},
-    {"dhry/first-iteration-split", 0x075c13a36ff209f5ULL},
-    {"dhry/conflict-graph", 0xc861f9c0de068a13ULL},
-    {"matgen/all-miss", 0x4025a9c8e4cd3930ULL},
-    {"matgen/first-iteration-split", 0xfd0d586b8dd4fe9cULL},
-    {"matgen/conflict-graph", 0xc298585c43ea1af6ULL},
+    {"check_data/all-miss", 0xdd309de67f6943fbULL},
+    {"check_data/first-iteration-split", 0x64001a7d64e6b511ULL},
+    {"check_data/conflict-graph", 0xb6757bb167c77c61ULL},
+    {"fft/all-miss", 0x0df3c70882f6ad23ULL},
+    {"fft/first-iteration-split", 0x023349ca278d807bULL},
+    {"fft/conflict-graph", 0xdf5a24f00a3a18fdULL},
+    {"piksrt/all-miss", 0xd18e90600ba562c7ULL},
+    {"piksrt/first-iteration-split", 0x33691f05543e3794ULL},
+    {"piksrt/conflict-graph", 0xdd14d31184318bb6ULL},
+    {"des/all-miss", 0x2a15883aac1b48eeULL},
+    {"des/first-iteration-split", 0xc96c7860dad18796ULL},
+    {"des/conflict-graph", 0x3d3d7788613df6faULL},
+    {"line/all-miss", 0x3382167bd3bd652fULL},
+    {"line/first-iteration-split", 0xdf3a5c797fb29b69ULL},
+    {"line/conflict-graph", 0x17625c47a00c6e1eULL},
+    {"circle/all-miss", 0x2e345ba9f1e4ffabULL},
+    {"circle/first-iteration-split", 0x1523caaac8a16c32ULL},
+    {"circle/conflict-graph", 0x967e60e2083846f6ULL},
+    {"jpeg_fdct_islow/all-miss", 0x7a6296d7cc4c1a0aULL},
+    {"jpeg_fdct_islow/first-iteration-split", 0x7a6296d7cc4c1a0aULL},
+    {"jpeg_fdct_islow/conflict-graph", 0x3b063e41df5d1836ULL},
+    {"jpeg_idct_islow/all-miss", 0x10cc9f6badb51d52ULL},
+    {"jpeg_idct_islow/first-iteration-split", 0x10cc9f6badb51d52ULL},
+    {"jpeg_idct_islow/conflict-graph", 0x06386ba48f261cb0ULL},
+    {"recon/all-miss", 0xf7fa7f2aeaa30360ULL},
+    {"recon/first-iteration-split", 0x7fba5a2f81875a80ULL},
+    {"recon/conflict-graph", 0x21ecdf0d03a15262ULL},
+    {"fullsearch/all-miss", 0xac29348cfa63db3dULL},
+    {"fullsearch/first-iteration-split", 0x9aa93f282c1eef52ULL},
+    {"fullsearch/conflict-graph", 0xf3b5f1869ff61179ULL},
+    {"whetstone/all-miss", 0xfc12a288c981f48cULL},
+    {"whetstone/first-iteration-split", 0x73ac7bced9506b51ULL},
+    {"whetstone/conflict-graph", 0xd88393e35368e828ULL},
+    {"dhry/all-miss", 0x734046ceb0c04cc1ULL},
+    {"dhry/first-iteration-split", 0xa705cf77464d2dd5ULL},
+    {"dhry/conflict-graph", 0x50ff0c10903f0cf3ULL},
+    {"matgen/all-miss", 0x954e2d543ac2dbd0ULL},
+    {"matgen/first-iteration-split", 0xb6acbc7898faf4bcULL},
+    {"matgen/conflict-graph", 0xbc3b91a16dbd65d6ULL},
 };
 
 // One entry per generated program (all three cache modes).
 constexpr Golden kFuzzSolves[] = {
-    {"seed 1", 0x915c068c878a97b3ULL},
-    {"seed 2", 0xace209bd5f284beaULL},
-    {"seed 3", 0x5fcf353d3def6665ULL},
-    {"seed 4", 0x0ca5a3fb8c7a3f99ULL},
-    {"seed 5", 0xd6dba4ac27f4e666ULL},
-    {"seed 6", 0x81ecee4ddff85182ULL},
-    {"seed 7", 0x51e733f18b79704fULL},
-    {"seed 8", 0x7f9a64f8b77d789dULL},
-    {"seed 9", 0x060d17ff270442afULL},
-    {"seed 10", 0x67bb6db29897a379ULL},
-    {"seed 11", 0x85ca2e4a94ae2ce4ULL},
-    {"seed 12", 0x210d7506149455a1ULL},
-    {"seed 13", 0xa2be565ed99a9292ULL},
-    {"seed 14", 0x3b8700affc499d9aULL},
-    {"seed 15", 0x310e76ff6e000e4fULL},
-    {"seed 16", 0x7c5c85ad0fe3adf3ULL},
-    {"seed 17", 0xd021c8cb17369ee7ULL},
-    {"seed 18", 0x0d853bc595f5abf6ULL},
-    {"seed 19", 0x93f0d9d5876b2e32ULL},
-    {"seed 20", 0x5cc4ef69750ac4e6ULL},
-    {"seed 21", 0x7f7f44aa4dd000e5ULL},
-    {"seed 22", 0x7ea4df918543c775ULL},
-    {"seed 23", 0x6cdfda4179b100e1ULL},
-    {"seed 24", 0xd5dac0fdc7b12a5fULL},
-    {"seed 25", 0x0a07fcaa38d855beULL},
-    {"seed 26", 0x004545b1b1a3de3eULL},
-    {"seed 27", 0xf35ed06c26acfca1ULL},
-    {"seed 28", 0xdfa1977e272ceacdULL},
-    {"seed 29", 0x939c89d521438e3dULL},
-    {"seed 30", 0x5db2f4bf7ec29fb5ULL},
-    {"seed 31", 0x5d9a30f6e3b8585eULL},
-    {"seed 32", 0x12ee2fea7d5d710eULL},
-    {"seed 33", 0xd27b30cdfa1fee1fULL},
-    {"seed 34", 0x8118d0b9b310785cULL},
-    {"seed 35", 0xb0f9da2526851785ULL},
-    {"seed 36", 0xefddd17b696b4660ULL},
-    {"seed 37", 0x0d81fa250642b943ULL},
-    {"seed 38", 0xac83c9a7beea5a83ULL},
-    {"seed 39", 0x62c20d04c369da5cULL},
-    {"seed 40", 0x4a8182f85fc8a103ULL},
-    {"seed 41", 0x1e38790419e25a09ULL},
-    {"seed 42", 0xec885f588b6a6158ULL},
-    {"seed 43", 0xacf92ea84b7da805ULL},
-    {"seed 44", 0x389209d599418849ULL},
-    {"seed 45", 0xd45f2d714a2ea0f7ULL},
-    {"seed 46", 0x838117d8db6e3447ULL},
-    {"seed 47", 0xc6bcc49ec25621a1ULL},
-    {"seed 48", 0x84a71a29056f9dd1ULL},
-    {"seed 49", 0xf9dcb21e7d59383fULL},
-    {"seed 50", 0x2d646e75c79356cbULL},
-    {"seed 51", 0x6470daa1b23b5e72ULL},
-    {"seed 52", 0x4dd7f77fe5e3f4adULL},
-    {"seed 53", 0x50fc4092bc3a7a8aULL},
-    {"seed 54", 0xe2a7961b1a3ad381ULL},
-    {"seed 55", 0x927acbfaadb5f42dULL},
-    {"seed 56", 0xd78fab4b8c764195ULL},
-    {"seed 57", 0x0e368f2567a35e97ULL},
-    {"seed 58", 0xc2bf02a271ab616eULL},
-    {"seed 59", 0xf4bc90bdf699aef9ULL},
-    {"seed 60", 0xb286932eff9e53fdULL},
+    {"seed 1", 0x8d65dfe52c529e13ULL},
+    {"seed 2", 0xa638820a3ba048eaULL},
+    {"seed 3", 0xe9366b943cd6b265ULL},
+    {"seed 4", 0x93f3cf11f809c199ULL},
+    {"seed 5", 0x53d677d629542f46ULL},
+    {"seed 6", 0x83c4c77a735794a2ULL},
+    {"seed 7", 0x7aacbc54ec951e8fULL},
+    {"seed 8", 0xeef5864ea894927dULL},
+    {"seed 9", 0x5406c4afdab17896ULL},
+    {"seed 10", 0x97bced1c9564ca79ULL},
+    {"seed 11", 0x312885a159cc0944ULL},
+    {"seed 12", 0xd934a15685ea0621ULL},
+    {"seed 13", 0xa4f84deaccce64d2ULL},
+    {"seed 14", 0x524652b92c4d16faULL},
+    {"seed 15", 0x24582f777cb0150fULL},
+    {"seed 16", 0x06f3f9d588f973f3ULL},
+    {"seed 17", 0xb99d9f7d4631b707ULL},
+    {"seed 18", 0xd0f912dc950af976ULL},
+    {"seed 19", 0x528b11fdaced23f2ULL},
+    {"seed 20", 0xdffcc0df347f9306ULL},
+    {"seed 21", 0x0359693899703b65ULL},
+    {"seed 22", 0x764a6b9cd459a335ULL},
+    {"seed 23", 0xb73ec8dfaec5acc1ULL},
+    {"seed 24", 0xe94738ec6f72f47fULL},
+    {"seed 25", 0x492b18f32ea7287eULL},
+    {"seed 26", 0x03b7ebb789f0439eULL},
+    {"seed 27", 0xb1b8f60b18a351a1ULL},
+    {"seed 28", 0xaf0a121de701880dULL},
+    {"seed 29", 0x7dc5e07037070bfdULL},
+    {"seed 30", 0x93826620e89e7975ULL},
+    {"seed 31", 0x67b981dc11a002deULL},
+    {"seed 32", 0x35995c2590f3ee6eULL},
+    {"seed 33", 0xf0bac377aefc4a5fULL},
+    {"seed 34", 0xc0dbe6412142b17cULL},
+    {"seed 35", 0xc5db703cdbd3dd05ULL},
+    {"seed 36", 0xe8ea814d138d3a80ULL},
+    {"seed 37", 0x90263641424c25c3ULL},
+    {"seed 38", 0xb39efa2f3f0e2e03ULL},
+    {"seed 39", 0xf972ee979393e1fcULL},
+    {"seed 40", 0x1a0c545ed9455f03ULL},
+    {"seed 41", 0x5fd10fb628330029ULL},
+    {"seed 42", 0xde751e670d90b538ULL},
+    {"seed 43", 0x53eda0c49adbbd05ULL},
+    {"seed 44", 0x13eb0e023ba86a09ULL},
+    {"seed 45", 0x5e78b63722251b97ULL},
+    {"seed 46", 0x273c5050296e8d87ULL},
+    {"seed 47", 0x50470be5ee2752a1ULL},
+    {"seed 48", 0xac7e68eb42ea3b11ULL},
+    {"seed 49", 0x570bd2c7c15941bfULL},
+    {"seed 50", 0xd80639000b0c8a2bULL},
+    {"seed 51", 0x945958676707af92ULL},
+    {"seed 52", 0x1c4207e3e0b4c68dULL},
+    {"seed 53", 0xdb37d8bb78e61e4aULL},
+    {"seed 54", 0x6ac845212bed10fbULL},
+    {"seed 55", 0x7f24b7bf728221edULL},
+    {"seed 56", 0x7f275593ca37fd55ULL},
+    {"seed 57", 0x68bd3106d5de7397ULL},
+    {"seed 58", 0xfc312f88b44a7c2eULL},
+    {"seed 59", 0x88dcb9ea0a8894f9ULL},
+    {"seed 60", 0xab0a6d32b9b6993dULL},
 };
 
 // One entry per Table I program and cache mode: Analyzer::estimate.
@@ -337,7 +338,7 @@ constexpr Golden kSuiteEstimates[] = {
     {"jpeg_idct_islow/conflict-graph", 0xe2cd5c6bf565ed4aULL},
     {"recon/all-miss", 0xba7b8ef6d3f519f2ULL},
     {"recon/first-iteration-split", 0xa7cc92d4d42be116ULL},
-    {"recon/conflict-graph", 0xd9cedb5dd201e384ULL},
+    {"recon/conflict-graph", 0x876d3ed724bb3d6dULL},
     {"fullsearch/all-miss", 0x65cdcd9814dbbb56ULL},
     {"fullsearch/first-iteration-split", 0xec83b39ea9ba0fa8ULL},
     {"fullsearch/conflict-graph", 0x73548a93e5bdf808ULL},
@@ -362,7 +363,7 @@ constexpr Golden kFuzzEstimates[] = {
     {"seed 6", 0xa68e12fe6aeaad6cULL},
     {"seed 7", 0x04abdb1ac8c9baaaULL},
     {"seed 8", 0xbdc244d74c15df3dULL},
-    {"seed 9", 0xe451059a6d2a62f7ULL},
+    {"seed 9", 0x22a0531ecccfef8bULL},
     {"seed 10", 0x4287bd2a908499d7ULL},
     {"seed 11", 0x4e94b54f2725b7f1ULL},
     {"seed 12", 0xb2315d3c7a9d5811ULL},
@@ -407,7 +408,7 @@ constexpr Golden kFuzzEstimates[] = {
     {"seed 51", 0x75f088f35adc97f4ULL},
     {"seed 52", 0xbdf4e0aebfa32ffdULL},
     {"seed 53", 0xe4091ecc7145bf9cULL},
-    {"seed 54", 0x1511e002e5ba3461ULL},
+    {"seed 54", 0xf88ee2f576e38efdULL},
     {"seed 55", 0x04518a45dd1058d2ULL},
     {"seed 56", 0x95247d3db0a9f505ULL},
     {"seed 57", 0x9a33fc26aef8bc26ULL},

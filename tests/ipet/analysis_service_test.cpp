@@ -166,7 +166,7 @@ TEST(AnalysisService, RelatedSystemIsSolvedAfresh) {
 TEST(AnalysisService, UnstoredRequestsSolveLikeADirectEstimate) {
   // Whatever the cache policy, a cold request takes exactly the direct
   // estimate's path: the service adds no solve of its own (recon in ccg
-  // mode needs 68 branch-and-bound nodes that way).
+  // mode needs 6 branch-and-bound nodes that way).
   const suite::Benchmark& bench = suite::benchmarkByName("recon");
   const auto compiled = codegen::compileSource(bench.source);
   AnalyzerOptions aopt;
@@ -176,7 +176,7 @@ TEST(AnalysisService, UnstoredRequestsSolveLikeADirectEstimate) {
     analyzer.addConstraint(c.text, c.scope);
   }
   const Estimate direct = analyzer.estimate();
-  EXPECT_EQ(direct.stats.nodesExpanded, 68);
+  EXPECT_EQ(direct.stats.nodesExpanded, 6);
 
   AnalysisServiceOptions cacheless;
   cacheless.cache.capacity = 0;

@@ -4,6 +4,8 @@
 // lp::solve, and every way a live phase can fail — an exhausted pivot
 // budget, a failed feasibility audit, an injected pivot fault — must
 // land on the from-scratch fallback and still return the cold result.
+// The same holds for lp::BranchPoint, which dives from a copy of the
+// live tableau one cut row at a time.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,6 +34,20 @@ struct LiveTableauInspector {
   }
   static bool retired(const LiveTableau& live) {
     return live.tableau_ == nullptr;
+  }
+  /// Leaves the branch point's copy no pivots for its next dive.
+  static void exhaustBudget(BranchPoint& branch) {
+    branch.tableau_->opt_.maxPivots = 0;
+  }
+  /// Drives row `row` of the copy far below zero and loosens its
+  /// tolerance past that, so the next dive's simplex runs accept the
+  /// broken row and only the feasibility audit can catch it.
+  static void breakRow(BranchPoint& branch, int row) {
+    branch.tableau_->rhs_[static_cast<std::size_t>(row)] = -1000.0;
+    branch.tableau_->opt_.tol = 1e4;
+  }
+  static bool retired(const BranchPoint& branch) {
+    return branch.tableau_ == nullptr;
   }
 };
 
@@ -298,6 +314,189 @@ TEST(LiveTableau, InjectedPivotFaultFallsBackToTheColdResult) {
       EXPECT_TRUE(LTI::retired(live));
       EXPECT_TRUE(b->blandRestart);
       expectColdAnswer(c.b, *b, cold);
+      ++checked;
+      break;
+    }
+  }
+  EXPECT_GT(checked, 10);
+}
+
+/// A random branch-and-bound style cut on `values`: x_v <= floor or
+/// x_v >= ceil of its value, or one step past that, which cuts off
+/// integral values too and drives some stacks infeasible.
+Constraint randomCut(std::mt19937& rng, const std::vector<double>& values) {
+  std::uniform_int_distribution<std::size_t> pick(0, values.size() - 1);
+  std::bernoulli_distribution down(0.5);
+  std::bernoulli_distribution past(0.25);
+  const std::size_t var = pick(rng);
+  const double x = values[var];
+  LinearExpr e;
+  e.add(static_cast<int>(var), 1.0);
+  const double step = past(rng) ? 1.0 : 0.0;
+  if (down(rng)) return {std::move(e), Relation::LessEq, std::floor(x) - step};
+  return {std::move(e), Relation::GreaterEq, std::ceil(x) + step};
+}
+
+TEST(BranchPoint, CutStacksMatchColdSolvesOn200Problems) {
+  std::mt19937 rng(777);
+  std::uniform_int_distribution<int> depth(1, 4);
+  int dives = 0;
+  int confirmed = 0;
+  int problems = 0;
+  for (int k = 0; problems < 200; ++k) {
+    const RandomSystem s = randomSystem(rng);
+    if (solve(s.a).status != SolveStatus::Optimal) continue;
+    ++problems;
+    for (const bool presolve : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "problem " << k << " presolve "
+                                      << presolve);
+      SimplexOptions options;
+      options.presolve = presolve;
+      LiveTableau live(s.a, options);
+      Solution at = live.solve(s.a);
+      ASSERT_EQ(at.status, SolveStatus::Optimal);
+      BranchPoint branch = live.branch(s.a);
+      Problem work = s.a;
+      for (int d = depth(rng); d > 0; --d) {
+        const Constraint c = randomCut(rng, at.values);
+        work.addConstraint(c);
+        at = branch.cut(c.expr.terms()[0].var, c.rel, c.rhs);
+        expectColdAnswer(work, at, solve(work, options));
+        // The dive's own verdict, before any cold confirmation, agrees
+        // with the cold one.
+        if (branch.lastAnswer() == BranchPoint::Answer::Confirmed) {
+          EXPECT_EQ(at.status, SolveStatus::Infeasible);
+          ++confirmed;
+        } else {
+          EXPECT_EQ(branch.lastAnswer(), BranchPoint::Answer::Dive);
+          ++dives;
+        }
+        if (at.status != SolveStatus::Optimal) break;
+      }
+    }
+  }
+  // Both outcomes of a dive are exercised.
+  EXPECT_GT(dives, 400);
+  EXPECT_GT(confirmed, 40);
+}
+
+TEST(BranchPoint, ChildrenLeaveTheLiveTableauUntouched) {
+  // The worst side's children dive on copies; the best side's root then
+  // continues from the worst optimum exactly as on a tableau that never
+  // branched.
+  std::mt19937 rng(4242);
+  int checked = 0;
+  for (const RandomSystem& c : feasibleCases(100)) {
+    LiveTableau live(c.a, SimplexOptions{});
+    LiveTableau fresh(c.a, SimplexOptions{});
+    const Solution root = live.solve(c.a);
+    (void)fresh.solve(c.a);
+    BranchPoint first = live.branch(c.a);
+    BranchPoint second = first;
+    const Constraint down = randomCut(rng, root.values);
+    (void)first.cut(down.expr.terms()[0].var, down.rel, down.rhs);
+    (void)second.cut(down.expr.terms()[0].var, Relation::GreaterEq,
+                     down.rhs + 1.0);
+    const Solution best = live.solve(c.b);
+    const Solution expected = fresh.solve(c.b);
+    ASSERT_EQ(best.status, expected.status);
+    EXPECT_EQ(best.objective, expected.objective);
+    EXPECT_EQ(best.values, expected.values);
+    EXPECT_EQ(best.pivots, expected.pivots);
+    checked += best.status == SolveStatus::Optimal ? 1 : 0;
+  }
+  EXPECT_GT(checked, 50);
+}
+
+/// Runs `force` on a branch point at the optimum of each feasible case,
+/// cuts once, and checks that the failed dive was answered cold, with
+/// the cold result.
+template <typename Force>
+void expectFallbackToCold(Force force) {
+  std::mt19937 rng(31337);
+  for (const bool presolve : {true, false}) {
+    SimplexOptions options;
+    options.presolve = presolve;
+    int k = 0;
+    for (const RandomSystem& c : feasibleCases(100)) {
+      SCOPED_TRACE(testing::Message() << "case " << k++ << " presolve "
+                                      << presolve);
+      LiveTableau live(c.a, options);
+      const Solution root = live.solve(c.a);
+      BranchPoint branch = live.branch(c.a);
+      force(branch, c.a);
+      const Constraint cut = randomCut(rng, root.values);
+      Problem work = c.a;
+      work.addConstraint(cut);
+      const Solution child =
+          branch.cut(cut.expr.terms()[0].var, cut.rel, cut.rhs);
+      EXPECT_EQ(branch.lastAnswer(), BranchPoint::Answer::Fallback);
+      EXPECT_TRUE(LTI::retired(branch));
+      expectColdAnswer(work, child, solve(work, options));
+      // The subtree below is answered cold as well.
+      if (child.status != SolveStatus::Optimal) continue;
+      const Constraint next = randomCut(rng, child.values);
+      work.addConstraint(next);
+      expectColdAnswer(work,
+                       branch.cut(next.expr.terms()[0].var, next.rel,
+                                  next.rhs),
+                       solve(work, options));
+      EXPECT_EQ(branch.lastAnswer(), BranchPoint::Answer::Cold);
+    }
+  }
+}
+
+TEST(BranchPoint, ExhaustedPivotBudgetFallsBackToTheColdResult) {
+  expectFallbackToCold(
+      [](BranchPoint& branch, const Problem&) { LTI::exhaustBudget(branch); });
+}
+
+TEST(BranchPoint, FailedFeasibilityAuditFallsBackToTheColdResult) {
+  // With presolve on, the trailing `0 <= 5` row is dropped; break the
+  // copy's first row instead, which every case has.
+  expectFallbackToCold(
+      [](BranchPoint& branch, const Problem&) { LTI::breakRow(branch, 0); });
+}
+
+TEST(BranchPoint, InjectedPivotFaultFallsBackToTheColdResult) {
+  using support::FaultInjector;
+  using support::FaultPlan;
+  using support::FaultSite;
+  std::mt19937 rng(5150);
+  int checked = 0;
+  int k = 0;
+  for (const RandomSystem& c : feasibleCases(100)) {
+    SCOPED_TRACE(testing::Message() << "case " << k++);
+    LiveTableau live(c.a, SimplexOptions{});
+    const Solution root = live.solve(c.a);
+    const Constraint cut = randomCut(rng, root.values);
+    Problem work = c.a;
+    work.addConstraint(cut);
+    const Solution cold = solve(work);
+    // Plans are tried in seed order until one faults inside the dive and
+    // lets the cold solve through.
+    for (std::uint64_t seed = 1; seed < 20000; ++seed) {
+      FaultPlan plan;
+      plan.seed = seed;
+      plan.lpPivotRate = 0.05;
+      FaultInjector predictor{plan};
+      if (!predictor.shouldFault(FaultSite::LpPivot)) continue;
+      BranchPoint branch = live.branch(c.a);
+      FaultInjector injector{plan};
+      std::optional<Solution> child;
+      {
+        support::ScopedFaultInjector install(&injector);
+        try {
+          child = branch.cut(cut.expr.terms()[0].var, cut.rel, cut.rhs);
+        } catch (const InjectedFaultError&) {
+          // The cold solve faulted too: try the next plan.
+        }
+      }
+      if (!child) continue;
+      if (injector.injected(FaultSite::LpPivot) == 0) break;  // no pivot
+      EXPECT_EQ(branch.lastAnswer(), BranchPoint::Answer::Fallback);
+      EXPECT_TRUE(LTI::retired(branch));
+      expectColdAnswer(work, *child, cold);
       ++checked;
       break;
     }
