@@ -10,6 +10,7 @@
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/ipet/digest.hpp"
 #include "cinderella/lp/problem.hpp"
+#include "cinderella/suite/suite.hpp"
 
 namespace cinderella::ipet {
 namespace {
@@ -144,6 +145,54 @@ TEST(SystemDigests, GoldenHashOfFig2System) {
   const Analyzer::SystemDigests plain = unconstrained.systemDigests();
   EXPECT_EQ(plain.structural, digests.structural);
   EXPECT_NE(plain.full, digests.full);
+}
+
+
+struct ProgramDigests {
+  const char* program;
+  CacheMode mode;
+  const char* structural;
+  const char* full;
+};
+
+TEST(SystemDigests, GoldenHashesOfTableIPrograms) {
+  // Three Table I programs in every cache mode: des, dhry (8 sets
+  // after DNF expansion) and whetstone (the largest ccg system).  Pins the structural prefix and the full digest together,
+  // including the cache-mode variables each mode adds.
+  const ProgramDigests golden[] = {
+      {"des", CacheMode::AllMiss,
+       "db08d0df742250b4af399ff269a28aa3", "c9cb83cfcff8cadc78771e4c4ce070f1"},
+      {"des", CacheMode::FirstIterationSplit,
+       "231920a80e1e5b096a408a57ccf496e7", "50af5aea940c9bdf8ac65996196d5a20"},
+      {"des", CacheMode::ConflictGraph,
+       "d506d17d57adcd5e6ad702508e666a74", "708cdf531623be227579dbc40e3d1656"},
+      {"dhry", CacheMode::AllMiss,
+       "5b1fd784404252facbd4306d4279ddcb", "ebd8f986acee7172c8c08ef2703574cc"},
+      {"dhry", CacheMode::FirstIterationSplit,
+       "e2ef3b19f7d898b99d2799ed392d8615", "37342850bf6146ba9fae9d760dc0943f"},
+      {"dhry", CacheMode::ConflictGraph,
+       "ba7edb8b0b574ce14ef7e8f053abbba0", "06a4c7f07298b17ba42e5a70353522ac"},
+      {"whetstone", CacheMode::AllMiss,
+       "a12dbd72105f94a73a7f0757feb6ebee", "00a4f15990d900bf56e22b06726d356a"},
+      {"whetstone", CacheMode::FirstIterationSplit,
+       "a5c9729d90f81e2f28bca240ba9a2676", "3adf6d1c9a0f432797d5631545064df8"},
+      {"whetstone", CacheMode::ConflictGraph,
+       "5066c5f43a395b52126ea96f48c39d7b", "74fe8da2621ac469f1312dbebc8bd1a3"},
+  };
+  for (const ProgramDigests& g : golden) {
+    SCOPED_TRACE(std::string(g.program) + "/" + cacheModeStr(g.mode));
+    const suite::Benchmark& bench = suite::benchmarkByName(g.program);
+    const auto compiled = codegen::compileSource(bench.source);
+    AnalyzerOptions options;
+    options.cacheMode = g.mode;
+    Analyzer analyzer(compiled, bench.rootFunction, options);
+    for (const auto& c : bench.constraints) {
+      analyzer.addConstraint(c.text, c.scope);
+    }
+    const Analyzer::SystemDigests digests = analyzer.systemDigests();
+    EXPECT_EQ(digests.structural.hex(), g.structural);
+    EXPECT_EQ(digests.full.hex(), g.full);
+  }
 }
 
 }  // namespace
