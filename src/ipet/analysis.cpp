@@ -1,8 +1,7 @@
 #include "cinderella/ipet/analysis.hpp"
 
-#include <chrono>
-#include <cmath>
 #include <algorithm>
+#include <chrono>
 
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ilp/branch_and_bound.hpp"
@@ -27,13 +26,6 @@ std::string defaultLabel(const AnalysisRequest& request) {
   if (!request.label.empty()) return request.label;
   if (!request.benchmark.empty()) return request.benchmark;
   return request.lpInput ? "<lp>" : "<source>";
-}
-
-/// Exact integral objective of a solved ILP, preferring the checked
-/// 64-bit recomputation over the lossy double.
-std::int64_t exactObjective(const ilp::IlpSolution& solution) {
-  if (solution.objectiveIsExact) return solution.objectiveExact;
-  return static_cast<std::int64_t>(std::llround(solution.objective));
 }
 
 /// Digest of a stand-alone LP problem: sense, variable count, canonical
@@ -156,9 +148,14 @@ AnalysisResult AnalysisService::analyzeWith(
   const Clock::time_point start = Clock::now();
   AnalysisResult result;
   result.program = defaultLabel(request);
+  SolveControl control = request.control;
+  if (control.tracer == nullptr && telemetry != nullptr) {
+    control.tracer = telemetry->tracer();
+  }
 
   auto digestTimer = obs::timeStage(telemetry, obs::RequestStage::Digest);
-  const Analyzer::SystemDigests digests = analyzer.systemDigests();
+  const Analyzer::SystemDigests digests =
+      analyzer.systemDigests(control.tracer);
   digestTimer.stop();
   result.fullDigest = digests.full;
   result.structuralDigest = digests.structural;
@@ -183,10 +180,6 @@ AnalysisResult AnalysisService::analyzeWith(
     }
   }
 
-  SolveControl control = request.control;
-  if (control.tracer == nullptr && telemetry != nullptr) {
-    control.tracer = telemetry->tracer();
-  }
   const Clock::time_point solveStart = Clock::now();
   {
     auto solveTimer = obs::timeStage(telemetry, obs::RequestStage::Solve);
@@ -209,9 +202,14 @@ AnalysisResult AnalysisService::analyzeParametricWith(
   CIN_REQUIRE(!request.parameters.empty());
   AnalysisResult result;
   result.program = defaultLabel(request);
+  SolveControl control = request.control;
+  if (control.tracer == nullptr && telemetry != nullptr) {
+    control.tracer = telemetry->tracer();
+  }
 
   auto digestTimer = obs::timeStage(telemetry, obs::RequestStage::Digest);
-  const Digest parametric = analyzer.parametricDigest(request.parameters);
+  const Digest parametric =
+      analyzer.parametricDigest(request.parameters, control.tracer);
   digestTimer.stop();
   // Both digest fields carry the parametric key: it is what the formula
   // cache and the serve "evaluate" op address this result by (the
@@ -239,10 +237,6 @@ AnalysisResult AnalysisService::analyzeParametricWith(
     }
   }
 
-  SolveControl control = request.control;
-  if (control.tracer == nullptr && telemetry != nullptr) {
-    control.tracer = telemetry->tracer();
-  }
   const Clock::time_point solveStart = Clock::now();
   ParametricResult solved;
   {
@@ -308,6 +302,7 @@ AnalysisResult AnalysisService::analyzeLp(
   const Clock::time_point deadlineAt = Clock::now() + control.deadline;
   ilp::IlpOptions ilpOptions;
   if (control.maxNodes > 0) ilpOptions.maxNodes = control.maxNodes;
+  ilpOptions.lpOptions.presolve = control.presolve;
   ilpOptions.interrupt = [&]() {
     if (control.cancel != nullptr &&
         control.cancel->load(std::memory_order_relaxed)) {
@@ -340,29 +335,11 @@ AnalysisResult AnalysisService::analyzeLp(
     const bool maximize = problem.sense() == lp::Sense::Maximize;
     SetSolveRecord record;
     record.setIndex = static_cast<int>(i);
-    IlpSolveRecord ilpRecord;
-    ilpRecord.solved = true;
-    ilpRecord.feasible = solution.status == ilp::IlpStatus::Optimal;
-    ilpRecord.nodes = solution.stats.nodesExpanded;
-    ilpRecord.lpCalls = solution.stats.lpCalls;
-    ilpRecord.pivots = solution.stats.totalPivots;
-    ilpRecord.firstRelaxationIntegral = solution.stats.firstRelaxationIntegral;
-    ilpRecord.checkedPromotions = solution.stats.checkedPromotions;
-    ilpRecord.blandRestarts = solution.stats.blandRestarts;
+    IlpSolveRecord ilpRecord = ilpSolveRecord(solution);
     ilpRecord.wallMicros = microsSince(ilpStart);
-
-    estimate.stats.ilpSolves += 1;
-    estimate.stats.lpCalls += solution.stats.lpCalls;
-    estimate.stats.nodesExpanded += solution.stats.nodesExpanded;
-    estimate.stats.totalPivots += solution.stats.totalPivots;
-    estimate.stats.checkedPromotions += solution.stats.checkedPromotions;
-    estimate.stats.blandRestarts += solution.stats.blandRestarts;
-    estimate.stats.allFirstRelaxationsIntegral =
-        estimate.stats.allFirstRelaxationsIntegral &&
-        solution.stats.firstRelaxationIntegral;
+    estimate.stats.addSolve(ilpRecord);
 
     if (ilpRecord.feasible) {
-      ilpRecord.objective = exactObjective(solution);
       (maximize ? maxima : minima).push_back(ilpRecord.objective);
       record.verdict = SetVerdict::Exact;
     } else {

@@ -179,6 +179,7 @@ void Analyzer::setLoopBound(std::string_view function, int line,
     throw AnalysisError("invalid loop bounds: require 0 <= lo <= hi");
   }
   apiLoopBounds_[{std::string(function), line}] = {lo, hi};
+  system_.reset();
 }
 
 void Analyzer::addConstraint(std::string_view text,
@@ -187,6 +188,7 @@ void Analyzer::addConstraint(std::string_view text,
                                 ? module_->function(root_).name
                                 : std::string(defaultScope);
   userConstraints_.push_back(parseConstraint(text, scope));
+  system_.reset();
 }
 
 lp::LinearExpr Analyzer::resolve(const VarRef& ref) const {
@@ -333,8 +335,8 @@ std::string Analyzer::structuralConstraintsStr(int function) const {
   return out.str();
 }
 
-Analyzer::BaseProblem Analyzer::buildBaseProblem() const {
-  BaseProblem base;
+void Analyzer::buildBaseProblem(System* out) const {
+  System& base = *out;
   lp::Problem& p = base.problem;
 
   // Flow variables, named for diagnostics.
@@ -465,8 +467,6 @@ Analyzer::BaseProblem Analyzer::buildBaseProblem() const {
   } else if (options_.cacheMode == CacheMode::ConflictGraph) {
     applyConflictGraphCache(&base);
   }
-
-  return base;
 }
 
 const char* cacheModeStr(CacheMode mode) {
@@ -495,6 +495,47 @@ const char* setVerdictStr(SetVerdict verdict) {
   return "?";
 }
 
+void SolveStats::addSolve(const IlpSolveRecord& solve) {
+  ++ilpSolves;
+  lpCalls += solve.lpCalls;
+  nodesExpanded += solve.nodes;
+  totalPivots += solve.pivots;
+  checkedPromotions += solve.checkedPromotions;
+  blandRestarts += solve.blandRestarts;
+  devexPivots += solve.devexPivots;
+  presolveRowsRemoved += solve.presolveRowsRemoved;
+  presolveColsFixed += solve.presolveColsFixed;
+  presolveSubstitutions += solve.presolveSubstitutions;
+  presolveRounds += solve.presolveRounds;
+  allFirstRelaxationsIntegral &= solve.firstRelaxationIntegral;
+}
+
+IlpSolveRecord ilpSolveRecord(const ilp::IlpSolution& solution) {
+  IlpSolveRecord record;
+  record.solved = true;
+  record.feasible = solution.status == ilp::IlpStatus::Optimal;
+  record.nodes = solution.stats.nodesExpanded;
+  record.lpCalls = solution.stats.lpCalls;
+  record.pivots = solution.stats.totalPivots;
+  record.firstRelaxationIntegral = solution.stats.firstRelaxationIntegral;
+  record.checkedPromotions = solution.stats.checkedPromotions;
+  record.blandRestarts = solution.stats.blandRestarts;
+  record.devexPivots = solution.stats.devexPivots;
+  record.presolveRowsRemoved = solution.stats.presolveRowsRemoved;
+  record.presolveColsFixed = solution.stats.presolveColsFixed;
+  record.presolveSubstitutions = solution.stats.presolveSubstitutions;
+  record.presolveRounds = solution.stats.presolveRounds;
+  if (record.feasible) {
+    // Prefer the checked integer recomputation: the double objective
+    // silently loses precision past 2^53.
+    record.objective =
+        solution.objectiveIsExact
+            ? solution.objectiveExact
+            : static_cast<std::int64_t>(std::llround(solution.objective));
+  }
+  return record;
+}
+
 std::optional<CacheMode> parseCacheMode(std::string_view text) {
   if (text == "allmiss" || text == "all-miss") return CacheMode::AllMiss;
   if (text == "firstiter" || text == "first-iteration-split") {
@@ -506,7 +547,7 @@ std::optional<CacheMode> parseCacheMode(std::string_view text) {
   return std::nullopt;
 }
 
-void Analyzer::applyFirstIterationSplit(BaseProblem* base) const {
+void Analyzer::applyFirstIterationSplit(System* base) const {
   lp::Problem& p = base->problem;
   const int numSets = options_.machine.numSets();
   const int lineBytes = options_.machine.cacheLineBytes;
@@ -635,7 +676,7 @@ void Analyzer::applyFirstIterationSplit(BaseProblem* base) const {
   }
 }
 
-void Analyzer::applyConflictGraphCache(BaseProblem* base) const {
+void Analyzer::applyConflictGraphCache(System* base) const {
   lp::Problem& p = base->problem;
   const int numSets = options_.machine.numSets();
   const int lineBytes = options_.machine.cacheLineBytes;
@@ -882,18 +923,6 @@ void Analyzer::applyConflictGraphCache(BaseProblem* base) const {
   }
 }
 
-Dnf Analyzer::combineUserConstraints() const {
-  Dnf combined{ConjunctiveSet{}};
-  for (const auto& dnf : userConstraints_) {
-    combined = conjoin(combined, dnf);
-    if (static_cast<int>(combined.size()) > options_.maxConstraintSets) {
-      throw AnalysisError("functionality-constraint disjunctions expand to "
-                          "too many constraint sets");
-    }
-  }
-  return combined;
-}
-
 lp::Constraint Analyzer::resolveSymConstraint(const SymConstraint& sc) const {
   lp::LinearExpr expr;
   double rhs = 0.0;
@@ -962,77 +991,114 @@ std::vector<std::string> Analyzer::referencedParams() const {
   return names;
 }
 
-lp::Problem Analyzer::materializeSet(const BaseProblem& base,
+lp::Problem Analyzer::materializeSet(const System& base,
                                      const ConjunctiveSet& set) const {
   lp::Problem p = base.problem;
   for (const auto& sc : set) p.addConstraint(resolveSymConstraint(sc));
   return p;
 }
 
-std::vector<std::string> Analyzer::canonicalSetRows(
-    const ConjunctiveSet& set) const {
+std::string Analyzer::concreteRowKey(const SymConstraint& sc) const {
+  return canonicalRowKey(resolveSymConstraint(sc));
+}
+
+namespace {
+
+/// A set's row keys, sorted with duplicates removed.  Under
+/// concreteRowKey, identical vectors => identical regions and a proper
+/// subset => a superset region (set deduplication and domination).
+template <typename RowKey>
+std::vector<std::string> setRowKeys(const ConjunctiveSet& set,
+                                    const RowKey& rowKey) {
   std::vector<std::string> rows;
   rows.reserve(set.size());
-  for (const auto& sc : set) {
-    // canonicalRowKey applies the same canonicalization
-    // Problem::addConstraint does (merged/sorted terms, constant folded
-    // into the rhs) plus GreaterEq-to-LessEq negation, in a byte-stable
-    // little-endian encoding shared with the SolveCache digests.
-    rows.push_back(canonicalRowKey(resolveSymConstraint(sc)));
-  }
+  for (const auto& sc : set) rows.push_back(rowKey(sc));
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   return rows;
 }
 
-void Analyzer::hashStructural(DigestBuilder* builder,
-                              const BaseProblem& base) const {
-  builder->tag('V');
-  builder->u32(static_cast<std::uint32_t>(base.problem.numVars()));
+/// Appends `tag` and every set's row keys, the set list sorted with
+/// duplicates removed (the bound ignores DNF expansion order).
+template <typename RowKey>
+void hashSets(DigestBuilder* builder, char tag, const Dnf& sets,
+              const RowKey& rowKey) {
+  std::vector<std::vector<std::string>> setKeys;
+  setKeys.reserve(sets.size());
+  for (const auto& set : sets) setKeys.push_back(setRowKeys(set, rowKey));
+  std::sort(setKeys.begin(), setKeys.end());
+  setKeys.erase(std::unique(setKeys.begin(), setKeys.end()), setKeys.end());
+  builder->tag(tag);
+  builder->u32(static_cast<std::uint32_t>(setKeys.size()));
+  for (const auto& rows : setKeys) {
+    builder->u32(static_cast<std::uint32_t>(rows.size()));
+    for (const auto& row : rows) builder->str(row);
+  }
+}
+
+}  // namespace
+
+const Analyzer::System& Analyzer::system(obs::Tracer* tracer) const {
+  const std::lock_guard<std::mutex> lock(*systemMutex_);
+  if (system_ != nullptr) return *system_;
+  auto built = std::make_unique<System>();
+  System& sys = *built;
+  {
+    obs::Span span(tracer, "build-base-problem", "ipet");
+    buildBaseProblem(&sys);
+  }
+  {
+    // The DNF cross-product of all user constraints (paper III-D).
+    obs::Span span(tracer, "combine-constraints", "ipet");
+    sys.sets = {ConjunctiveSet{}};
+    for (const auto& dnf : userConstraints_) {
+      sys.sets = conjoin(sys.sets, dnf);
+      if (static_cast<int>(sys.sets.size()) > options_.maxConstraintSets) {
+        throw AnalysisError("functionality-constraint disjunctions expand to "
+                            "too many constraint sets");
+      }
+    }
+  }
+  sys.worstObjective = lp::LinearExpr::fromDense(sys.worstCoeff);
+  sys.bestObjective = lp::LinearExpr::fromDense(sys.bestCoeff);
+
+  // The structural digest: everything common to all constraint sets.
+  DigestBuilder& builder = sys.structural;
+  builder.tag('V');
+  builder.u32(static_cast<std::uint32_t>(sys.problem.numVars()));
   // Base rows, order-normalized like a constraint set's: the digest must
   // not depend on emission order, only on the region they carve.
   std::vector<std::string> baseRows;
-  baseRows.reserve(base.problem.constraints().size());
-  for (const auto& c : base.problem.constraints()) {
+  baseRows.reserve(sys.problem.constraints().size());
+  for (const auto& c : sys.problem.constraints()) {
     baseRows.push_back(canonicalRowKey(c));
   }
   std::sort(baseRows.begin(), baseRows.end());
   baseRows.erase(std::unique(baseRows.begin(), baseRows.end()),
                  baseRows.end());
-  builder->tag('B');
-  builder->u32(static_cast<std::uint32_t>(baseRows.size()));
-  for (const auto& row : baseRows) builder->str(row);
-  builder->tag('W');
-  builder->u32(static_cast<std::uint32_t>(base.worstCoeff.size()));
-  for (const double c : base.worstCoeff) builder->f64(c);
-  builder->tag('C');
-  builder->u32(static_cast<std::uint32_t>(base.bestCoeff.size()));
-  for (const double c : base.bestCoeff) builder->f64(c);
+  builder.tag('B');
+  builder.u32(static_cast<std::uint32_t>(baseRows.size()));
+  for (const auto& row : baseRows) builder.str(row);
+  builder.tag('W');
+  builder.u32(static_cast<std::uint32_t>(sys.worstCoeff.size()));
+  for (const double c : sys.worstCoeff) builder.f64(c);
+  builder.tag('C');
+  builder.u32(static_cast<std::uint32_t>(sys.bestCoeff.size()));
+  for (const double c : sys.bestCoeff) builder.f64(c);
+
+  system_ = std::move(built);
+  return sys;
 }
 
-Analyzer::SystemDigests Analyzer::systemDigests() const {
-  const BaseProblem base = buildBaseProblem();
-  DigestBuilder builder;
-  hashStructural(&builder, base);
-
+Analyzer::SystemDigests Analyzer::systemDigests(obs::Tracer* tracer) const {
+  const System& sys = system(tracer);
   SystemDigests out;
-  out.structural = builder.finish();
-
+  out.structural = sys.structural.finish();
   // Full digest: the structural prefix plus every expanded constraint
-  // set's canonical rows.  The set list itself is order-normalized (the
-  // merged interval does not depend on DNF expansion order).
-  const Dnf combined = combineUserConstraints();
-  std::vector<std::vector<std::string>> setKeys;
-  setKeys.reserve(combined.size());
-  for (const auto& set : combined) setKeys.push_back(canonicalSetRows(set));
-  std::sort(setKeys.begin(), setKeys.end());
-  setKeys.erase(std::unique(setKeys.begin(), setKeys.end()), setKeys.end());
-  builder.tag('S');
-  builder.u32(static_cast<std::uint32_t>(setKeys.size()));
-  for (const auto& rows : setKeys) {
-    builder.u32(static_cast<std::uint32_t>(rows.size()));
-    for (const auto& row : rows) builder.str(row);
-  }
+  // set's canonical rows.
+  DigestBuilder builder = sys.structural;
+  hashSets(&builder, 'S', sys.sets,
+           [this](const SymConstraint& sc) { return concreteRowKey(sc); });
   out.full = builder.finish();
   return out;
 }
@@ -1070,29 +1136,12 @@ std::string Analyzer::symbolicRowKey(const SymConstraint& sc) const {
   return key;
 }
 
-Digest Analyzer::parametricDigest(const std::vector<ParamDecl>& params) const {
-  const BaseProblem base = buildBaseProblem();
-  DigestBuilder builder;
-  hashStructural(&builder, base);
-  const Dnf combined = combineUserConstraints();
-  std::vector<std::vector<std::string>> setKeys;
-  setKeys.reserve(combined.size());
-  for (const auto& set : combined) {
-    std::vector<std::string> rows;
-    rows.reserve(set.size());
-    for (const auto& sc : set) rows.push_back(symbolicRowKey(sc));
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    setKeys.push_back(std::move(rows));
-  }
-  std::sort(setKeys.begin(), setKeys.end());
-  setKeys.erase(std::unique(setKeys.begin(), setKeys.end()), setKeys.end());
-  builder.tag('Y');
-  builder.u32(static_cast<std::uint32_t>(setKeys.size()));
-  for (const auto& rows : setKeys) {
-    builder.u32(static_cast<std::uint32_t>(rows.size()));
-    for (const auto& row : rows) builder.str(row);
-  }
+Digest Analyzer::parametricDigest(const std::vector<ParamDecl>& params,
+                                  obs::Tracer* tracer) const {
+  const System& sys = system(tracer);
+  DigestBuilder builder = sys.structural;
+  hashSets(&builder, 'Y', sys.sets,
+           [this](const SymConstraint& sc) { return symbolicRowKey(sc); });
   builder.tag('P');
   builder.u32(static_cast<std::uint32_t>(params.size()));
   for (const auto& p : params) {
@@ -1104,24 +1153,15 @@ Digest Analyzer::parametricDigest(const std::vector<ParamDecl>& params) const {
 }
 
 std::string Analyzer::exportWorstCaseIlp() const {
-  const BaseProblem base = buildBaseProblem();
-  const Dnf combined = combineUserConstraints();
+  const System& sys = system(nullptr);
   std::string out;
   int index = 0;
-  for (const auto& set : combined) {
-    lp::Problem p = materializeSet(base, set);
-    lp::LinearExpr obj;
-    for (std::size_t v = 0; v < base.worstCoeff.size(); ++v) {
-      if (base.worstCoeff[v] != 0.0) {
-        obj.add(static_cast<int>(v), base.worstCoeff[v]);
-      }
-    }
-    p.setObjective(std::move(obj), lp::Sense::Maximize);
+  for (const auto& set : sys.sets) {
+    lp::Problem p = materializeSet(sys, set);
+    p.setObjective(sys.worstObjective, lp::Sense::Maximize);
     out += "\\ constraint set " + std::to_string(index++) + " of " +
-           std::to_string(combined.size()) + "\n";
-    lp::LpFormatOptions fmt;
-    fmt.header = false;
-    out += lp::toLpFormat(p, fmt);
+           std::to_string(sys.sets.size()) + "\n";
+    out += lp::toLpFormat(p, {.integer = true, .header = false});
   }
   return out;
 }
@@ -1137,16 +1177,8 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         .count();
   };
 
-  BaseProblem base = [&] {
-    obs::Span span(tracer, "build-base-problem", "ipet");
-    return buildBaseProblem();
-  }();
-
-  // Combine all user constraints into one DNF (paper III-D).
-  const Dnf combined = [&] {
-    obs::Span span(tracer, "combine-constraints", "ipet");
-    return combineUserConstraints();
-  }();
+  const System& sys = system(tracer);
+  const Dnf& combined = sys.sets;
 
   estimateSpan.arg("sets", static_cast<int>(combined.size()))
       .arg("cache-mode", std::string(cacheModeStr(options_.cacheMode)))
@@ -1170,7 +1202,9 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
     obs::Span dedupSpan(tracer, "dedup-sets", "ipet");
     std::vector<std::vector<std::string>> keys(combined.size());
     for (std::size_t i = 0; i < combined.size(); ++i) {
-      keys[i] = canonicalSetRows(combined[i]);
+      keys[i] = setRowKeys(combined[i], [this](const SymConstraint& sc) {
+        return concreteRowKey(sc);
+      });
     }
     // Identical sets: the first occurrence is the representative.
     std::map<std::vector<std::string>, int> firstByKey;
@@ -1257,28 +1291,16 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
     };
   }
 
-  auto makeObjective = [](const std::vector<double>& coeff) {
-    lp::LinearExpr obj;
-    for (std::size_t v = 0; v < coeff.size(); ++v) {
-      if (coeff[v] != 0.0) obj.add(static_cast<int>(v), coeff[v]);
-    }
-    return obj;
-  };
-
   // Sound integer rounding for relaxation bounds.  A max-ILP's LP
   // relaxation over-estimates its optimum, so flooring (plus the LP
   // tolerance) keeps the upper bound sound; symmetrically for min.
   constexpr double kRelaxTol = 1e-6;
   constexpr double kInt64Edge = 9.2e18;  // doubles beyond here can't narrow
-  auto soundUpper = [&](double v) {
+  auto soundBound = [&](double v, bool upper) {
     if (v >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
     if (v <= -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
-    return static_cast<std::int64_t>(std::floor(v + kRelaxTol));
-  };
-  auto soundLower = [&](double v) {
-    if (v >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
-    if (v <= -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
-    return static_cast<std::int64_t>(std::ceil(v - kRelaxTol));
+    return static_cast<std::int64_t>(upper ? std::floor(v + kRelaxTol)
+                                           : std::ceil(v - kRelaxTol));
   };
 
   // Structural fallback: the base problem's own LP relaxation.  Every
@@ -1297,15 +1319,14 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
   auto ensureStructural = [&]() -> const Structural& {
     std::call_once(structural.once, [&] {
       obs::Span span(tracer, "structural-fallback", "solve");
-      auto solveOne = [&](const std::vector<double>& coeff, lp::Sense sense,
+      auto solveOne = [&](const lp::LinearExpr& objective, lp::Sense sense,
                           bool* have, std::int64_t* bound) {
         try {
-          lp::Problem p = base.problem;
-          p.setObjective(makeObjective(coeff), sense);
+          lp::Problem p = sys.problem;
+          p.setObjective(objective, sense);
           const lp::Solution sol = lp::solve(p, ilpOptions.lpOptions);
           if (sol.status == lp::SolveStatus::Optimal) {
-            *bound = sense == lp::Sense::Maximize ? soundUpper(sol.objective)
-                                                  : soundLower(sol.objective);
+            *bound = soundBound(sol.objective, sense == lp::Sense::Maximize);
             *have = true;
           }
         } catch (...) {
@@ -1313,9 +1334,9 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
           // that needed it is then marked Failed.
         }
       };
-      solveOne(base.worstCoeff, lp::Sense::Maximize, &structural.haveWorst,
+      solveOne(sys.worstObjective, lp::Sense::Maximize, &structural.haveWorst,
                &structural.worst);
-      solveOne(base.bestCoeff, lp::Sense::Minimize, &structural.haveBest,
+      solveOne(sys.bestObjective, lp::Sense::Minimize, &structural.haveBest,
                &structural.best);
     });
     return structural;
@@ -1358,6 +1379,11 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
     out.issues.push_back(
         {out.record.setIndex, code, phase, std::move(detail)});
   };
+  // Records `bound` as one side's contribution of this set.
+  auto setBound = [](SetOutcome& out, bool worstSide, std::int64_t bound) {
+    (worstSide ? out.haveWorst : out.haveBest) = true;
+    (worstSide ? out.worstBound : out.bestBound) = bound;
+  };
   auto raiseVerdict = [](SetOutcome& out, SetVerdict verdict) {
     if (static_cast<int>(verdict) > static_cast<int>(out.record.verdict)) {
       out.record.verdict = verdict;
@@ -1375,13 +1401,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
     IlpSolveRecord& slot = worstSide ? out.record.worst : out.record.best;
     slot.degraded = true;
     slot.fallbackBound = worstSide ? s.worst : s.best;
-    if (worstSide) {
-      out.haveWorst = true;
-      out.worstBound = s.worst;
-    } else {
-      out.haveBest = true;
-      out.bestBound = s.best;
-    }
+    setBound(out, worstSide, slot.fallbackBound);
   };
 
   auto solveSet = [&](std::size_t index) noexcept {
@@ -1413,7 +1433,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         rec.wallMicros = microsSince(setStart);
         return;
       }
-      lp::Problem p = materializeSet(base, combined[index]);
+      lp::Problem p = materializeSet(sys, combined[index]);
       if (control.maxMemoryBytes > 0) {
         // Backpressure quota: a conservative dense-tableau footprint of
         // this set's ILP, computed before anything is allocated.  Over
@@ -1490,29 +1510,8 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         ilp::IlpOptions setOptions = ilpOptions;
         setOptions.live = &*live;
         ilp::IlpSolution solution = ilp::solve(problem, setOptions);
-        slot->solved = true;
-        slot->feasible = (solution.status == ilp::IlpStatus::Optimal);
-        slot->nodes = solution.stats.nodesExpanded;
-        slot->lpCalls = solution.stats.lpCalls;
-        slot->pivots = solution.stats.totalPivots;
-        slot->firstRelaxationIntegral =
-            solution.stats.firstRelaxationIntegral;
-        slot->checkedPromotions = solution.stats.checkedPromotions;
-        slot->blandRestarts = solution.stats.blandRestarts;
-        slot->devexPivots = solution.stats.devexPivots;
-        slot->presolveRowsRemoved = solution.stats.presolveRowsRemoved;
-        slot->presolveColsFixed = solution.stats.presolveColsFixed;
-        slot->presolveSubstitutions = solution.stats.presolveSubstitutions;
-        slot->presolveRounds = solution.stats.presolveRounds;
+        *slot = ilpSolveRecord(solution);
         slot->wallMicros = microsSince(ilpStart);
-        if (slot->feasible) {
-          // Prefer the checked integer recomputation: the double
-          // objective silently loses precision past 2^53.
-          slot->objective =
-              solution.objectiveIsExact
-                  ? solution.objectiveExact
-                  : static_cast<std::int64_t>(std::llround(solution.objective));
-        }
         ilpSpan.arg("verdict", std::string(ilp::ilpStatusStr(solution.status)))
             .arg("nodes", solution.stats.nodesExpanded)
             .arg("lp-calls", solution.stats.lpCalls)
@@ -1532,19 +1531,12 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
             return;  // provably empty set: nothing to bound, and soundly so
           }
           if (sol.status == lp::SolveStatus::Optimal) {
-            const std::int64_t bound = worstSide ? soundUpper(sol.objective)
-                                                 : soundLower(sol.objective);
+            const std::int64_t bound = soundBound(sol.objective, worstSide);
             IlpSolveRecord& slot = worstSide ? rec.worst : rec.best;
             slot.degraded = true;
             slot.fallbackBound = bound;
             raiseVerdict(out, SetVerdict::Relaxed);
-            if (worstSide) {
-              out.haveWorst = true;
-              out.worstBound = bound;
-            } else {
-              out.haveBest = true;
-              out.bestBound = bound;
-            }
+            setBound(out, worstSide, bound);
             return;
           }
         } catch (...) {
@@ -1597,26 +1589,19 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
                   std::string("integer solve stopped: ") +
                       ilp::ilpStatusStr(solution.status));
         if (solution.haveRelaxationBound) {
-          const std::int64_t bound = worstSide
-                                         ? soundUpper(solution.relaxationBound)
-                                         : soundLower(solution.relaxationBound);
+          const std::int64_t bound =
+              soundBound(solution.relaxationBound, worstSide);
           slot->degraded = true;
           slot->fallbackBound = bound;
           raiseVerdict(out, SetVerdict::Relaxed);
-          if (worstSide) {
-            out.haveWorst = true;
-            out.worstBound = bound;
-          } else {
-            out.haveBest = true;
-            out.bestBound = bound;
-          }
+          setBound(out, worstSide, bound);
         } else {
           applyStructural(out, worstSide);
         }
       };
 
       // Worst case: maximize all-miss costs.
-      p.setObjective(makeObjective(base.worstCoeff), lp::Sense::Maximize);
+      p.setObjective(sys.worstObjective, lp::Sense::Maximize);
       try {
         ilp::IlpSolution worst = runIlp(p, "ilp-worst", &rec.worst);
         if (worst.status == ilp::IlpStatus::Unbounded) {
@@ -1633,7 +1618,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       }
 
       // Best case: minimize all-hit costs.
-      p.setObjective(makeObjective(base.bestCoeff), lp::Sense::Minimize);
+      p.setObjective(sys.bestObjective, lp::Sense::Minimize);
       try {
         ilp::IlpSolution best = runIlp(p, "ilp-best", &rec.best);
         settleSide(best, &rec.best, /*worstSide=*/false, "ilp-best");
@@ -1737,8 +1722,8 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
 
   Estimate result;
   result.stats.constraintSets = static_cast<int>(combined.size());
-  result.stats.cacheFlowVars = base.cacheFlowVars;
-  result.stats.cacheFallbackSets = base.cacheFallbackSets;
+  result.stats.cacheFlowVars = sys.cacheFlowVars;
+  result.stats.cacheFallbackSets = sys.cacheFallbackSets;
   result.timedOut = sawDeadline.load(std::memory_order_relaxed);
   result.setRecords.reserve(outcomes.size());
 
@@ -1779,20 +1764,7 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
         break;
     }
     for (const IlpSolveRecord* ilpRec : {&rec.worst, &rec.best}) {
-      if (!ilpRec->solved) continue;
-      ++result.stats.ilpSolves;
-      result.stats.lpCalls += ilpRec->lpCalls;
-      result.stats.nodesExpanded += ilpRec->nodes;
-      result.stats.totalPivots += ilpRec->pivots;
-      result.stats.checkedPromotions += ilpRec->checkedPromotions;
-      result.stats.blandRestarts += ilpRec->blandRestarts;
-      result.stats.devexPivots += ilpRec->devexPivots;
-      result.stats.presolveRowsRemoved += ilpRec->presolveRowsRemoved;
-      result.stats.presolveColsFixed += ilpRec->presolveColsFixed;
-      result.stats.presolveSubstitutions += ilpRec->presolveSubstitutions;
-      result.stats.presolveRounds += ilpRec->presolveRounds;
-      result.stats.allFirstRelaxationsIntegral &=
-          ilpRec->firstRelaxationIntegral;
+      if (ilpRec->solved) result.stats.addSolve(*ilpRec);
     }
     // The interval must cover every set, so degraded (non-exact) bounds
     // compete with exact ones; only an exact winner has a witness point.

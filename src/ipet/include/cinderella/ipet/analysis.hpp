@@ -11,6 +11,12 @@
 //           -> bound-cache lookup (full digest): hit => answer, no solve
 //           -> estimate() -> admission-gated insert -> result
 //
+// systemDigests() builds the analyzer's ILP system (base problem,
+// objectives, combined DNF, structural digest prefix), and estimate()
+// solves that same system without building it again.  A parametric
+// request does the same with parametricDigest() and every direct solve
+// of the parametric engine.
+//
 // The service accepts three inputs: MiniC source, the name of a built-in
 // Table-I benchmark (resolved through an injected ProgramResolver so
 // this library does not depend on cin_suite), and LP-format constraint

@@ -24,6 +24,8 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -136,7 +138,7 @@ struct SolveControl {
   /// bisection.
   bool presolve = true;
   /// Optional span tracer (see obs/trace.hpp).  When set, estimate()
-  /// emits spans for the base-problem build, the DNF combination, every
+  /// emits spans for the system build (when this call builds it), every
   /// per-set LP probe and worst/best ILP solve (which are also the
   /// thread-pool task lifetimes), and the merge.  Null (the default)
   /// costs nothing and emits nothing.  Tracing never affects the
@@ -154,7 +156,14 @@ struct Interval {
   friend bool operator==(const Interval&, const Interval&) = default;
 };
 
+struct IlpSolveRecord;
+
 struct SolveStats {
+  /// Adds one solved ILP's counters: ilpSolves, lpCalls, nodesExpanded,
+  /// the pivot, promotion, restart and presolve sums, and the
+  /// first-relaxation flag.
+  void addSolve(const IlpSolveRecord& solve);
+
   /// Constraint sets after DNF combination (paper Table I "Sets").
   int constraintSets = 0;
   /// Sets detected as null (infeasible) and pruned before the ILP.
@@ -280,6 +289,11 @@ struct IlpSolveRecord {
   /// Wall-clock µs of this solve (not deterministic).
   std::int64_t wallMicros = 0;
 };
+
+/// The record of one finished ILP solve: `solved`, `feasible`, the
+/// objective and every counter.  wallMicros and the degradation fields
+/// are left for the caller.
+[[nodiscard]] IlpSolveRecord ilpSolveRecord(const ilp::IlpSolution& solution);
 
 /// Per-constraint-set solve record (paper Table I granularity): how the
 /// LP feasibility probe and the two ILPs of set `setIndex` went.
@@ -418,7 +432,10 @@ class Analyzer {
     Digest full;
     Digest structural;
   };
-  [[nodiscard]] SystemDigests systemDigests() const;
+  /// When this call builds the analyzer's system, `tracer` receives
+  /// the build spans.
+  [[nodiscard]] SystemDigests systemDigests(
+      obs::Tracer* tracer = nullptr) const;
 
   // --- Parametric analysis (formula.hpp, parametric.hpp). ---
   /// Binds the symbolic parameter `@name` to a concrete value for
@@ -434,9 +451,10 @@ class Analyzer {
   /// digest extended with the symbolic (unbound) canonical encoding of
   /// every user-constraint row and the declared parameter ranges.  Keys
   /// a cached WcetFormula — equal digests mean the piecewise bound is
-  /// reusable verbatim.  Ignores current bindings.
-  [[nodiscard]] Digest parametricDigest(
-      const std::vector<ParamDecl>& params) const;
+  /// reusable verbatim.  Ignores current bindings.  `tracer` as for
+  /// systemDigests.
+  [[nodiscard]] Digest parametricDigest(const std::vector<ParamDecl>& params,
+                                        obs::Tracer* tracer = nullptr) const;
 
  private:
   struct LoopBoundSite {
@@ -452,50 +470,53 @@ class Analyzer {
   void assignFLabels();
   void resolveLoopBounds();
 
-  /// Base LP problem: variables + structural + loop-bound constraints +
-  /// cache-mode variables.  Objective not set.
-  struct BaseProblem {
+  /// What the digests, the solve and the LP export share.
+  struct System {
+    /// Base LP problem: variables + structural + loop-bound constraints
+    /// + cache-mode variables.  Objective not set.
     lp::Problem problem;
     /// Objective coefficient per variable for the worst (max) case...
     std::vector<double> worstCoeff;
-    /// ...and the best (min) case.
+    /// ...and the best (min) case; and both as ILP objectives.
     std::vector<double> bestCoeff;
+    lp::LinearExpr worstObjective;
+    lp::LinearExpr bestObjective;
     /// ConflictGraph bookkeeping for SolveStats.
     int cacheFlowVars = 0;
     int cacheFallbackSets = 0;
+    /// DNF cross-product of all user constraints (paper III-D).
+    Dnf sets;
+    /// Digest stream after the structural sections (V, B, W, C):
+    /// finish() is the structural digest, and a copy extended with the
+    /// sets is the full or parametric digest.
+    DigestBuilder structural;
   };
-  [[nodiscard]] BaseProblem buildBaseProblem() const;
+  /// Fills the base problem, cost vectors and cache counters of `out`.
+  void buildBaseProblem(System* out) const;
+
+  /// The system of the current constraints and loop bounds, built under
+  /// a lock on first use; `tracer` receives the build spans.
+  [[nodiscard]] const System& system(obs::Tracer* tracer) const;
 
   /// Adds the Section-IV first-iteration split variables/constraints to
   /// `base` (see buildBaseProblem for the scheme).
-  void applyFirstIterationSplit(BaseProblem* base) const;
+  void applyFirstIterationSplit(System* base) const;
 
   /// Replaces the all-miss worst costs with the cache-conflict-graph
   /// formulation (see cacheMode == ConflictGraph).
-  void applyConflictGraphCache(BaseProblem* base) const;
-
-  /// DNF cross-product of all user constraints (paper III-D).
-  [[nodiscard]] Dnf combineUserConstraints() const;
+  void applyConflictGraphCache(System* base) const;
 
   /// base problem + one conjunctive constraint set, resolved to LP rows.
-  [[nodiscard]] lp::Problem materializeSet(const BaseProblem& base,
+  [[nodiscard]] lp::Problem materializeSet(const System& base,
                                            const ConjunctiveSet& set) const;
 
   /// One symbolic user constraint resolved to an LP row.
   [[nodiscard]] lp::Constraint resolveSymConstraint(
       const SymConstraint& sc) const;
 
-  /// Canonical fingerprints of a set's resolved rows: each row
-  /// canonicalized (merged/sorted terms, constant folded into the rhs,
-  /// GreaterEq negated into LessEq) and byte-encoded, the row list
-  /// sorted with duplicates removed.  Identical vectors => identical
-  /// feasible regions; a proper subset => a superset region.  Powers
-  /// constraint-set deduplication and domination pruning.
-  [[nodiscard]] std::vector<std::string> canonicalSetRows(
-      const ConjunctiveSet& set) const;
-
-  /// Shared structural-digest prefix of systemDigests / parametricDigest.
-  void hashStructural(DigestBuilder* builder, const BaseProblem& base) const;
+  /// Canonical key of one symbolic row resolved under the current
+  /// bindings (see canonicalRowKey).
+  [[nodiscard]] std::string concreteRowKey(const SymConstraint& sc) const;
 
   /// Binding-invariant canonical key of one symbolic row: the
   /// parameter-free part canonicalized like a concrete row, plus the rhs
@@ -537,8 +558,14 @@ class Analyzer {
       apiLoopBounds_;
 
   std::vector<Dnf> userConstraints_;
-  /// Current `@name` parameter bindings (see bindParam).
+  /// Current `@name` parameter bindings (see bindParam).  They only
+  /// resolve user rows, so binding never resets the system.
   std::map<std::string, std::int64_t, std::less<>> paramBindings_;
+
+  /// The lazily built system (see system()) and the lock guarding its
+  /// build, held on the heap so the analyzer stays movable.
+  std::unique_ptr<std::mutex> systemMutex_ = std::make_unique<std::mutex>();
+  mutable std::unique_ptr<const System> system_;
 };
 
 }  // namespace cinderella::ipet

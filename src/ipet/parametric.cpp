@@ -45,6 +45,11 @@ class Engine {
         options_(options) {}
 
   ParametricResult run() {
+    // Every exit, a throw included, leaves the analyzer unbound.
+    struct Unbind {
+      Analyzer& analyzer;
+      ~Unbind() { analyzer.clearParamBindings(); }
+    } unbind{analyzer_};
     validate();
     Point lo(params_.size()), hi(params_.size());
     for (std::size_t i = 0; i < params_.size(); ++i) {
@@ -54,7 +59,6 @@ class Engine {
     ParametricResult out;
     out.formula.params = params_;
     cover(lo, hi, &out.formula);
-    analyzer_.clearParamBindings();
     stats_.pieces = static_cast<int>(out.formula.pieces.size());
     out.stats = stats_;
     return out;

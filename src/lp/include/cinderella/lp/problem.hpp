@@ -24,6 +24,10 @@ class LinearExpr {
  public:
   LinearExpr() = default;
 
+  /// sum(coeff[v] * x[v]) over the nonzero entries, in one pass (add()
+  /// searches the terms already present).
+  [[nodiscard]] static LinearExpr fromDense(const std::vector<double>& coeff);
+
   /// Adds `coeff * x[var]`; merges with an existing term for `var`.
   void add(int var, double coeff);
   void addConstant(double value) { constant_ += value; }

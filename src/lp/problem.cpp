@@ -8,6 +8,14 @@
 
 namespace cinderella::lp {
 
+LinearExpr LinearExpr::fromDense(const std::vector<double>& coeff) {
+  LinearExpr expr;
+  for (std::size_t v = 0; v < coeff.size(); ++v) {
+    if (coeff[v] != 0.0) expr.terms_.push_back({static_cast<int>(v), coeff[v]});
+  }
+  return expr;
+}
+
 void LinearExpr::add(int var, double coeff) {
   CIN_REQUIRE(var >= 0);
   for (auto& t : terms_) {

@@ -4,15 +4,21 @@
 // counts.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ipet/analyzer.hpp"
+#include "cinderella/ipet/parametric.hpp"
 #include "cinderella/obs/json.hpp"
 #include "cinderella/obs/metrics.hpp"
 #include "cinderella/obs/report.hpp"
 #include "cinderella/obs/trace.hpp"
 #include "cinderella/suite/suite.hpp"
+#include "cinderella/tools/tool.hpp"
+#include "test_util/temp_path.hpp"
 
 namespace cinderella {
 namespace {
@@ -203,6 +209,80 @@ TEST(ObservedEstimate, SolveTableHasOneRowPerSet) {
   // Header plus one line per constraint set.
   EXPECT_GE(rows, estimate.stats.constraintSets + 1);
   EXPECT_NE(table.find("null"), std::string::npos);  // dhry has pruned sets
+}
+
+// README's parametric example: "@8 <= @N" caps the loop body (line 8).
+constexpr const char* kReadmeLoop =
+    "int acc;\n"
+    "void f() {\n"
+    "  int i;\n"
+    "  i = 0;\n"
+    "  acc = 0;\n"
+    "  while (i < 64) {\n"
+    "    __loopbound(0, 64);\n"
+    "    acc = acc + i;\n"
+    "    i = i + 1;\n"
+    "  }\n"
+    "}\n";
+
+TEST(ObservedEstimate, ParametricSolveBuildsTheSystemOnce) {
+  // Every direct solve of the sweep binds a new N; bindings only
+  // resolve user rows, so the system is built once for all of them.
+  const auto compiled = codegen::compileSource(kReadmeLoop);
+  ipet::Analyzer analyzer(compiled, "f");
+  analyzer.addConstraint("@8 <= @N");
+  obs::Tracer tracer;
+  ipet::SolveControl control;
+  control.tracer = &tracer;
+  const ipet::ParametricResult result =
+      ipet::solveParametric(analyzer, {{"N", 0, 64}}, control);
+  EXPECT_EQ(result.stats.directSolves, 65);
+
+  const auto events = tracer.events();
+  EXPECT_EQ(countEvents(events, "estimate"), result.stats.directSolves);
+  EXPECT_EQ(countEvents(events, "build-base-problem"), 1);
+  EXPECT_EQ(countEvents(events, "combine-constraints"), 1);
+}
+
+int countInTrace(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  EXPECT_EQ(obs::jsonLint(json), "");
+  const std::string quoted = "\"" + name + "\"";
+  int n = 0;
+  for (std::size_t pos = 0; (pos = json.find(quoted, pos)) != std::string::npos;
+       pos += quoted.size()) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ObservedEstimate, TracedCliRunBuildsTheSystemOnce) {
+  // The CLI takes the digest, then solves: one build serves both, in a
+  // concrete run and in a parametric one.
+  const std::string tracePath = test_util::uniqueTempPath("trace.json");
+  tools::ToolOptions concrete;
+  concrete.benchmark = "dhry";
+  concrete.traceOut = tracePath;
+  std::ostringstream out, err;
+  ASSERT_EQ(tools::runTool(concrete, out, err), 0) << err.str();
+  EXPECT_EQ(countInTrace(tracePath, "build-base-problem"), 1);
+  EXPECT_EQ(countInTrace(tracePath, "estimate"), 1);
+
+  const std::string sourcePath = test_util::uniqueTempPath("loop.mc");
+  std::ofstream(sourcePath) << kReadmeLoop;
+  tools::ToolOptions parametric;
+  parametric.sourcePath = sourcePath;
+  parametric.root = "f";
+  parametric.constraints = {"@8 <= @N"};
+  parametric.params = {{"N", 0, 64}};
+  parametric.traceOut = tracePath;
+  ASSERT_EQ(tools::runTool(parametric, out, err), 0) << err.str();
+  EXPECT_EQ(countInTrace(tracePath, "build-base-problem"), 1);
+  std::remove(tracePath.c_str());
+  std::remove(sourcePath.c_str());
 }
 
 }  // namespace

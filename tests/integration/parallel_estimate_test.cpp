@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <string>
+#include <thread>
 
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ilp/branch_and_bound.hpp"
@@ -117,6 +118,26 @@ TEST(ParallelEstimate, DeterministicWithConflictGraphCache) {
   parallel.threads = 8;
   expectIdentical(prep.analyzer.estimate(serial),
                   prep.analyzer.estimate(parallel));
+}
+
+TEST(ParallelEstimate, DigestAndEstimateShareOneFreshSystem) {
+  // Two threads on one fresh analyzer race to build its system: one
+  // takes the digests while the other solves.  Both answer exactly as a
+  // serial run does.
+  Prepared reference("dhry");
+  const ipet::Analyzer::SystemDigests digests =
+      reference.analyzer.systemDigests();
+  const ipet::Estimate expected = reference.analyzer.estimate();
+  for (int round = 0; round < 4; ++round) {
+    Prepared prep("dhry");
+    ipet::Analyzer::SystemDigests raced;
+    std::thread digester([&] { raced = prep.analyzer.systemDigests(); });
+    const ipet::Estimate solved = prep.analyzer.estimate();
+    digester.join();
+    EXPECT_EQ(raced.full, digests.full);
+    EXPECT_EQ(raced.structural, digests.structural);
+    expectIdentical(solved, expected);
+  }
 }
 
 TEST(ParallelEstimate, NoArgShimMatchesExplicitControl) {

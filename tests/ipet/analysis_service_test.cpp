@@ -274,6 +274,45 @@ TEST(AnalysisService, LpInputClosesTheExportLoop) {
   EXPECT_EQ(again.estimate.bound.hi, viaLp.estimate.bound.hi);
 }
 
+TEST(AnalysisService, LpInputHonoursPresolveAndReportsItsCounters) {
+  // des's exported worst-case ILP through the LP route, with presolve on
+  // and off: the switch reaches the solver, and the LP route reports
+  // the counters the MiniC route reports for the same system.
+  const suite::Benchmark& bench = suite::benchmarkByName("des");
+  const auto compiled = codegen::compileSource(bench.source);
+  Analyzer analyzer(compiled, bench.rootFunction);
+  for (const auto& c : bench.constraints) {
+    analyzer.addConstraint(c.text, c.scope);
+  }
+  const Estimate direct = analyzer.estimate();
+  int directRowsRemoved = 0;
+  for (const SetSolveRecord& rec : direct.setRecords) {
+    directRowsRemoved += rec.worst.presolveRowsRemoved;
+  }
+
+  AnalysisService service;
+  AnalysisRequest request;
+  request.lpInput = true;
+  request.source = analyzer.exportWorstCaseIlp();
+  request.cachePolicy = CachePolicy::Bypass;
+  const AnalysisResult presolved = service.analyze(request);
+  request.control.presolve = false;
+  const AnalysisResult unpresolved = service.analyze(request);
+  EXPECT_EQ(presolved.estimate.bound.hi, direct.bound.hi);
+  EXPECT_EQ(unpresolved.estimate.bound.hi, direct.bound.hi);
+  // The export holds the worst-case ILPs only, so the MiniC route's
+  // worst side is the figure to match.
+  EXPECT_GT(directRowsRemoved, 0);
+  EXPECT_EQ(presolved.estimate.stats.presolveRowsRemoved, directRowsRemoved);
+  EXPECT_EQ(unpresolved.estimate.stats.presolveRowsRemoved, 0);
+  EXPECT_GT(unpresolved.estimate.stats.totalPivots, 0);
+  int recordRowsRemoved = 0;
+  for (const SetSolveRecord& rec : presolved.estimate.setRecords) {
+    recordRowsRemoved += rec.worst.presolveRowsRemoved;
+  }
+  EXPECT_EQ(recordRowsRemoved, directRowsRemoved);
+}
+
 TEST(AnalysisService, LpInputRejectsBenchmarkAndConstraints) {
   AnalysisService service;
   AnalysisRequest request;

@@ -533,5 +533,53 @@ TEST(FirstIterSplit, SkipsLoopsLargerThanCache) {
   EXPECT_EQ(plain.estimate().bound.hi, split.estimate().bound.hi);
 }
 
+// ---------------------------------------------------------------------
+// The analyzer builds its ILP system once and shares it between calls;
+// a mutation must rebuild it, so a mutated analyzer answers like a
+// fresh one given the same inputs.
+void expectSameAnswers(const Analyzer& mutated, const Analyzer& fresh) {
+  const Analyzer::SystemDigests a = mutated.systemDigests();
+  const Analyzer::SystemDigests b = fresh.systemDigests();
+  EXPECT_EQ(a.structural, b.structural);
+  EXPECT_EQ(a.full, b.full);
+  const Estimate ea = mutated.estimate();
+  const Estimate eb = fresh.estimate();
+  EXPECT_EQ(ea.bound, eb.bound);
+  EXPECT_EQ(ea.stats.constraintSets, eb.stats.constraintSets);
+  EXPECT_EQ(ea.stats.totalPivots, eb.stats.totalPivots);
+}
+
+TEST(SharedSystem, AddConstraintAfterUseRebuilds) {
+  const auto c = codegen::compileSource(
+      "int q;\nint r;\n"
+      "void f(int p) { if (p) { q = 1; } else { q = 2; } r = q; }");
+  Analyzer mutated(c, "f");
+  const Analyzer::SystemDigests before = mutated.systemDigests();
+  const Estimate unconstrained = mutated.estimate();
+  mutated.addConstraint("x1 = 0");
+
+  Analyzer fresh(c, "f");
+  fresh.addConstraint("x1 = 0");
+  expectSameAnswers(mutated, fresh);
+  EXPECT_NE(mutated.systemDigests().full, before.full);
+  EXPECT_NE(mutated.estimate().bound, unconstrained.bound);
+}
+
+TEST(SharedSystem, SetLoopBoundAfterUseRebuilds) {
+  const auto c = codegen::compileSource(
+      "int f(int x) { while (x > 0) { x = x - 1; } return x; }");
+  Analyzer mutated(c, "f");
+  mutated.setLoopBound("f", 1, 0, 8);
+  const Analyzer::SystemDigests before = mutated.systemDigests();
+  const Estimate wide = mutated.estimate();
+  mutated.setLoopBound("f", 1, 0, 4);
+
+  Analyzer fresh(c, "f");
+  fresh.setLoopBound("f", 1, 0, 4);
+  expectSameAnswers(mutated, fresh);
+  EXPECT_NE(mutated.systemDigests().structural, before.structural);
+  EXPECT_LT(mutated.estimate().bound.hi, wide.bound.hi);
+}
+
 }  // namespace
 }  // namespace cinderella::ipet

@@ -28,6 +28,13 @@ TEST(LinearExpr, DropsZeroTerms) {
   EXPECT_TRUE(e.terms().empty());
 }
 
+TEST(LinearExpr, FromDenseKeepsNonzeroEntriesInOrder) {
+  const LinearExpr e = LinearExpr::fromDense({0.0, 2.5, 0.0, -1.0});
+  const std::vector<Term> expected = {{1, 2.5}, {3, -1.0}};
+  EXPECT_EQ(e.terms(), expected);
+  EXPECT_EQ(e.constant(), 0.0);
+}
+
 TEST(Simplex, SolvesTextbookMaximization) {
   // max 3x + 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18  ->  36 at (2,6).
   Problem p;
