@@ -1458,9 +1458,10 @@ Estimate Analyzer::estimate(const SolveControl& control) const {
       }
 
       // The probe and both root relaxations share one tableau over
-      // these rows: phase 1 answers the probe, phase 2 under the worst
-      // objective gives the worst ILP's root relaxation, and re-priced
-      // under the best objective it continues to the best ILP's root.
+      // these rows: a dual simplex from its slack basis answers the
+      // probe, the primal simplex under the worst objective gives the
+      // worst ILP's root relaxation, and re-priced under the best
+      // objective it continues to the best ILP's root.
       // Branch-and-bound children dive from copies of it, which leave it
       // as it was.  The rows are presolved once for all of these; the
       // span covers the presolve and the tableau build.

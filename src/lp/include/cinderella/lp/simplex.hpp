@@ -1,6 +1,10 @@
-// Two-phase primal simplex solver over a sparse-row tableau, with a
-// presolve/postsolve reduction pass and a live tableau that answers
-// several objectives over the same rows.
+// Simplex LP solver over a sparse-row tableau, with a presolve/postsolve
+// reduction pass and a live tableau that answers several objectives over
+// the same rows.
+//
+// There are no artificial columns: a dual simplex from the slack basis
+// decides feasibility and re-optimizes after each branch-and-bound cut,
+// and the primal simplex optimizes each objective (see tableau.hpp).
 //
 // Sized for IPET workloads: hundreds of variables and constraints.  The
 // default pivot rule is Devex reference-framework pricing, which prices
@@ -20,11 +24,12 @@
 // Live tableau: the analyzer asks three questions of every constraint
 // set — is it feasible, what is its largest worst-case cost, what is its
 // smallest best-case cost.  A LiveTableau answers them on one tableau:
-// phase 1 once, then phase 2 per objective, each continuing from the
-// previous optimal (hence still feasible) basis.  Any phase that cannot
-// finish cleanly falls back to a from-scratch solve, so the answers are
-// those of solve(), as are those of the branch-and-bound children that
-// dive from copies of the tableau, one cut row each (BranchPoint).
+// the dual simplex to feasibility once, then the primal simplex per
+// objective, each continuing from the previous optimal (hence still
+// feasible) basis.  Any step that cannot finish cleanly falls back to a
+// from-scratch solve, so the answers are those of solve(), as are those
+// of the branch-and-bound children that dive from copies of the tableau,
+// one cut row each (BranchPoint).
 #pragma once
 
 #include <memory>
@@ -83,12 +88,12 @@ struct Solution {
   double objective = 0.0;
   /// Value of every original variable (valid when Optimal).
   std::vector<double> values;
-  /// Total simplex iterations across all phases, including those
-  /// wasted on attempts that were abandoned for a from-scratch retry.
+  /// Total simplex iterations, dual and primal, including those wasted
+  /// on attempts that were abandoned for a from-scratch retry.
   int pivots = 0;
   /// True when the configured rule hit maxPivots (or the
   /// degenerate-stall guard, or the feasibility audit failed, or a live
-  /// tableau phase faulted) and the solve was re-run from scratch on a
+  /// tableau step faulted) and the solve was re-run from scratch on a
   /// fresh tableau under a more conservative rule (Dantzig, then
   /// Bland).
   bool blandRestart = false;
@@ -100,8 +105,9 @@ struct Solution {
 };
 
 struct SimplexOptions {
-  /// Hard cap on pivots across both phases of a cold solve, and on each
-  /// phase-2 call of a LiveTableau; exceeded => IterationLimit.
+  /// Hard cap on pivots across the feasibility run and the primal
+  /// simplex of a cold solve, and on each objective and each cut of a
+  /// LiveTableau; exceeded => IterationLimit.
   int maxPivots = 200000;
   /// Pivot-element magnitude below which a column is treated as zero.
   double pivotTol = 1e-9;
@@ -179,12 +185,13 @@ class BranchPoint {
 ///
 /// The rows are presolved once (when options.presolve) and the tableau is
 /// built on the reduced rows, or on the rows as given when presolve is
-/// off or removed nothing.  feasibility() runs phase 1.  Each solve()
-/// prices its problem's objective against the current basis and runs
-/// phase 2 from it, with a full maxPivots budget: the first solve starts
-/// from the phase-1 basis, later ones from the previous optimum.
+/// off or removed nothing.  feasibility() runs the dual simplex from the
+/// slack basis.  Each solve() prices its problem's objective against the
+/// current basis and runs the primal simplex from it, with a full
+/// maxPivots budget: the first solve starts from the feasible basis the
+/// probe found, later ones from the previous optimum.
 ///
-/// A phase that hits IterationLimit, fails the feasibility audit or
+/// A step that hits IterationLimit, fails the feasibility audit or
 /// throws InjectedFaultError retires the tableau, and that call re-solves
 /// from scratch on the shared reduction under Dantzig, then Bland, the
 /// same ladder solve() climbs after its first attempt.  Later calls on a
@@ -201,8 +208,9 @@ class LiveTableau {
   LiveTableau& operator=(const LiveTableau&) = delete;
 
   /// The feasibility probe: Optimal when the rows are feasible,
-  /// Infeasible when they are not (no point is returned).  Runs phase 1
-  /// unless an earlier call has; `pivots` counts this call's pivots.
+  /// Infeasible when they are not (no point is returned).  Runs
+  /// Tableau::feasibility() unless an earlier call has; `pivots` counts
+  /// this call's pivots.
   [[nodiscard]] Solution feasibility();
 
   /// The optimum of `problem`, whose rows must be exactly the rows given
@@ -223,9 +231,9 @@ class LiveTableau {
 
   /// The rows the simplex sees: the reduced rows, or the rows as given.
   [[nodiscard]] const Problem& effective() const;
-  /// Phase 1 with the feasibility audit on the live tableau; on success
-  /// records the verdict.
-  [[nodiscard]] Solution runPhaseOne();
+  /// Tableau::feasibility() with the feasibility audit on the live
+  /// tableau; on success records the verdict.
+  [[nodiscard]] Solution runFeasibility();
 
   SimplexOptions options_;
   const Problem* rows_;
@@ -234,8 +242,9 @@ class LiveTableau {
   PresolveStats presolve_;
   /// Null once retired (or when presolve proved infeasibility).
   std::unique_ptr<Tableau> tableau_;
-  /// Presolve or phase 1 decided feasibility; `infeasible_` holds the
-  /// verdict, and an infeasible verdict answers every later call.
+  /// Presolve or Tableau::feasibility() decided feasibility;
+  /// `infeasible_` holds the verdict, and an infeasible verdict answers
+  /// every later call.
   bool feasibilityKnown_ = false;
   bool infeasible_ = false;
   /// The last solve() ended on the live tableau at an optimum.

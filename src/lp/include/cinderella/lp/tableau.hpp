@@ -1,14 +1,25 @@
-// Sparse-row simplex tableau in standard form: the cold two-phase solve,
-// the phases a LiveTableau (simplex.hpp) runs one at a time on the same
-// rows, and the cut rows a BranchPoint adds on a copy of it.
+// Sparse-row simplex tableau in standard form: the cold solve, the steps
+// a LiveTableau (simplex.hpp) runs one at a time on the same rows, and
+// the cut rows a BranchPoint adds on a copy of it.
+//
+// There are no artificial columns.  Row r owns the slack column
+// numVars + r (original variable v is column v; an appended row takes
+// the next id, so ids stay stable), basic at construction.  A LessEq row
+// is stored as given and a GreaterEq row negated, with any rhs sign; an
+// Equal row's slack is fixed at zero.  One dual simplex loop restores
+// primal feasibility, from the slack basis (feasibility()) and after a
+// cut row (reoptimize()): a row is violated while its basic value is
+// negative, or its basic is a fixed slack away from zero.  A fixed
+// slack that leaves the basis is dropped from the pivot row in that same
+// pivot, so no row ever carries it again and, its reduced cost staying
+// exactly 0, it never re-enters.  The primal simplex (maximize()) then
+// optimizes each objective from the feasible basis.
 //
 // Rows are kept as sorted (column, value) entry lists — IPET constraint
 // matrices are flow matrices with a handful of nonzeros per row, so the
 // dense tableau this replaces spent most of its time streaming zeros.
 // The objective (reduced-cost) row is kept dense: every entering-column
-// scan reads all of it anyway, walking a precomputed ascending list of
-// the columns that exist (a LessEq row has no artificial, an Equal row
-// no slack) rather than every stable id.
+// scan reads all of it anyway.
 //
 // A column index (a CarrierIndex, see carrier_index.hpp) maps each
 // column to the rows carrying a nonzero in it, so a pivot and both
@@ -22,11 +33,6 @@
 // independent of each other and the ratio test's tie-break (smallest
 // basic column) is unique, so visiting the rows in list order gives
 // bit-identical results to a scan over every row.
-//
-// Column ids: original variable v is column v, the slack/surplus of row
-// r is column numVars + 2r, the artificial of row r is column
-// numVars + 2r + 1.  An appended row takes the next two ids, so ids stay
-// stable as the tableau grows.
 #pragma once
 
 #include <vector>
@@ -41,25 +47,23 @@ class Tableau {
  public:
   Tableau(const Problem& problem, const SimplexOptions& options);
 
-  /// Cold two-phase solve: phaseOne(), then phaseTwo() when the rows
-  /// are feasible, all within one maxPivots budget.
+  /// Cold solve: feasibility(), then maximize() when the rows are
+  /// feasible, all within one maxPivots budget.
   [[nodiscard]] Solution run(const std::vector<double>& objective,
                              double constant);
 
-  /// Phase 1: drives the artificials to zero (when any exist) and pivots
-  /// them out of the basis.  Optimal when the rows are feasible,
-  /// Infeasible when they are not, IterationLimit when the pivot budget
-  /// ran out or the stall guard tripped.
-  [[nodiscard]] SolveStatus phaseOne();
+  /// The dual simplex from the slack basis under min sum(x), which is
+  /// dual feasible there.  Optimal when the rows are feasible, Infeasible
+  /// when a violated row has no entry to pivot on (a verdict that rests
+  /// on pivotTol), IterationLimit when the budget or stall guard ran out.
+  [[nodiscard]] SolveStatus feasibility();
 
-  /// Phase 2 from the current basis, which must be primal feasible (after
-  /// phaseOne() returned Optimal, or after an earlier phaseTwo()):
-  /// prices `objective` (dense over the original variables,
-  /// maximization) against the basis and optimizes it, plus `constant`.
-  /// A claimed optimum that fails primalFeasibleAtTol() reports
-  /// IterationLimit.  `pivots` and `devexPivots` of the result count
-  /// from the tableau's construction.
-  [[nodiscard]] Solution phaseTwo(const std::vector<double>& objective,
+  /// The primal simplex from the current, primal feasible basis: prices
+  /// `objective` (dense over the original variables) and maximizes it,
+  /// plus `constant`.  A claimed optimum that fails primalFeasibleAtTol()
+  /// reports IterationLimit.  `pivots` and `devexPivots` of the result
+  /// count from the tableau's construction.
+  [[nodiscard]] Solution maximize(const std::vector<double>& objective,
                                   double constant);
 
   /// Grants a full maxPivots budget from the current pivot count on.
@@ -71,18 +75,17 @@ class Tableau {
   /// clears them all.  The new rhs may be negative.
   void appendLessEqRow(const std::vector<Term>& terms, double rhs);
 
-  /// After appendLessEqRow() on an optimal basis: the dual simplex
-  /// restores primal feasibility, then phase 2 finishes as in
-  /// phaseTwo() under the current objective row.  Infeasible when a
-  /// violated row has no entry to pivot on, a verdict that rests on
-  /// pivotTol.
+  /// After appendLessEqRow() on an optimal basis: the dual simplex under
+  /// the current objective row, then the primal simplex as in
+  /// maximize().  Infeasible as in feasibility().
   [[nodiscard]] Solution reoptimize(double constant);
 
   /// Audit after a claimed-Optimal phase: true when every basic value is
-  /// nonnegative within a scale-aware tolerance.  Accumulated pivot
-  /// drift can push a row's rhs genuinely negative (an ignored
-  /// constraint); callers treat a failed audit as IterationLimit and
-  /// re-solve on a fresh tableau under a more conservative rule.
+  /// nonnegative, and every basic fixed slack zero, within a scale-aware
+  /// tolerance.  Accumulated pivot drift can push a row's rhs genuinely
+  /// negative (an ignored constraint); callers treat a failed audit as
+  /// IterationLimit and re-solve on a fresh tableau under a more
+  /// conservative rule.
   [[nodiscard]] bool primalFeasibleAtTol() const;
 
   /// Simplex iterations so far, and those chosen by Devex pricing.
@@ -96,16 +99,13 @@ class Tableau {
 
  private:
   /// Test-only access to pivot() and the column index, and to the
-  /// budget and right-hand sides a LiveTableau test forces failures with.
+  /// budget, stall limit and right-hand sides a LiveTableau test forces
+  /// failures with.
   friend struct TableauInspector;
   friend struct LiveTableauInspector;
 
-  /// Column ids of a row's slack/surplus and artificial.
   [[nodiscard]] static int slackColumn(int numVars, int row) {
-    return numVars + 2 * row;
-  }
-  [[nodiscard]] static int artificialColumn(int numVars, int row) {
-    return numVars + 2 * row + 1;
+    return numVars + row;
   }
 
   struct Entry {
@@ -114,9 +114,6 @@ class Tableau {
   };
   using SparseRow = std::vector<Entry>;
 
-  [[nodiscard]] bool isArtificialColumn(int col) const {
-    return col >= numOriginal_ && ((col - numOriginal_) % 2) == 1;
-  }
   [[nodiscard]] static double rowCoeff(const SparseRow& row, int col);
   static void setRowCoeff(SparseRow* row, int col, double val);
   /// rows_[dstRow] -= factor * src, eliminating `eliminateCol` exactly
@@ -139,27 +136,36 @@ class Tableau {
   void pivot(int row, int col);
   /// pivot() with carriers_ already gathered for `col`.
   void pivotGathered(int row, int col);
-  /// Installs the objective row for `coeff(col)` and prices out the
+  /// Installs the objective row for `objective` (dense over the original
+  /// columns, maximization; slacks cost nothing) and prices out the
   /// current basis so reduced costs are consistent.
-  template <typename CoeffFn>
-  void setObjectiveRow(CoeffFn coeff);
+  void setObjectiveRow(const std::vector<double>& objective);
   [[nodiscard]] double objectiveValue() const { return objRhs_; }
 
-  [[nodiscard]] SolveStatus optimize(bool allowArtificialEntering);
-  /// optimize() under the installed objective row, the feasibility
-  /// audit, and the point and objective (plus `constant`) on success.
-  [[nodiscard]] Solution finishPhaseTwo(double constant);
+  /// The primal and the dual simplex under the installed objective row;
+  /// the dual one needs nonnegative reduced costs.
+  [[nodiscard]] SolveStatus optimize();
+  [[nodiscard]] SolveStatus dualSimplex();
+  /// optimize(), the feasibility audit, and the point and objective
+  /// (plus `constant`) on success.
+  [[nodiscard]] Solution finishPrimal(double constant);
   /// A result carrying only `status` and the pivot counts.
   [[nodiscard]] Solution stopped(SolveStatus status) const;
-  /// Pivots every artificial still basic after phase 1 out on its row's
-  /// smallest-index real column; a row with no real entry is redundant
-  /// and keeps its artificial at level zero.
-  void evictArtificials();
   void fillSolutionValues(Solution* solution) const;
 
   SimplexOptions opt_;
   PivotRule rule_ = PivotRule::Dantzig;
   int pivotBudget_ = 0;
+  /// Anti-stalling guard of both loops.  IPET tableaus are massively
+  /// degenerate (every flow row is an equality threaded through x0 = 1),
+  /// and a loop can orbit a degenerate vertex for the whole budget while
+  /// numeric drift accumulates.  After this many pivots without the
+  /// objective improving by more than tol (max(500, m) at construction;
+  /// every wasted pivot is paid in full, so it errs low) a loop reports
+  /// IterationLimit, and the solver re-solves from scratch under the
+  /// next rule of its retry ladder.  Bland's rule cannot cycle and is
+  /// exempt.
+  int stallLimit_ = 0;
   int numOriginal_ = 0;
   int m_ = 0;
   int numCols_ = 0;
@@ -167,11 +173,8 @@ class Tableau {
   std::vector<double> rhs_;
   std::vector<double> obj_;
   double objRhs_ = 0.0;
-  /// Which stable column ids actually exist in this tableau (a LessEq
-  /// row has no artificial, an Equal row has no slack).
-  std::vector<unsigned char> colExists_;
-  /// The existing column ids, ascending (the pricing scan order).
-  std::vector<int> existingCols_;
+  /// Per column: the slack of an Equal row, fixed at zero.
+  std::vector<unsigned char> fixed_;
   /// Column -> rows carrying an entry in it.
   CarrierIndex colIndex_;
   /// Pool size past which the next pivot rebuilds the index.

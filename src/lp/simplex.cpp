@@ -240,10 +240,10 @@ const Problem& LiveTableau::effective() const {
   return reduction_ != nullptr ? reduction_->reduced() : *rows_;
 }
 
-Solution LiveTableau::runPhaseOne() {
+Solution LiveTableau::runFeasibility() {
   const Solution solution = runLive(tableau_, [&] {
     Solution phase;
-    phase.status = tableau_->phaseOne();
+    phase.status = tableau_->feasibility();
     if (phase.status == SolveStatus::Optimal &&
         !tableau_->primalFeasibleAtTol()) {
       phase.status = SolveStatus::IterationLimit;
@@ -272,7 +272,7 @@ Solution LiveTableau::feasibility() {
     if (tableau_ == nullptr) {
       solution = solveCold(effective(), zero, options_);
     } else {
-      solution = runPhaseOne();
+      solution = runFeasibility();
       if (tableau_ == nullptr) {
         solution = retryFromScratch(effective(), zero, options_,
                                     std::move(solution));
@@ -299,18 +299,18 @@ Solution LiveTableau::solve(const Problem& problem) {
       // Retired by an earlier call: a plain cold solve.
       solution = solveCold(effective(), objective, options_);
     } else {
-      if (!feasibilityKnown_) solution = runPhaseOne();
+      if (!feasibilityKnown_) solution = runFeasibility();
       if (tableau_ != nullptr && infeasible_) {
         solution.status = SolveStatus::Infeasible;
       } else if (tableau_ != nullptr) {
-        const int phaseOnePivots = solution.pivots;
-        const int phaseOneDevex = solution.devexPivots;
+        const int probePivots = solution.pivots;
+        const int probeDevex = solution.devexPivots;
         tableau_->resetPivotBudget();
         solution = runLive(tableau_, [&] {
-          return tableau_->phaseTwo(objective.coeffs, objective.constant);
+          return tableau_->maximize(objective.coeffs, objective.constant);
         });
-        solution.pivots += phaseOnePivots;
-        solution.devexPivots += phaseOneDevex;
+        solution.pivots += probePivots;
+        solution.devexPivots += probeDevex;
         atOptimum_ = solution.status == SolveStatus::Optimal;
       }
       if (tableau_ == nullptr) {

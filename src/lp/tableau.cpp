@@ -16,6 +16,21 @@ namespace {
 /// can never have been a pivot candidate.
 constexpr double kDropTol = 1e-12;
 
+/// Pivots since the objective last improved by more than `tol`.
+struct Progress {
+  double best = 0.0;
+  double tol = 0.0;
+  int stalled = 0;
+  void note(double objective) {
+    if (objective > best + tol) {
+      best = objective;
+      stalled = 0;
+    } else {
+      ++stalled;
+    }
+  }
+};
+
 }  // namespace
 
 double Tableau::rowCoeff(const SparseRow& row, int col) {
@@ -95,30 +110,18 @@ Tableau::Tableau(const Problem& p, const SimplexOptions& opt)
       numOriginal_(p.numVars()) {
   const auto& cons = p.constraints();
   m_ = static_cast<int>(cons.size());
-  numCols_ = numOriginal_ + 2 * m_;
+  numCols_ = numOriginal_ + m_;
+  stallLimit_ = std::max(500, m_);
 
   rows_.resize(static_cast<std::size_t>(m_));
   rhs_.assign(static_cast<std::size_t>(m_), 0.0);
   obj_.assign(static_cast<std::size_t>(numCols_), 0.0);
-  colExists_.assign(static_cast<std::size_t>(numCols_), 0);
+  fixed_.assign(static_cast<std::size_t>(numCols_), 0);
   basis_.assign(static_cast<std::size_t>(m_), -1);
-  for (int v = 0; v < numOriginal_; ++v) {
-    colExists_[static_cast<std::size_t>(v)] = 1;
-  }
 
   for (int i = 0; i < m_; ++i) {
     const Constraint& c = cons[static_cast<std::size_t>(i)];
-    double sign = 1.0;
-    Relation rel = c.rel;
-    if (c.rhs < 0) {
-      sign = -1.0;
-      if (rel == Relation::LessEq) {
-        rel = Relation::GreaterEq;
-      } else if (rel == Relation::GreaterEq) {
-        rel = Relation::LessEq;
-      }
-    }
-
+    const double sign = c.rel == Relation::GreaterEq ? -1.0 : 1.0;
     SparseRow& row = rows_[static_cast<std::size_t>(i)];
     for (const auto& t : c.expr.terms()) {
       setRowCoeff(&row, t.var, sign * t.coeff);
@@ -126,26 +129,9 @@ Tableau::Tableau(const Problem& p, const SimplexOptions& opt)
     rhs_[static_cast<std::size_t>(i)] = sign * c.rhs;
 
     const int slack = slackColumn(numOriginal_, i);
-    const int artificial = artificialColumn(numOriginal_, i);
-    if (rel == Relation::LessEq) {
-      setRowCoeff(&row, slack, 1.0);
-      colExists_[static_cast<std::size_t>(slack)] = 1;
-      basis_[static_cast<std::size_t>(i)] = slack;
-    } else if (rel == Relation::GreaterEq) {
-      setRowCoeff(&row, slack, -1.0);
-      colExists_[static_cast<std::size_t>(slack)] = 1;
-      setRowCoeff(&row, artificial, 1.0);
-      colExists_[static_cast<std::size_t>(artificial)] = 1;
-      basis_[static_cast<std::size_t>(i)] = artificial;
-    } else {
-      setRowCoeff(&row, artificial, 1.0);
-      colExists_[static_cast<std::size_t>(artificial)] = 1;
-      basis_[static_cast<std::size_t>(i)] = artificial;
-    }
-  }
-
-  for (int j = 0; j < numCols_; ++j) {
-    if (colExists_[static_cast<std::size_t>(j)]) existingCols_.push_back(j);
+    setRowCoeff(&row, slack, 1.0);
+    fixed_[static_cast<std::size_t>(slack)] = c.rel == Relation::Equal;
+    basis_[static_cast<std::size_t>(i)] = slack;
   }
   rebuildColumnIndex();
 }
@@ -188,6 +174,13 @@ void Tableau::pivotGathered(int row, int col) {
     }
   }
   SparseRow& pr = rows_[static_cast<std::size_t>(row)];
+  const int leaving = basis_[static_cast<std::size_t>(row)];
+  if (leaving != col && fixed_[static_cast<std::size_t>(leaving)]) {
+    // The basic column is a unit column of this row, and a fixed slack
+    // leaves at zero for good: dropping its entry here removes it from
+    // the tableau before any row combination can carry it.
+    setRowCoeff(&pr, leaving, 0.0);
+  }
   const double p = rowCoeff(pr, col);
   CIN_REQUIRE(std::abs(p) > opt_.pivotTol);
   const double inv = 1.0 / p;
@@ -217,16 +210,17 @@ void Tableau::pivotGathered(int row, int col) {
   if (colIndex_.pooledLinks() > compactAt_) rebuildColumnIndex();
 }
 
-template <typename CoeffFn>
-void Tableau::setObjectiveRow(CoeffFn coeff) {
+void Tableau::setObjectiveRow(const std::vector<double>& objective) {
   std::fill(obj_.begin(), obj_.end(), 0.0);
   objRhs_ = 0.0;
-  for (const int j : existingCols_) {
-    obj_[static_cast<std::size_t>(j)] = -coeff(j);
+  for (int j = 0; j < numOriginal_; ++j) {
+    obj_[static_cast<std::size_t>(j)] =
+        -objective[static_cast<std::size_t>(j)];
   }
   for (int i = 0; i < m_; ++i) {
     const int b = basis_[static_cast<std::size_t>(i)];
-    const double c = coeff(b);
+    if (b >= numOriginal_) continue;
+    const double c = objective[static_cast<std::size_t>(b)];
     if (c == 0.0) continue;
     for (const Entry& e : rows_[static_cast<std::size_t>(i)]) {
       obj_[static_cast<std::size_t>(e.col)] += c * e.val;
@@ -235,7 +229,7 @@ void Tableau::setObjectiveRow(CoeffFn coeff) {
   }
 }
 
-SolveStatus Tableau::optimize(bool allowArtificialEntering) {
+SolveStatus Tableau::optimize() {
   // Fresh Devex reference framework per optimize() call: every weight
   // starts at 1 (so the first pick is plain Dantzig) and grows with the
   // pivot-row update below, steering later picks away from columns that
@@ -243,20 +237,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
   if (rule_ == PivotRule::Devex) {
     devexWeights_.assign(static_cast<std::size_t>(numCols_), 1.0);
   }
-  // Anti-stalling guard: IPET tableaus are massively degenerate (every
-  // flow row is an equality threaded through x0 = 1), and Devex/Dantzig
-  // can orbit a degenerate vertex for the whole pivot budget making
-  // zero- or epsilon-length steps while numeric drift accumulates.
-  // Track the objective: a run of pivots with no measurable improvement
-  // longer than any plausible honest degenerate stretch reports
-  // IterationLimit immediately instead of burning the budget first, and
-  // the solver re-solves on a fresh tableau under the next rule of its
-  // retry ladder.  The limit scales with m so big tableaus get
-  // proportionally more slack; every wasted stall pivot is paid at full
-  // tableau-update cost, so the limit errs low.
-  const int stallLimit = std::max(500, m_);
-  int pivotsSinceProgress = 0;
-  double lastObjective = objectiveValue();
+  Progress progress{objectiveValue(), opt_.tol};
   while (true) {
     if (pivots_ >= pivotBudget_) return SolveStatus::IterationLimit;
     // Entering column per the configured rule.  Devex: largest
@@ -266,8 +247,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
     int enter = -1;
     if (rule_ == PivotRule::Devex) {
       double bestScore = 0.0;
-      for (const int j : existingCols_) {
-        if (!allowArtificialEntering && isArtificialColumn(j)) continue;
+      for (int j = 0; j < numCols_; ++j) {
         const double rc = obj_[static_cast<std::size_t>(j)];
         if (rc >= -opt_.tol) continue;
         const double score =
@@ -279,8 +259,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
       }
     } else if (rule_ == PivotRule::Dantzig) {
       double best = -opt_.tol;
-      for (const int j : existingCols_) {
-        if (!allowArtificialEntering && isArtificialColumn(j)) continue;
+      for (int j = 0; j < numCols_; ++j) {
         const double rc = obj_[static_cast<std::size_t>(j)];
         if (rc < best) {
           best = rc;
@@ -288,8 +267,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
         }
       }
     } else {
-      for (const int j : existingCols_) {
-        if (!allowArtificialEntering && isArtificialColumn(j)) continue;
+      for (int j = 0; j < numCols_; ++j) {
         if (obj_[static_cast<std::size_t>(j)] < -opt_.tol) {
           enter = j;
           break;
@@ -329,11 +307,9 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
         leave = c.row;
       }
     }
-    if (pivotsSinceProgress >= stallLimit && rule_ != PivotRule::Bland) {
-      // Stalled.  Do NOT continue from this basis — epsilon-step pivots
-      // through near-singular elements have been eroding it numerically
-      // the whole time — report IterationLimit so the solver rebuilds a
-      // fresh tableau under the next rule of its retry ladder.
+    if (progress.stalled >= stallLimit_ && rule_ != PivotRule::Bland) {
+      // Do NOT continue from this basis: epsilon-step pivots through
+      // near-singular elements have been eroding it numerically.
       return SolveStatus::IterationLimit;
     }
     const double gammaQ =
@@ -342,15 +318,7 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
             : 0.0;
     pivotGathered(leave, enter);
     ++pivots_;
-    if (rule_ != PivotRule::Bland) {
-      const double objectiveNow = objectiveValue();
-      if (objectiveNow > lastObjective + opt_.tol) {
-        lastObjective = objectiveNow;
-        pivotsSinceProgress = 0;
-      } else {
-        ++pivotsSinceProgress;
-      }
-    }
+    progress.note(objectiveValue());
     if (rule_ == PivotRule::Devex) {
       ++devexPivots_;
       // Reference-framework update from the pivot row.  pivot() scaled
@@ -379,56 +347,93 @@ SolveStatus Tableau::optimize(bool allowArtificialEntering) {
   }
 }
 
-void Tableau::evictArtificials() {
-  for (int i = 0; i < m_; ++i) {
-    const int b = basis_[static_cast<std::size_t>(i)];
-    if (!isArtificialColumn(b)) continue;
-    // Entries are sorted, so this picks the smallest-index real column.
-    int enter = -1;
-    for (const Entry& e : rows_[static_cast<std::size_t>(i)]) {
-      if (isArtificialColumn(e.col)) continue;
-      if (std::abs(e.val) > opt_.pivotTol) {
-        enter = e.col;
-        break;
+SolveStatus Tableau::dualSimplex() {
+  // The objective only falls here, so progress is tracked on minus it.
+  Progress progress{-objectiveValue(), opt_.tol};
+  while (true) {
+    if (pivots_ >= pivotBudget_) return SolveStatus::IterationLimit;
+    // Leaving row: a negative basic value, or a fixed slack away from
+    // zero on either side.  The most violated row (ties: smallest row);
+    // under Bland the violated row with the smallest basic column, the
+    // dual form of its anti-cycling rule.
+    int leave = -1;
+    double worst = opt_.tol;
+    for (int i = 0; i < m_; ++i) {
+      const int b = basis_[static_cast<std::size_t>(i)];
+      const double r = rhs_[static_cast<std::size_t>(i)];
+      const double violation =
+          fixed_[static_cast<std::size_t>(b)] ? std::abs(r) : -r;
+      if (violation <= opt_.tol) continue;
+      if (rule_ == PivotRule::Bland) {
+        if (leave < 0 || b < basis_[static_cast<std::size_t>(leave)]) {
+          leave = i;
+        }
+      } else if (violation > worst) {
+        worst = violation;
+        leave = i;
       }
     }
-    if (enter >= 0) {
-      pivot(i, enter);
-      ++pivots_;
+    if (leave < 0) return SolveStatus::Optimal;
+    // Entering column: minimum dual ratio rc_j / |a_rj| over the entries
+    // that move the basic value toward feasibility (ties: smallest
+    // column).  None means no point with every column nonnegative
+    // satisfies the row.
+    const int leaving = basis_[static_cast<std::size_t>(leave)];
+    const double toward =
+        rhs_[static_cast<std::size_t>(leave)] < 0 ? -1.0 : 1.0;
+    int enter = -1;
+    double bestRatio = std::numeric_limits<double>::infinity();
+    for (const Entry& e : rows_[static_cast<std::size_t>(leave)]) {
+      const double a = toward * e.val;
+      if (a <= opt_.pivotTol || e.col == leaving) continue;
+      const double ratio = obj_[static_cast<std::size_t>(e.col)] / a;
+      if (ratio < bestRatio - opt_.tol) {
+        bestRatio = ratio;
+        enter = e.col;
+      }
     }
+    if (enter < 0) return SolveStatus::Infeasible;
+    if (progress.stalled >= stallLimit_ && rule_ != PivotRule::Bland) {
+      return SolveStatus::IterationLimit;
+    }
+    pivot(leave, enter);
+    ++pivots_;
+    progress.note(-objectiveValue());
   }
 }
 
-SolveStatus Tableau::phaseOne() {
-  bool anyArtificial = false;
-  for (int i = 0; i < m_ && !anyArtificial; ++i) {
-    anyArtificial = colExists_[static_cast<std::size_t>(
-        artificialColumn(numOriginal_, i))] != 0;
+SolveStatus Tableau::feasibility() {
+  // min sum(x): every reduced cost at the slack basis is 1 or 0.
+  setObjectiveRow(
+      std::vector<double>(static_cast<std::size_t>(numOriginal_), -1.0));
+  const SolveStatus status = dualSimplex();
+  if (status != SolveStatus::Optimal) return status;
+  // A fixed slack still basic sits at zero, but a primal pivot with a
+  // negative entry in its row would move it.  Pivot it out on the row's
+  // smallest-index nonzero entry (entries are sorted); a row with none
+  // is redundant and keeps it.
+  for (int i = 0; i < m_; ++i) {
+    const int b = basis_[static_cast<std::size_t>(i)];
+    if (!fixed_[static_cast<std::size_t>(b)]) continue;
+    const SparseRow& row = rows_[static_cast<std::size_t>(i)];
+    const auto it = std::find_if(row.begin(), row.end(), [&](const Entry& e) {
+      return e.col != b && std::abs(e.val) > opt_.pivotTol;
+    });
+    if (it == row.end()) continue;
+    pivot(i, it->col);
+    ++pivots_;
   }
-  if (!anyArtificial) return SolveStatus::Optimal;
-  // Maximize -(sum of artificials).
-  setObjectiveRow([&](int col) {
-    return isArtificialColumn(col) ? -1.0 : 0.0;
-  });
-  const SolveStatus st = optimize(/*allowArtificialEntering=*/true);
-  if (st == SolveStatus::IterationLimit) return st;
-  CIN_REQUIRE(st != SolveStatus::Unbounded);  // phase-1 obj is <= 0
-  if (objectiveValue() < -opt_.tol) return SolveStatus::Infeasible;
-  evictArtificials();
   return SolveStatus::Optimal;
 }
 
-Solution Tableau::phaseTwo(const std::vector<double>& objective,
+Solution Tableau::maximize(const std::vector<double>& objective,
                            double constant) {
-  setObjectiveRow([&](int col) {
-    return (col < numOriginal_) ? objective[static_cast<std::size_t>(col)]
-                                : 0.0;
-  });
-  return finishPhaseTwo(constant);
+  setObjectiveRow(objective);
+  return finishPrimal(constant);
 }
 
-Solution Tableau::finishPhaseTwo(double constant) {
-  const SolveStatus status = optimize(/*allowArtificialEntering=*/false);
+Solution Tableau::finishPrimal(double constant) {
+  const SolveStatus status = optimize();
   if (status != SolveStatus::Optimal) return stopped(status);
   if (!primalFeasibleAtTol()) {
     // The "optimum" sits outside the feasible region: pivot drift ate a
@@ -452,9 +457,9 @@ Solution Tableau::stopped(SolveStatus status) const {
 }
 
 Solution Tableau::run(const std::vector<double>& objective, double constant) {
-  const SolveStatus st = phaseOne();
+  const SolveStatus st = feasibility();
   if (st != SolveStatus::Optimal) return stopped(st);
-  return phaseTwo(objective, constant);
+  return maximize(objective, constant);
 }
 
 void Tableau::resetPivotBudget() { pivotBudget_ = pivots_ + opt_.maxPivots; }
@@ -462,11 +467,9 @@ void Tableau::resetPivotBudget() { pivotBudget_ = pivots_ + opt_.maxPivots; }
 void Tableau::appendLessEqRow(const std::vector<Term>& terms, double rhs) {
   const int row = m_++;
   const int slack = slackColumn(numOriginal_, row);
-  numCols_ += 2;
+  numCols_ = slack + 1;
   obj_.resize(static_cast<std::size_t>(numCols_), 0.0);
-  colExists_.resize(static_cast<std::size_t>(numCols_), 0);
-  colExists_[static_cast<std::size_t>(slack)] = 1;
-  existingCols_.push_back(slack);
+  fixed_.resize(static_cast<std::size_t>(numCols_), 0);
   colIndex_.grow(numCols_, m_);
 
   SparseRow cut;
@@ -494,42 +497,9 @@ void Tableau::appendLessEqRow(const std::vector<Term>& terms, double rhs) {
 }
 
 Solution Tableau::reoptimize(double constant) {
-  // Dual simplex.  One cut rarely needs more than a few pivots; a dive
-  // past optimize()'s stall limit is treated as stalled.
-  const int pivotLimit = std::min(pivotBudget_, pivots_ + std::max(500, m_));
-  while (true) {
-    if (pivots_ >= pivotLimit) return stopped(SolveStatus::IterationLimit);
-    // Leaving row: most negative rhs (ties: smallest row); smallest
-    // violated row under Bland.
-    int leave = -1;
-    double mostNegative = -opt_.tol;
-    for (int i = 0; i < m_; ++i) {
-      const double r = rhs_[static_cast<std::size_t>(i)];
-      if (r < mostNegative) {
-        mostNegative = r;
-        leave = i;
-        if (rule_ == PivotRule::Bland) break;
-      }
-    }
-    if (leave < 0) return finishPhaseTwo(constant);
-    // Entering column: minimum dual ratio rc_j / -a_rj over columns with
-    // a negative entry in the leaving row (ties: smallest column).  None
-    // means no point with every real column nonnegative satisfies the
-    // row (artificials are zero in any point of the rows).
-    int enter = -1;
-    double bestRatio = std::numeric_limits<double>::infinity();
-    for (const Entry& e : rows_[static_cast<std::size_t>(leave)]) {
-      if (e.val >= -opt_.pivotTol || isArtificialColumn(e.col)) continue;
-      const double ratio = obj_[static_cast<std::size_t>(e.col)] / -e.val;
-      if (ratio < bestRatio - opt_.tol) {
-        bestRatio = ratio;
-        enter = e.col;
-      }
-    }
-    if (enter < 0) return stopped(SolveStatus::Infeasible);
-    pivot(leave, enter);
-    ++pivots_;
-  }
+  const SolveStatus status = dualSimplex();
+  if (status != SolveStatus::Optimal) return stopped(status);
+  return finishPrimal(constant);
 }
 
 bool Tableau::primalFeasibleAtTol() const {
@@ -539,7 +509,10 @@ bool Tableau::primalFeasibleAtTol() const {
   }
   const double limit = -1e-6 * scale;
   for (int i = 0; i < m_; ++i) {
-    if (rhs_[static_cast<std::size_t>(i)] < limit) return false;
+    const double r = rhs_[static_cast<std::size_t>(i)];
+    const bool fixed =
+        fixed_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
+    if (r < limit || (fixed && r > -limit)) return false;
   }
   return true;
 }

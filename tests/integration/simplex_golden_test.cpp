@@ -207,214 +207,214 @@ Hashes fuzzHashes(HashFn hashOne) {
 constexpr Golden kSuiteSolves[] = {
     {"check_data/all-miss", 0xdd309de67f6943fbULL},
     {"check_data/first-iteration-split", 0x64001a7d64e6b511ULL},
-    {"check_data/conflict-graph", 0xb6757bb167c77c61ULL},
+    {"check_data/conflict-graph", 0x02aace96412c035dULL},
     {"fft/all-miss", 0x0df3c70882f6ad23ULL},
     {"fft/first-iteration-split", 0x023349ca278d807bULL},
-    {"fft/conflict-graph", 0xdf5a24f00a3a18fdULL},
-    {"piksrt/all-miss", 0xd18e90600ba562c7ULL},
-    {"piksrt/first-iteration-split", 0x33691f05543e3794ULL},
-    {"piksrt/conflict-graph", 0xdd14d31184318bb6ULL},
+    {"fft/conflict-graph", 0xb6f5278f17976131ULL},
+    {"piksrt/all-miss", 0x44a1a23aadb05a83ULL},
+    {"piksrt/first-iteration-split", 0xafe906a9ebda0a78ULL},
+    {"piksrt/conflict-graph", 0xb5bbc09331d01e16ULL},
     {"des/all-miss", 0x2a15883aac1b48eeULL},
     {"des/first-iteration-split", 0xc96c7860dad18796ULL},
-    {"des/conflict-graph", 0x3d3d7788613df6faULL},
-    {"line/all-miss", 0x3382167bd3bd652fULL},
-    {"line/first-iteration-split", 0xdf3a5c797fb29b69ULL},
-    {"line/conflict-graph", 0x17625c47a00c6e1eULL},
-    {"circle/all-miss", 0x2e345ba9f1e4ffabULL},
-    {"circle/first-iteration-split", 0x1523caaac8a16c32ULL},
-    {"circle/conflict-graph", 0x967e60e2083846f6ULL},
+    {"des/conflict-graph", 0x2976e7477b66cbf3ULL},
+    {"line/all-miss", 0x5611b9bd8874a79eULL},
+    {"line/first-iteration-split", 0xab29d2823a57a7c4ULL},
+    {"line/conflict-graph", 0x359fdd9269e0fdb2ULL},
+    {"circle/all-miss", 0x0c769e0caacd9febULL},
+    {"circle/first-iteration-split", 0xe9e631586ff80726ULL},
+    {"circle/conflict-graph", 0x593e159ebeab6ecaULL},
     {"jpeg_fdct_islow/all-miss", 0x7a6296d7cc4c1a0aULL},
     {"jpeg_fdct_islow/first-iteration-split", 0x7a6296d7cc4c1a0aULL},
-    {"jpeg_fdct_islow/conflict-graph", 0x3b063e41df5d1836ULL},
-    {"jpeg_idct_islow/all-miss", 0x10cc9f6badb51d52ULL},
-    {"jpeg_idct_islow/first-iteration-split", 0x10cc9f6badb51d52ULL},
-    {"jpeg_idct_islow/conflict-graph", 0x06386ba48f261cb0ULL},
-    {"recon/all-miss", 0xf7fa7f2aeaa30360ULL},
-    {"recon/first-iteration-split", 0x7fba5a2f81875a80ULL},
-    {"recon/conflict-graph", 0x21ecdf0d03a15262ULL},
-    {"fullsearch/all-miss", 0xac29348cfa63db3dULL},
-    {"fullsearch/first-iteration-split", 0x9aa93f282c1eef52ULL},
-    {"fullsearch/conflict-graph", 0xf3b5f1869ff61179ULL},
+    {"jpeg_fdct_islow/conflict-graph", 0x5f41820d844c54eeULL},
+    {"jpeg_idct_islow/all-miss", 0xb901253bf6b178ceULL},
+    {"jpeg_idct_islow/first-iteration-split", 0xb901253bf6b178ceULL},
+    {"jpeg_idct_islow/conflict-graph", 0x5a16112f6445b06aULL},
+    {"recon/all-miss", 0x67333468683bf6e0ULL},
+    {"recon/first-iteration-split", 0xbe5f25087a3768e8ULL},
+    {"recon/conflict-graph", 0x31b8c816c69c2844ULL},
+    {"fullsearch/all-miss", 0x0fa58bbeaf4d7331ULL},
+    {"fullsearch/first-iteration-split", 0x63f0f6d8cb6df42aULL},
+    {"fullsearch/conflict-graph", 0x1e452fa690ab8cadULL},
     {"whetstone/all-miss", 0xfc12a288c981f48cULL},
     {"whetstone/first-iteration-split", 0x73ac7bced9506b51ULL},
-    {"whetstone/conflict-graph", 0xd88393e35368e828ULL},
-    {"dhry/all-miss", 0x734046ceb0c04cc1ULL},
-    {"dhry/first-iteration-split", 0xa705cf77464d2dd5ULL},
-    {"dhry/conflict-graph", 0x50ff0c10903f0cf3ULL},
+    {"whetstone/conflict-graph", 0xb6ddcadbfa0379a7ULL},
+    {"dhry/all-miss", 0x976f7aaa49bae005ULL},
+    {"dhry/first-iteration-split", 0x20f7f48b29a59d79ULL},
+    {"dhry/conflict-graph", 0xda8b1f4d4f8dd90fULL},
     {"matgen/all-miss", 0x954e2d543ac2dbd0ULL},
     {"matgen/first-iteration-split", 0xb6acbc7898faf4bcULL},
-    {"matgen/conflict-graph", 0xbc3b91a16dbd65d6ULL},
+    {"matgen/conflict-graph", 0x48c165913bbb6223ULL},
 };
 
 // One entry per generated program (all three cache modes).
 constexpr Golden kFuzzSolves[] = {
-    {"seed 1", 0x8d65dfe52c529e13ULL},
-    {"seed 2", 0xa638820a3ba048eaULL},
-    {"seed 3", 0xe9366b943cd6b265ULL},
-    {"seed 4", 0x93f3cf11f809c199ULL},
-    {"seed 5", 0x53d677d629542f46ULL},
-    {"seed 6", 0x83c4c77a735794a2ULL},
-    {"seed 7", 0x7aacbc54ec951e8fULL},
-    {"seed 8", 0xeef5864ea894927dULL},
-    {"seed 9", 0x5406c4afdab17896ULL},
-    {"seed 10", 0x97bced1c9564ca79ULL},
-    {"seed 11", 0x312885a159cc0944ULL},
-    {"seed 12", 0xd934a15685ea0621ULL},
-    {"seed 13", 0xa4f84deaccce64d2ULL},
-    {"seed 14", 0x524652b92c4d16faULL},
-    {"seed 15", 0x24582f777cb0150fULL},
-    {"seed 16", 0x06f3f9d588f973f3ULL},
+    {"seed 1", 0xdbe89e9005a3d37bULL},
+    {"seed 2", 0x9ff04e6e2bbb5e82ULL},
+    {"seed 3", 0x1f90970c7c647e85ULL},
+    {"seed 4", 0x5a217efafe50ccf1ULL},
+    {"seed 5", 0x7a24c9c93606b496ULL},
+    {"seed 6", 0x13a1a387a0055d6aULL},
+    {"seed 7", 0xbb11a6c1da598787ULL},
+    {"seed 8", 0xb13a8e5c0ce0651dULL},
+    {"seed 9", 0xf1fc3d01da9d4d70ULL},
+    {"seed 10", 0x89441554a7b08db9ULL},
+    {"seed 11", 0x865c5b44c6ebc730ULL},
+    {"seed 12", 0x74c6039f7d678cb9ULL},
+    {"seed 13", 0x8627a179b628f592ULL},
+    {"seed 14", 0xcc25ac0135022946ULL},
+    {"seed 15", 0xa4f5b7734136bbf7ULL},
+    {"seed 16", 0xc3a4c9d00a0d6783ULL},
     {"seed 17", 0xb99d9f7d4631b707ULL},
-    {"seed 18", 0xd0f912dc950af976ULL},
-    {"seed 19", 0x528b11fdaced23f2ULL},
+    {"seed 18", 0x9d96a1cefbabe744ULL},
+    {"seed 19", 0x7ba04f5424a4e252ULL},
     {"seed 20", 0xdffcc0df347f9306ULL},
-    {"seed 21", 0x0359693899703b65ULL},
-    {"seed 22", 0x764a6b9cd459a335ULL},
+    {"seed 21", 0xef24e9c79ab3cc75ULL},
+    {"seed 22", 0x8df468096fe70115ULL},
     {"seed 23", 0xb73ec8dfaec5acc1ULL},
-    {"seed 24", 0xe94738ec6f72f47fULL},
+    {"seed 24", 0x61f5851ffcf67a15ULL},
     {"seed 25", 0x492b18f32ea7287eULL},
-    {"seed 26", 0x03b7ebb789f0439eULL},
-    {"seed 27", 0xb1b8f60b18a351a1ULL},
-    {"seed 28", 0xaf0a121de701880dULL},
-    {"seed 29", 0x7dc5e07037070bfdULL},
-    {"seed 30", 0x93826620e89e7975ULL},
-    {"seed 31", 0x67b981dc11a002deULL},
-    {"seed 32", 0x35995c2590f3ee6eULL},
-    {"seed 33", 0xf0bac377aefc4a5fULL},
-    {"seed 34", 0xc0dbe6412142b17cULL},
-    {"seed 35", 0xc5db703cdbd3dd05ULL},
-    {"seed 36", 0xe8ea814d138d3a80ULL},
-    {"seed 37", 0x90263641424c25c3ULL},
-    {"seed 38", 0xb39efa2f3f0e2e03ULL},
-    {"seed 39", 0xf972ee979393e1fcULL},
-    {"seed 40", 0x1a0c545ed9455f03ULL},
-    {"seed 41", 0x5fd10fb628330029ULL},
-    {"seed 42", 0xde751e670d90b538ULL},
-    {"seed 43", 0x53eda0c49adbbd05ULL},
-    {"seed 44", 0x13eb0e023ba86a09ULL},
-    {"seed 45", 0x5e78b63722251b97ULL},
-    {"seed 46", 0x273c5050296e8d87ULL},
-    {"seed 47", 0x50470be5ee2752a1ULL},
-    {"seed 48", 0xac7e68eb42ea3b11ULL},
+    {"seed 26", 0x58c38928bac5fd4eULL},
+    {"seed 27", 0xe2dceb0f5cab6fb1ULL},
+    {"seed 28", 0x106bc25be957ee1dULL},
+    {"seed 29", 0xf2c29ffb658af9cdULL},
+    {"seed 30", 0x5ecac5ee0431b455ULL},
+    {"seed 31", 0x915b9f454b4a9206ULL},
+    {"seed 32", 0x1080f578e5e0cea9ULL},
+    {"seed 33", 0x02e32620f5567d97ULL},
+    {"seed 34", 0xd7ec9d80faaff618ULL},
+    {"seed 35", 0x2cf8acfa7a8d245dULL},
+    {"seed 36", 0xcdac4c694b8d20f5ULL},
+    {"seed 37", 0x1032c069e31e2fb3ULL},
+    {"seed 38", 0x04e10d4e3aa0ef83ULL},
+    {"seed 39", 0x9ef613b058c8de16ULL},
+    {"seed 40", 0x9f0ce2b0786b0703ULL},
+    {"seed 41", 0xf30eb0aa9c6e9ab5ULL},
+    {"seed 42", 0x588c032442184760ULL},
+    {"seed 43", 0x81b047010836a31dULL},
+    {"seed 44", 0x9506af4682520cbdULL},
+    {"seed 45", 0xca4079fbb3fcaba5ULL},
+    {"seed 46", 0x59d6faf9a0a45447ULL},
+    {"seed 47", 0xe8a06cddadb75069ULL},
+    {"seed 48", 0xa9d312eb2c937c5dULL},
     {"seed 49", 0x570bd2c7c15941bfULL},
-    {"seed 50", 0xd80639000b0c8a2bULL},
-    {"seed 51", 0x945958676707af92ULL},
-    {"seed 52", 0x1c4207e3e0b4c68dULL},
+    {"seed 50", 0xef8841b915ad97e7ULL},
+    {"seed 51", 0x9e20437df6107447ULL},
+    {"seed 52", 0xa58d8f904d33403aULL},
     {"seed 53", 0xdb37d8bb78e61e4aULL},
-    {"seed 54", 0x6ac845212bed10fbULL},
-    {"seed 55", 0x7f24b7bf728221edULL},
-    {"seed 56", 0x7f275593ca37fd55ULL},
-    {"seed 57", 0x68bd3106d5de7397ULL},
+    {"seed 54", 0x846326efac084169ULL},
+    {"seed 55", 0x6355f327596d9ffdULL},
+    {"seed 56", 0xd337ce4773a3f6e5ULL},
+    {"seed 57", 0x5b20c6d1562e9e0fULL},
     {"seed 58", 0xfc312f88b44a7c2eULL},
-    {"seed 59", 0x88dcb9ea0a8894f9ULL},
-    {"seed 60", 0xab0a6d32b9b6993dULL},
+    {"seed 59", 0xfb30d0952b147ab9ULL},
+    {"seed 60", 0x4c86df3fc1094351ULL},
 };
 
 // One entry per Table I program and cache mode: Analyzer::estimate.
 constexpr Golden kSuiteEstimates[] = {
     {"check_data/all-miss", 0x73da6f881a9c9425ULL},
     {"check_data/first-iteration-split", 0xe270c18c26ad108aULL},
-    {"check_data/conflict-graph", 0xffd5eda34ba11c5bULL},
+    {"check_data/conflict-graph", 0xf8540f242c592023ULL},
     {"fft/all-miss", 0x87e84311332be5a5ULL},
     {"fft/first-iteration-split", 0x84668ea6952cdd4bULL},
-    {"fft/conflict-graph", 0xde3ca2bcdd0fd47bULL},
-    {"piksrt/all-miss", 0x11ce1054faf9c04cULL},
-    {"piksrt/first-iteration-split", 0x0e56cbbb758207c4ULL},
-    {"piksrt/conflict-graph", 0x1e68f9b26dc0ff48ULL},
+    {"fft/conflict-graph", 0xc37e3e4bee3167baULL},
+    {"piksrt/all-miss", 0xf392c52988e5b1e1ULL},
+    {"piksrt/first-iteration-split", 0xb157488640368a10ULL},
+    {"piksrt/conflict-graph", 0x8ce6f82ccd36ce4fULL},
     {"des/all-miss", 0xf204b2b9adb4a610ULL},
     {"des/first-iteration-split", 0x9c076b0504650212ULL},
-    {"des/conflict-graph", 0xa41477396ba73c91ULL},
-    {"line/all-miss", 0xec9a8af76310a330ULL},
-    {"line/first-iteration-split", 0x4cbb45facce9424fULL},
-    {"line/conflict-graph", 0xf461458aa137286eULL},
-    {"circle/all-miss", 0x3371bbd8d9b5c817ULL},
-    {"circle/first-iteration-split", 0x26652cb3a5a5ccd0ULL},
-    {"circle/conflict-graph", 0x1975a4ac16f0f4a9ULL},
+    {"des/conflict-graph", 0x68eab0f487774aedULL},
+    {"line/all-miss", 0xd046ce7dd91506ddULL},
+    {"line/first-iteration-split", 0x0648a2d8f87497e1ULL},
+    {"line/conflict-graph", 0xe898dbda5c7cb9a1ULL},
+    {"circle/all-miss", 0x4a0a20a1e6eb57faULL},
+    {"circle/first-iteration-split", 0x5aad23e1ccca3d68ULL},
+    {"circle/conflict-graph", 0xc4e20eaa53353221ULL},
     {"jpeg_fdct_islow/all-miss", 0x5f9953b14a8478d2ULL},
     {"jpeg_fdct_islow/first-iteration-split", 0x5f9953b14a8478d2ULL},
-    {"jpeg_fdct_islow/conflict-graph", 0xf35a489b4ee4a3c4ULL},
-    {"jpeg_idct_islow/all-miss", 0x193112a410c4d19bULL},
-    {"jpeg_idct_islow/first-iteration-split", 0x193112a410c4d19bULL},
-    {"jpeg_idct_islow/conflict-graph", 0xe2cd5c6bf565ed4aULL},
-    {"recon/all-miss", 0xba7b8ef6d3f519f2ULL},
-    {"recon/first-iteration-split", 0xa7cc92d4d42be116ULL},
-    {"recon/conflict-graph", 0x876d3ed724bb3d6dULL},
-    {"fullsearch/all-miss", 0x65cdcd9814dbbb56ULL},
-    {"fullsearch/first-iteration-split", 0xec83b39ea9ba0fa8ULL},
-    {"fullsearch/conflict-graph", 0x73548a93e5bdf808ULL},
+    {"jpeg_fdct_islow/conflict-graph", 0x76791b69fbe6196dULL},
+    {"jpeg_idct_islow/all-miss", 0xa3940b5e5d4d5181ULL},
+    {"jpeg_idct_islow/first-iteration-split", 0xa3940b5e5d4d5181ULL},
+    {"jpeg_idct_islow/conflict-graph", 0x749562749a185476ULL},
+    {"recon/all-miss", 0xc2f95177e1c200a7ULL},
+    {"recon/first-iteration-split", 0xb586e46478bcbfa5ULL},
+    {"recon/conflict-graph", 0x8c23528a7be6e48bULL},
+    {"fullsearch/all-miss", 0x301aa20d747e122fULL},
+    {"fullsearch/first-iteration-split", 0x12b9880d940ea2a8ULL},
+    {"fullsearch/conflict-graph", 0xbb68a98165ae8024ULL},
     {"whetstone/all-miss", 0xb59a006239d85e91ULL},
     {"whetstone/first-iteration-split", 0xa1ba17b331fdc114ULL},
-    {"whetstone/conflict-graph", 0x8305d5bf975b7d48ULL},
+    {"whetstone/conflict-graph", 0xbca3d285e7b609b8ULL},
     {"dhry/all-miss", 0xe5a393728ffe3383ULL},
     {"dhry/first-iteration-split", 0x5b3e37886b5188c6ULL},
-    {"dhry/conflict-graph", 0x98a210784762c84dULL},
+    {"dhry/conflict-graph", 0x41eebe922d69054cULL},
     {"matgen/all-miss", 0xdc4eb770829f1cc2ULL},
     {"matgen/first-iteration-split", 0xb9df7de5b78863b9ULL},
-    {"matgen/conflict-graph", 0xfb199ccb233579fdULL},
+    {"matgen/conflict-graph", 0x2b6a045d1551f010ULL},
 };
 
 // One entry per generated program (all three cache modes).
 constexpr Golden kFuzzEstimates[] = {
-    {"seed 1", 0x6a005e7427dadcaaULL},
-    {"seed 2", 0x701956e09a041d0bULL},
-    {"seed 3", 0x38388dd32249156cULL},
-    {"seed 4", 0x3af20535e10719b1ULL},
-    {"seed 5", 0x0f0ba09ab3ee8a94ULL},
-    {"seed 6", 0xa68e12fe6aeaad6cULL},
-    {"seed 7", 0x04abdb1ac8c9baaaULL},
-    {"seed 8", 0xbdc244d74c15df3dULL},
-    {"seed 9", 0x22a0531ecccfef8bULL},
-    {"seed 10", 0x4287bd2a908499d7ULL},
-    {"seed 11", 0x4e94b54f2725b7f1ULL},
-    {"seed 12", 0xb2315d3c7a9d5811ULL},
-    {"seed 13", 0x8e9b36e0d7a623f3ULL},
-    {"seed 14", 0xbac906a810888addULL},
-    {"seed 15", 0xc9294d6ba6e61544ULL},
-    {"seed 16", 0x8def0a53b39414c1ULL},
+    {"seed 1", 0x0c98268e634dd2a2ULL},
+    {"seed 2", 0x7fb44245a5b3f6a4ULL},
+    {"seed 3", 0xdb64c39575fc1f44ULL},
+    {"seed 4", 0x3fea4f5808682d8eULL},
+    {"seed 5", 0x677d35d56c62f33aULL},
+    {"seed 6", 0x58e37ce639d14339ULL},
+    {"seed 7", 0xf89e7be1756cdab8ULL},
+    {"seed 8", 0x72d02cdeabc55b5dULL},
+    {"seed 9", 0xf051c69a314364bcULL},
+    {"seed 10", 0xb353c7ac6950b2ffULL},
+    {"seed 11", 0xc523987f7a6f8f61ULL},
+    {"seed 12", 0xf8761ffe3fa08aa9ULL},
+    {"seed 13", 0x71181f3bda1c2bafULL},
+    {"seed 14", 0xec3cafc3395cba34ULL},
+    {"seed 15", 0x67fc27d1ecb741dcULL},
+    {"seed 16", 0x1912ec890a4b4b7dULL},
     {"seed 17", 0xdb76aa1e7f6520b7ULL},
-    {"seed 18", 0x31b56f639c5be061ULL},
-    {"seed 19", 0x659b802440c78951ULL},
+    {"seed 18", 0xd2bcc9c04eb09107ULL},
+    {"seed 19", 0xd28b640353dcdfedULL},
     {"seed 20", 0x63809227c20e32feULL},
-    {"seed 21", 0x9aa6011fef9f28eaULL},
-    {"seed 22", 0xd94a2b4abefd08a8ULL},
+    {"seed 21", 0x189b06e5b555fab7ULL},
+    {"seed 22", 0xe1c5ead0c9a51275ULL},
     {"seed 23", 0x24d33c1afe8b0ebcULL},
-    {"seed 24", 0xb746b7c563e135d1ULL},
+    {"seed 24", 0x714046cbe6fdec83ULL},
     {"seed 25", 0x91db5ff94c8ee344ULL},
-    {"seed 26", 0x5abb3538538264bfULL},
-    {"seed 27", 0x690c6e2dd29d9e18ULL},
-    {"seed 28", 0x6e08278644a2c2feULL},
-    {"seed 29", 0x23337c343e7c7f79ULL},
-    {"seed 30", 0x3eb234ca101d047cULL},
-    {"seed 31", 0x577c3435fabff1d0ULL},
-    {"seed 32", 0xed8953848d0ad97dULL},
-    {"seed 33", 0x87927bea12bd7a84ULL},
-    {"seed 34", 0xb7230ab927cb258dULL},
-    {"seed 35", 0x77555b6a28814719ULL},
-    {"seed 36", 0x3a64c3ca27c8da22ULL},
-    {"seed 37", 0x1753766e6b624c65ULL},
-    {"seed 38", 0xa626c864b36ad886ULL},
-    {"seed 39", 0xc5f7c43e6c7cdedbULL},
-    {"seed 40", 0x3e82863f7d31b59cULL},
-    {"seed 41", 0x74738295c0980ca9ULL},
-    {"seed 42", 0xec98f33babf8bce5ULL},
-    {"seed 43", 0xa51ab9afb7b5a5c4ULL},
-    {"seed 44", 0x970b9ac4f1a4213eULL},
-    {"seed 45", 0xc867bf4a2b018db1ULL},
-    {"seed 46", 0x25ceab56043d0420ULL},
-    {"seed 47", 0x01092dbff06421efULL},
-    {"seed 48", 0x5b605999ffbf5aa5ULL},
+    {"seed 26", 0xa15b397385f7c158ULL},
+    {"seed 27", 0x4d2524c5288a5b1aULL},
+    {"seed 28", 0x98ee4af49aeb3719ULL},
+    {"seed 29", 0x47d670d00105e622ULL},
+    {"seed 30", 0xa2c8c355d425aa47ULL},
+    {"seed 31", 0x56f3a826fd766760ULL},
+    {"seed 32", 0x59c77ff35e744f55ULL},
+    {"seed 33", 0xf4f471d2bb083c97ULL},
+    {"seed 34", 0x4d1e80482da78145ULL},
+    {"seed 35", 0xde4fddfef0b6bb73ULL},
+    {"seed 36", 0x917d8d32152d5836ULL},
+    {"seed 37", 0x81a7454e4bf7944eULL},
+    {"seed 38", 0x53209637a5342433ULL},
+    {"seed 39", 0xe04c7cb328f542e7ULL},
+    {"seed 40", 0x886eae9afbbdf9eeULL},
+    {"seed 41", 0x86673b71fc885765ULL},
+    {"seed 42", 0xc3173f80be062dadULL},
+    {"seed 43", 0x8f3527e0851e638aULL},
+    {"seed 44", 0x5c9569be56f5fc8dULL},
+    {"seed 45", 0x81089659620d658fULL},
+    {"seed 46", 0x44be5650b1632c86ULL},
+    {"seed 47", 0xd174634a85971db3ULL},
+    {"seed 48", 0x96afaa0792008bd1ULL},
     {"seed 49", 0xd9bde73f854b1f76ULL},
     {"seed 50", 0x291a2a248519624cULL},
-    {"seed 51", 0x75f088f35adc97f4ULL},
-    {"seed 52", 0xbdf4e0aebfa32ffdULL},
+    {"seed 51", 0x2dadd415933eb350ULL},
+    {"seed 52", 0x80bc89abd8cdf883ULL},
     {"seed 53", 0xe4091ecc7145bf9cULL},
-    {"seed 54", 0xf88ee2f576e38efdULL},
-    {"seed 55", 0x04518a45dd1058d2ULL},
-    {"seed 56", 0x95247d3db0a9f505ULL},
-    {"seed 57", 0x9a33fc26aef8bc26ULL},
+    {"seed 54", 0x83db2d42b8351b2eULL},
+    {"seed 55", 0xa5adeb6613a4130dULL},
+    {"seed 56", 0xfc9ebebdb7cfd336ULL},
+    {"seed 57", 0x8a06270fb978cad9ULL},
     {"seed 58", 0x7abe0459b155f683ULL},
-    {"seed 59", 0x4440d18261edb99dULL},
-    {"seed 60", 0x9cd2be05126e1d24ULL},
+    {"seed 59", 0xa9a6dff523d91800ULL},
+    {"seed 60", 0x3cbeff115331f89fULL},
 };
 
 

@@ -1,9 +1,10 @@
 // lp::LiveTableau: one tableau answers a feasibility probe and then
-// several objectives over the same rows, each phase 2 continuing from
-// the previous optimum.  Every answer must be the answer of a cold
-// lp::solve, and every way a live phase can fail — an exhausted pivot
-// budget, a failed feasibility audit, an injected pivot fault — must
-// land on the from-scratch fallback and still return the cold result.
+// several objectives over the same rows, each primal simplex run
+// continuing from the previous optimum.  Every answer must be the answer
+// of a cold lp::solve, and every way a live step can fail — an exhausted
+// pivot budget, a stalled simplex loop, a failed feasibility audit, an
+// injected pivot fault — must land on the from-scratch fallback and
+// still return the cold result.
 // The same holds for lp::BranchPoint, which dives from a copy of the
 // live tableau one cut row at a time.
 #include <gtest/gtest.h>
@@ -32,6 +33,10 @@ struct LiveTableauInspector {
   static void breakRow(LiveTableau& live, int row) {
     live.tableau_->rhs_[static_cast<std::size_t>(row)] = -1000.0;
   }
+  /// Makes the live tableau's next pivot a stall.
+  static void forceStall(LiveTableau& live) {
+    live.tableau_->stallLimit_ = 0;
+  }
   static bool retired(const LiveTableau& live) {
     return live.tableau_ == nullptr;
   }
@@ -45,6 +50,10 @@ struct LiveTableauInspector {
   static void breakRow(BranchPoint& branch, int row) {
     branch.tableau_->rhs_[static_cast<std::size_t>(row)] = -1000.0;
     branch.tableau_->opt_.tol = 1e4;
+  }
+  /// Makes the copy's next pivot a stall.
+  static void forceStall(BranchPoint& branch) {
+    branch.tableau_->stallLimit_ = 0;
   }
   static bool retired(const BranchPoint& branch) {
     return branch.tableau_ == nullptr;
@@ -64,8 +73,9 @@ struct RandomSystem {
 };
 
 /// Mixed LessEq/GreaterEq/Equal rows over a box, so the sample holds
-/// feasible, infeasible and (through GreaterEq rows) phase-1 instances,
-/// with two random objectives of random sense.
+/// feasible and infeasible instances, and slack bases that are already
+/// feasible and ones the dual simplex has to repair, with two random
+/// objectives of random sense.
 RandomSystem randomSystem(std::mt19937& rng) {
   std::uniform_int_distribution<int> size(2, 10);
   std::uniform_int_distribution<int> coeff(-3, 3);
@@ -145,7 +155,7 @@ TEST(LiveTableau, ProbeThenTwoObjectivesMatchColdSolvesOn200Problems) {
   EXPECT_GT(infeasible, 20);
 }
 
-TEST(LiveTableau, WithoutProbeFirstSolveRunsPhaseOne) {
+TEST(LiveTableau, WithoutProbeFirstSolveDecidesFeasibility) {
   std::mt19937 rng(11);
   for (int k = 0; k < 50; ++k) {
     const RandomSystem s = randomSystem(rng);
@@ -271,6 +281,44 @@ TEST(LiveTableau, FailedFeasibilityAuditFallsBackToTheColdResult) {
       expectColdAnswer(c.b, b, solve(c.b, options));
     }
   }
+}
+
+/// True when some row of `p` is violated at its slack basis, so that
+/// the feasibility run must pivot.
+bool slackBasisViolated(const Problem& p) {
+  const double tol = SimplexOptions{}.tol;
+  for (const Constraint& c : p.constraints()) {
+    const double r = c.rhs;
+    if (c.rel == Relation::LessEq ? r < -tol
+        : c.rel == Relation::GreaterEq ? r > tol
+                                       : std::abs(r) > tol) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(LiveTableau, StalledFeasibilityRunFallsBackToTheColdResult) {
+  SimplexOptions options;
+  options.presolve = false;
+  int stalled = 0;
+  int k = 0;
+  for (const RandomSystem& c : feasibleCases(200)) {
+    SCOPED_TRACE(testing::Message() << "case " << k++);
+    LiveTableau live(c.a, options);
+    LTI::forceStall(live);
+    const Solution probe = live.feasibility();
+    EXPECT_EQ(probe.status, SolveStatus::Optimal);
+    // The dual loop pivots only from a violated slack basis; its first
+    // pivot is the stall.
+    const bool violated = slackBasisViolated(c.a);
+    EXPECT_EQ(LTI::retired(live), violated);
+    EXPECT_EQ(probe.blandRestart, violated);
+    stalled += violated ? 1 : 0;
+    expectColdAnswer(c.a, live.solve(c.a), solve(c.a, options));
+    expectColdAnswer(c.b, live.solve(c.b), solve(c.b, options));
+  }
+  EXPECT_GT(stalled, 100);
 }
 
 TEST(LiveTableau, InjectedPivotFaultFallsBackToTheColdResult) {
@@ -456,6 +504,45 @@ TEST(BranchPoint, FailedFeasibilityAuditFallsBackToTheColdResult) {
   // copy's first row instead, which every case has.
   expectFallbackToCold(
       [](BranchPoint& branch, const Problem&) { LTI::breakRow(branch, 0); });
+}
+
+TEST(BranchPoint, StalledDiveFallsBackToTheColdResult) {
+  // Each cut lies at least half a step past the optimum's value, so it
+  // is violated and the dive's dual loop either pivots, which is the
+  // stall, or finds no entering column and has its infeasible verdict
+  // confirmed.
+  std::mt19937 rng(8086);
+  int fallbacks = 0;
+  for (const bool presolve : {true, false}) {
+    SimplexOptions options;
+    options.presolve = presolve;
+    int k = 0;
+    for (const RandomSystem& c : feasibleCases(100)) {
+      SCOPED_TRACE(testing::Message() << "case " << k++ << " presolve "
+                                      << presolve);
+      LiveTableau live(c.a, options);
+      const Solution root = live.solve(c.a);
+      ASSERT_EQ(root.status, SolveStatus::Optimal);
+      BranchPoint branch = live.branch(c.a);
+      LTI::forceStall(branch);
+      std::uniform_int_distribution<std::size_t> pick(0,
+                                                      root.values.size() - 1);
+      const std::size_t var = pick(rng);
+      const double bound = std::round(root.values[var]) + 1.0;
+      Problem work = c.a;
+      LinearExpr e;
+      e.add(static_cast<int>(var), 1.0);
+      work.addConstraint(std::move(e), Relation::GreaterEq, bound);
+      const Solution child =
+          branch.cut(static_cast<int>(var), Relation::GreaterEq, bound);
+      EXPECT_NE(branch.lastAnswer(), BranchPoint::Answer::Dive);
+      EXPECT_TRUE(LTI::retired(branch));
+      expectColdAnswer(work, child, solve(work, options));
+      fallbacks +=
+          branch.lastAnswer() == BranchPoint::Answer::Fallback ? 1 : 0;
+    }
+  }
+  EXPECT_GT(fallbacks, 100);
 }
 
 TEST(BranchPoint, InjectedPivotFaultFallsBackToTheColdResult) {
