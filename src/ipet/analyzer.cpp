@@ -179,7 +179,7 @@ void Analyzer::setLoopBound(std::string_view function, int line,
     throw AnalysisError("invalid loop bounds: require 0 <= lo <= hi");
   }
   apiLoopBounds_[{std::string(function), line}] = {lo, hi};
-  system_.reset();
+  resetSystem();
 }
 
 void Analyzer::addConstraint(std::string_view text,
@@ -188,7 +188,12 @@ void Analyzer::addConstraint(std::string_view text,
                                 ? module_->function(root_).name
                                 : std::string(defaultScope);
   userConstraints_.push_back(parseConstraint(text, scope));
+  resetSystem();
+}
+
+void Analyzer::resetSystem() {
   system_.reset();
+  structuralHashed_ = false;
 }
 
 lp::LinearExpr Analyzer::resolve(const VarRef& ref) const {
@@ -1040,6 +1045,10 @@ void hashSets(DigestBuilder* builder, char tag, const Dnf& sets,
 
 const Analyzer::System& Analyzer::system(obs::Tracer* tracer) const {
   const std::lock_guard<std::mutex> lock(*systemMutex_);
+  return systemLocked(tracer);
+}
+
+Analyzer::System& Analyzer::systemLocked(obs::Tracer* tracer) const {
   if (system_ != nullptr) return *system_;
   auto built = std::make_unique<System>();
   System& sys = *built;
@@ -1061,9 +1070,16 @@ const Analyzer::System& Analyzer::system(obs::Tracer* tracer) const {
   }
   sys.worstObjective = lp::LinearExpr::fromDense(sys.worstCoeff);
   sys.bestObjective = lp::LinearExpr::fromDense(sys.bestCoeff);
+  system_ = std::move(built);
+  return sys;
+}
 
+const DigestBuilder& Analyzer::structuralDigest(obs::Tracer* tracer) const {
+  const std::lock_guard<std::mutex> lock(*systemMutex_);
+  System& sys = systemLocked(tracer);
+  if (structuralHashed_) return sys.structural;
   // The structural digest: everything common to all constraint sets.
-  DigestBuilder& builder = sys.structural;
+  DigestBuilder builder;
   builder.tag('V');
   builder.u32(static_cast<std::uint32_t>(sys.problem.numVars()));
   // Base rows, order-normalized like a constraint set's: the digest must
@@ -1085,18 +1101,19 @@ const Analyzer::System& Analyzer::system(obs::Tracer* tracer) const {
   builder.tag('C');
   builder.u32(static_cast<std::uint32_t>(sys.bestCoeff.size()));
   for (const double c : sys.bestCoeff) builder.f64(c);
-
-  system_ = std::move(built);
-  return sys;
+  sys.structural = builder;
+  structuralHashed_ = true;
+  return sys.structural;
 }
 
 Analyzer::SystemDigests Analyzer::systemDigests(obs::Tracer* tracer) const {
+  const DigestBuilder& structural = structuralDigest(tracer);
   const System& sys = system(tracer);
   SystemDigests out;
-  out.structural = sys.structural.finish();
+  out.structural = structural.finish();
   // Full digest: the structural prefix plus every expanded constraint
   // set's canonical rows.
-  DigestBuilder builder = sys.structural;
+  DigestBuilder builder = structural;
   hashSets(&builder, 'S', sys.sets,
            [this](const SymConstraint& sc) { return concreteRowKey(sc); });
   out.full = builder.finish();
@@ -1138,8 +1155,8 @@ std::string Analyzer::symbolicRowKey(const SymConstraint& sc) const {
 
 Digest Analyzer::parametricDigest(const std::vector<ParamDecl>& params,
                                   obs::Tracer* tracer) const {
+  DigestBuilder builder = structuralDigest(tracer);
   const System& sys = system(tracer);
-  DigestBuilder builder = sys.structural;
   hashSets(&builder, 'Y', sys.sets,
            [this](const SymConstraint& sc) { return symbolicRowKey(sc); });
   builder.tag('P');

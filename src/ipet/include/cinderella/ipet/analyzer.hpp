@@ -488,7 +488,9 @@ class Analyzer {
     Dnf sets;
     /// Digest stream after the structural sections (V, B, W, C):
     /// finish() is the structural digest, and a copy extended with the
-    /// sets is the full or parametric digest.
+    /// sets is the full or parametric digest.  Hashed by
+    /// structuralDigest() on the first digest request, so a bare
+    /// estimate() never pays for it.
     DigestBuilder structural;
   };
   /// Fills the base problem, cost vectors and cache counters of `out`.
@@ -497,6 +499,13 @@ class Analyzer {
   /// The system of the current constraints and loop bounds, built under
   /// a lock on first use; `tracer` receives the build spans.
   [[nodiscard]] const System& system(obs::Tracer* tracer) const;
+  /// system() with systemMutex_ already held.
+  [[nodiscard]] System& systemLocked(obs::Tracer* tracer) const;
+  /// system().structural, hashed under the same lock on first use.
+  [[nodiscard]] const DigestBuilder& structuralDigest(
+      obs::Tracer* tracer) const;
+  /// Drops the system (its inputs changed).
+  void resetSystem();
 
   /// Adds the Section-IV first-iteration split variables/constraints to
   /// `base` (see buildBaseProblem for the scheme).
@@ -565,7 +574,9 @@ class Analyzer {
   /// The lazily built system (see system()) and the lock guarding its
   /// build, held on the heap so the analyzer stays movable.
   std::unique_ptr<std::mutex> systemMutex_ = std::make_unique<std::mutex>();
-  mutable std::unique_ptr<const System> system_;
+  mutable std::unique_ptr<System> system_;
+  /// Whether system_->structural has been hashed (structuralDigest()).
+  mutable bool structuralHashed_ = false;
 };
 
 }  // namespace cinderella::ipet

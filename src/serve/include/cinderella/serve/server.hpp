@@ -177,6 +177,8 @@ class Server {
 
   void acceptLoop();
   void handleConnection(int fd);
+  /// Joins the connection threads listed in finishedConns_; mutex_ held.
+  void joinFinishedConnectionsLocked();
   /// Decodes and serves one frame; returns the response line (without
   /// the trailing newline).  Sets `*shutdownAfterReply` for a shutdown
   /// frame and `*drainAfterReply` for a drain frame — the connection
@@ -215,9 +217,12 @@ class Server {
   std::string snapshotLoadError_;
   ipet::SnapshotRestoreReport restoreReport_;
 
-  mutable std::mutex mutex_;  ///< Guards connThreads_/connFds_.
+  /// Guards connThreads_, connFds_ and finishedConns_.
+  mutable std::mutex mutex_;
   std::vector<std::thread> connThreads_;
   std::set<int> connFds_;
+  /// Connection threads that have returned but are not joined yet.
+  std::vector<std::thread::id> finishedConns_;
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -117,6 +118,7 @@ void Server::acceptLoop() {
       return;
     }
     connections_.fetch_add(1, std::memory_order_relaxed);
+    joinFinishedConnectionsLocked();
     connFds_.insert(fd);
     connThreads_.emplace_back([this, fd] { handleConnection(fd); });
   }
@@ -231,6 +233,23 @@ void Server::handleConnection(int fd) {
   ::close(fd);
   std::lock_guard<std::mutex> lock(mutex_);
   connFds_.erase(fd);
+  finishedConns_.push_back(std::this_thread::get_id());
+}
+
+void Server::joinFinishedConnectionsLocked() {
+  // A finished thread keeps its stack until it is joined, so joining
+  // only at stop() would grow a long-running daemon by one stack per
+  // connection it ever accepted.  Each id here was recorded as the
+  // thread's last step under mutex_, so the join returns at once.
+  for (const std::thread::id id : finishedConns_) {
+    const auto it = std::find_if(
+        connThreads_.begin(), connThreads_.end(),
+        [id](const std::thread& t) { return t.get_id() == id; });
+    if (it == connThreads_.end()) continue;
+    it->join();
+    connThreads_.erase(it);
+  }
+  finishedConns_.clear();
 }
 
 std::string Server::handleLine(const std::string& line,

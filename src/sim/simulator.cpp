@@ -176,9 +176,12 @@ SimResult Simulator::runRaw(int function, std::span<const std::uint64_t> args,
       case Opcode::MovI: reg(in.rd) = encodeInt(in.imm); break;
       case Opcode::MovF: reg(in.rd) = encodeFloat(in.fimm); break;
       case Opcode::Mov: reg(in.rd) = reg(in.rs1); break;
-      case Opcode::Add: reg(in.rd) = encodeInt(ival(in.rs1) + ival(in.rs2)); break;
-      case Opcode::Sub: reg(in.rd) = encodeInt(ival(in.rs1) - ival(in.rs2)); break;
-      case Opcode::Mul: reg(in.rd) = encodeInt(ival(in.rs1) * ival(in.rs2)); break;
+      // Integer add, subtract and multiply wrap in two's complement, as
+      // the target's integer unit does: computed on the raw unsigned
+      // words, where overflow is defined (signed overflow is not).
+      case Opcode::Add: reg(in.rd) = reg(in.rs1) + reg(in.rs2); break;
+      case Opcode::Sub: reg(in.rd) = reg(in.rs1) - reg(in.rs2); break;
+      case Opcode::Mul: reg(in.rd) = reg(in.rs1) * reg(in.rs2); break;
       case Opcode::Div: {
         const std::int64_t d = ival(in.rs2);
         if (d == 0) fault("integer division by zero in " + fn.name);
@@ -201,10 +204,10 @@ SimResult Simulator::runRaw(int function, std::span<const std::uint64_t> args,
       case Opcode::Shr:
         reg(in.rd) = encodeInt(ival(in.rs1) >> (ival(in.rs2) & 63));
         break;
-      case Opcode::Neg: reg(in.rd) = encodeInt(-ival(in.rs1)); break;
+      case Opcode::Neg: reg(in.rd) = 0 - reg(in.rs1); break;
       case Opcode::Not: reg(in.rd) = encodeInt(~ival(in.rs1)); break;
-      case Opcode::AddI: reg(in.rd) = encodeInt(ival(in.rs1) + in.imm); break;
-      case Opcode::MulI: reg(in.rd) = encodeInt(ival(in.rs1) * in.imm); break;
+      case Opcode::AddI: reg(in.rd) = reg(in.rs1) + encodeInt(in.imm); break;
+      case Opcode::MulI: reg(in.rd) = reg(in.rs1) * encodeInt(in.imm); break;
       case Opcode::FAdd: reg(in.rd) = encodeFloat(fval(in.rs1) + fval(in.rs2)); break;
       case Opcode::FSub: reg(in.rd) = encodeFloat(fval(in.rs1) - fval(in.rs2)); break;
       case Opcode::FMul: reg(in.rd) = encodeFloat(fval(in.rs1) * fval(in.rs2)); break;

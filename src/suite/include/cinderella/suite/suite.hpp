@@ -11,6 +11,7 @@
 //     corresponds to the longest/shortest running time").
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,10 +40,22 @@ struct Benchmark {
   [[nodiscard]] int sourceLines() const;
 };
 
-/// All Table-I benchmarks, in the paper's order.
+/// One Table-I program: its name and the builder that makes it.
+struct BenchmarkEntry {
+  std::string_view name;
+  Benchmark (*make)();
+};
+
+/// The Table-I registry, in the paper's order.  The one list of names:
+/// every lookup below goes through it.
+[[nodiscard]] std::span<const BenchmarkEntry> benchmarkTable();
+
+/// All Table-I benchmarks, in the paper's order (builds every one).
 [[nodiscard]] const std::vector<Benchmark>& allBenchmarks();
 
-/// Lookup by name; throws AnalysisError when unknown.
+/// Lookup by name; throws AnalysisError when unknown.  Builds only the
+/// named benchmark, once per process, and is safe to call from several
+/// threads.
 [[nodiscard]] const Benchmark& benchmarkByName(std::string_view name);
 
 /// ProgramResolver over the built-in benchmarks — the seam an

@@ -1,5 +1,10 @@
 #include "cinderella/suite/suite.hpp"
 
+#include <array>
+#include <iterator>
+#include <mutex>
+#include <optional>
+
 #include "cinderella/support/error.hpp"
 #include "cinderella/support/text.hpp"
 
@@ -48,49 +53,76 @@ sim::GlobalPatch patchFloats(std::string name, const std::vector<double>& v) {
   return patch;
 }
 
+namespace {
+
+constexpr BenchmarkEntry kTable[] = {
+    {"check_data", makeCheckData},
+    {"fft", makeFft},
+    {"piksrt", makePiksrt},
+    {"des", makeDes},
+    {"line", makeLine},
+    {"circle", makeCircle},
+    {"jpeg_fdct_islow", makeJpegFdct},
+    {"jpeg_idct_islow", makeJpegIdct},
+    {"recon", makeRecon},
+    {"fullsearch", makeFullsearch},
+    {"whetstone", makeWhetstone},
+    {"dhry", makeDhry},
+    {"matgen", makeMatgen},
+};
+constexpr std::size_t kTableSize = std::size(kTable);
+
+/// The benchmark named `name`, built on its first lookup (once, even
+/// when threads race to it); nullptr when no table entry has the name.
+const Benchmark* findBenchmark(std::string_view name) {
+  struct Slot {
+    std::once_flag once;
+    std::optional<Benchmark> benchmark;
+  };
+  static std::array<Slot, kTableSize> slots;
+  for (std::size_t i = 0; i < kTableSize; ++i) {
+    if (kTable[i].name != name) continue;
+    Slot& slot = slots[i];
+    std::call_once(slot.once, [&] { slot.benchmark = kTable[i].make(); });
+    return &*slot.benchmark;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::span<const BenchmarkEntry> benchmarkTable() { return kTable; }
+
 const std::vector<Benchmark>& allBenchmarks() {
   static const std::vector<Benchmark> benchmarks = [] {
     std::vector<Benchmark> all;
-    all.push_back(makeCheckData());
-    all.push_back(makeFft());
-    all.push_back(makePiksrt());
-    all.push_back(makeDes());
-    all.push_back(makeLine());
-    all.push_back(makeCircle());
-    all.push_back(makeJpegFdct());
-    all.push_back(makeJpegIdct());
-    all.push_back(makeRecon());
-    all.push_back(makeFullsearch());
-    all.push_back(makeWhetstone());
-    all.push_back(makeDhry());
-    all.push_back(makeMatgen());
+    all.reserve(kTableSize);
+    for (const BenchmarkEntry& entry : kTable) {
+      all.push_back(*findBenchmark(entry.name));
+    }
     return all;
   }();
   return benchmarks;
 }
 
 const Benchmark& benchmarkByName(std::string_view name) {
-  for (const auto& b : allBenchmarks()) {
-    if (b.name == name) return b;
-  }
+  if (const Benchmark* b = findBenchmark(name)) return *b;
   throw AnalysisError("unknown benchmark '" + std::string(name) + "'");
 }
 
 ipet::ProgramResolver benchmarkResolver() {
   return [](const std::string& name)
              -> std::optional<ipet::ResolvedProgram> {
-    for (const Benchmark& b : allBenchmarks()) {
-      if (b.name != name) continue;
-      ipet::ResolvedProgram program;
-      program.source = b.source;
-      program.root = b.rootFunction;
-      program.constraints.reserve(b.constraints.size());
-      for (const Constraint& c : b.constraints) {
-        program.constraints.push_back({c.text, c.scope});
-      }
-      return program;
+    const Benchmark* b = findBenchmark(name);
+    if (b == nullptr) return std::nullopt;
+    ipet::ResolvedProgram program;
+    program.source = b->source;
+    program.root = b->rootFunction;
+    program.constraints.reserve(b->constraints.size());
+    for (const Constraint& c : b->constraints) {
+      program.constraints.push_back({c.text, c.scope});
     }
-    return std::nullopt;
+    return program;
   };
 }
 

@@ -80,10 +80,13 @@ struct ToolOptions {
   std::string reportJson;
   /// Print the per-constraint-set solve table (--verbose-solve).
   bool verboseSolve = false;
+  /// --help: runTool prints the usage to `out` and returns 0.
+  bool helpRequested = false;
 };
 
 /// Parses argv into options.  Returns false (after printing usage to
-/// `err`) when the command line is invalid or --help was requested.
+/// `err`) when the command line is invalid.  --help stops parsing and
+/// sets `helpRequested`, for which runTool prints the usage.
 bool parseArgs(int argc, const char* const* argv, ToolOptions* options,
                std::ostream& err);
 

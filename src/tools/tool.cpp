@@ -252,8 +252,8 @@ bool parseArgs(int argc, const char* const* argv, ToolOptions* options,
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
-      err << kUsage;
-      return false;
+      options->helpRequested = true;
+      return true;
     } else if (arg == "--benchmark") {
       const char* v = needValue(i, "--benchmark");
       if (!v) return false;
@@ -419,6 +419,10 @@ bool parseArgs(int argc, const char* const* argv, ToolOptions* options,
 
 int runTool(const ToolOptions& options, std::ostream& out,
             std::ostream& err) {
+  if (options.helpRequested) {
+    out << kUsage;
+    return 0;
+  }
   try {
     std::string source;
     std::string root = options.root;

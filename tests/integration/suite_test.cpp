@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "cinderella/suite/harness.hpp"
 #include "cinderella/suite/suite.hpp"
@@ -99,7 +102,9 @@ TEST_P(SuiteTest, ConflictGraphCacheIsSoundAndNoLooser) {
 
 std::vector<std::string> benchmarkNames() {
   std::vector<std::string> names;
-  for (const auto& b : allBenchmarks()) names.push_back(b.name);
+  for (const BenchmarkEntry& entry : benchmarkTable()) {
+    names.emplace_back(entry.name);
+  }
   return names;
 }
 
@@ -138,6 +143,64 @@ TEST(SuiteTable1, AllThirteenBenchmarksPresent) {
     EXPECT_NO_THROW((void)benchmarkByName(name));
   }
   EXPECT_THROW((void)benchmarkByName("unknown"), cinderella::Error);
+}
+
+// Defined before the other registry tests so that, in a run of the
+// SuiteRegistry* filter, these lookups are the process's first.
+TEST(SuiteRegistry, ConcurrentFirstLookupBuildsOnce) {
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const Benchmark*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[static_cast<std::size_t>(t)] = &benchmarkByName("whetstone");
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const Benchmark* b : seen) {
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b, seen.front());
+  }
+  EXPECT_EQ(seen.front()->name, "whetstone");
+}
+
+TEST(SuiteRegistry, TableKeysAreTheFactoryNames) {
+  ASSERT_EQ(benchmarkTable().size(), 13u);
+  for (const BenchmarkEntry& entry : benchmarkTable()) {
+    EXPECT_EQ(entry.make().name, entry.name);
+  }
+}
+
+void expectSamePatches(const std::vector<sim::GlobalPatch>& a,
+                       const std::vector<sim::GlobalPatch>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name);
+    EXPECT_EQ(a[i].words, b[i].words);
+  }
+}
+
+TEST(SuiteRegistry, LookupMatchesAllBenchmarks) {
+  const std::vector<Benchmark>& all = allBenchmarks();
+  ASSERT_EQ(all.size(), benchmarkTable().size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const Benchmark& listed = all[i];
+    SCOPED_TRACE(listed.name);
+    EXPECT_EQ(listed.name, benchmarkTable()[i].name);
+    const Benchmark& found = benchmarkByName(listed.name);
+    EXPECT_EQ(found.source, listed.source);
+    EXPECT_EQ(found.rootFunction, listed.rootFunction);
+    ASSERT_EQ(found.constraints.size(), listed.constraints.size());
+    for (std::size_t c = 0; c < found.constraints.size(); ++c) {
+      EXPECT_EQ(found.constraints[c].text, listed.constraints[c].text);
+      EXPECT_EQ(found.constraints[c].scope, listed.constraints[c].scope);
+    }
+    expectSamePatches(found.worstData, listed.worstData);
+    expectSamePatches(found.bestData, listed.bestData);
+  }
 }
 
 TEST(SuiteTable3, MicroArchPessimismHasPaperShape) {

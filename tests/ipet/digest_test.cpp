@@ -6,6 +6,8 @@
 // change, bump the snapshot version rather than re-pinning silently.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/ipet/digest.hpp"
@@ -192,6 +194,35 @@ TEST(SystemDigests, GoldenHashesOfTableIPrograms) {
     const Analyzer::SystemDigests digests = analyzer.systemDigests();
     EXPECT_EQ(digests.structural.hex(), g.structural);
     EXPECT_EQ(digests.full.hex(), g.full);
+  }
+}
+
+TEST(SystemDigests, EstimateFirstLeavesDigestsUnchanged) {
+  // estimate() builds the system without its structural digest, which
+  // is hashed on the first digest request; an analyzer that estimated
+  // first must still produce the digests of one that never estimated.
+  const suite::Benchmark& bench = suite::benchmarkByName("dhry");
+  const auto compiled = codegen::compileSource(bench.source);
+  for (const CacheMode mode :
+       {CacheMode::AllMiss, CacheMode::FirstIterationSplit,
+        CacheMode::ConflictGraph}) {
+    SCOPED_TRACE(cacheModeStr(mode));
+    AnalyzerOptions options;
+    options.cacheMode = mode;
+    const auto fresh = [&] {
+      auto analyzer =
+          std::make_unique<Analyzer>(compiled, bench.rootFunction, options);
+      for (const auto& c : bench.constraints) {
+        analyzer->addConstraint(c.text, c.scope);
+      }
+      return analyzer;
+    };
+    const Analyzer::SystemDigests before = fresh()->systemDigests();
+    const auto estimated = fresh();
+    (void)estimated->estimate();
+    const Analyzer::SystemDigests after = estimated->systemDigests();
+    EXPECT_EQ(after.structural, before.structural);
+    EXPECT_EQ(after.full, before.full);
   }
 }
 

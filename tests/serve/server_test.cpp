@@ -2,7 +2,8 @@
 // flow, cache hits across connections, warm vs cold bit-identity for
 // the three analyzer cache modes, concurrent clients on the shared
 // pool, snapshot persistence across daemon restarts, overload
-// admission, and the shutdown handshake.  Named ServeDaemon* so the CI
+// admission, the shutdown handshake, and joining the threads of closed
+// connections.  Named ServeDaemon* so the CI
 // ThreadSanitizer job can select them.
 #include <gtest/gtest.h>
 
@@ -262,6 +263,33 @@ TEST(ServeDaemon, ParseErrorGetsErrorFrame) {
   ASSERT_TRUE(response.has_value()) << error;
   EXPECT_FALSE(response->ok);
   EXPECT_EQ(response->id, 77);
+}
+
+int mappedRegions() {
+  std::ifstream maps("/proc/self/maps");
+  int regions = 0;
+  for (std::string line; std::getline(maps, line);) ++regions;
+  return regions;
+}
+
+TEST(ServeDaemon, ClosedConnectionsDoNotKeepTheirThreadStacks) {
+  // A connection thread that has returned keeps its stack mapped until
+  // it is joined.  The daemon joins finished ones as it accepts new
+  // connections, so many short-lived clients in a row leave the mapping
+  // count flat instead of adding a stack per connection.
+  RunningServer running;
+  const auto oneClient = [&] {
+    Client client;
+    std::string error;
+    ASSERT_TRUE(client.connect(running.server.port(), &error)) << error;
+    const auto pong = client.ping(&error);
+    ASSERT_TRUE(pong.has_value()) << error;
+  };
+  for (int i = 0; i < 5; ++i) oneClient();
+  const int before = mappedRegions();
+  constexpr int kClients = 40;
+  for (int i = 0; i < kClients; ++i) oneClient();
+  EXPECT_LT(mappedRegions() - before, kClients / 2);
 }
 
 TEST(ServeDaemon, ConcurrentClientsShareThePoolAndCache) {

@@ -1,9 +1,17 @@
-// Tests for the `cinderella` command-line driver (library form).
+// Tests for the `cinderella` command-line driver: the library form, and
+// the built executable run as a process.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cinderella/obs/json.hpp"
 #include "cinderella/support/fault_injector.hpp"
@@ -343,6 +351,83 @@ TEST(ToolRun, ReportsBadConstraint) {
   std::ostringstream out, err;
   EXPECT_EQ(runTool(o, out, err), 1);
   EXPECT_FALSE(err.str().empty());
+}
+
+// --- The shipped executable, run as a process. ---
+
+struct ProcessResult {
+  int exitCode = -1;
+  std::string out;
+  std::string err;
+};
+
+/// Runs the `cinderella` executable built alongside this test with
+/// `args`, capturing stdout and stderr through temporary files.
+ProcessResult runCli(const std::vector<std::string>& args) {
+  const std::string outPath = test_util::uniqueTempPath("cli.out");
+  const std::string errPath = test_util::uniqueTempPath("cli.err");
+  std::vector<std::string> argvText = {CINDERELLA_CLI_PATH};
+  argvText.insert(argvText.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& a : argvText) argv.push_back(a.data());
+  argv.push_back(nullptr);
+
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, 1, outPath.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  posix_spawn_file_actions_addopen(&actions, 2, errPath.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0600);
+  pid_t pid = 0;
+  const int spawned = posix_spawn(&pid, argv[0], &actions, nullptr,
+                                  argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  ProcessResult result;
+  if (spawned != 0) {
+    ADD_FAILURE() << "cannot spawn " << argv[0];
+    return result;
+  }
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  if (WIFEXITED(status)) result.exitCode = WEXITSTATUS(status);
+  result.out = slurp(outPath);
+  result.err = slurp(errPath);
+  std::remove(outPath.c_str());
+  std::remove(errPath.c_str());
+  return result;
+}
+
+TEST(ToolProcess, StdoutMatchesInProcessRun) {
+  for (const char* program : {"check_data", "des", "whetstone", "dhry"}) {
+    for (const char* mode : {"allmiss", "firstiter", "ccg"}) {
+      SCOPED_TRACE(std::string(program) + "/" + mode);
+      const std::vector<std::string> args = {
+          "--benchmark", program, "--cache", mode, "--report", "--simulate"};
+      ToolOptions o;
+      std::vector<const char*> argv;
+      for (const std::string& a : args) argv.push_back(a.c_str());
+      ASSERT_TRUE(parse(argv, &o));
+      std::ostringstream out, err;
+      ASSERT_EQ(runTool(o, out, err), 0) << err.str();
+
+      const ProcessResult process = runCli(args);
+      EXPECT_EQ(process.exitCode, 0) << process.err;
+      EXPECT_EQ(process.out, out.str());
+    }
+  }
+}
+
+TEST(ToolProcess, HelpExitsZero) {
+  const ProcessResult process = runCli({"--help"});
+  EXPECT_EQ(process.exitCode, 0);
+  EXPECT_NE(process.out.find("usage: cinderella"), std::string::npos);
+}
+
+TEST(ToolProcess, UnknownBenchmarkExitsOne) {
+  const ProcessResult process = runCli({"--benchmark", "nosuch"});
+  EXPECT_EQ(process.exitCode, 1);
+  EXPECT_NE(process.err.find("unknown benchmark"), std::string::npos);
 }
 
 }  // namespace
