@@ -8,7 +8,10 @@
 #   - every line of the daemon's request log parses as JSON;
 #   - the Prometheus exposition scraped via the `metrics` op passes
 #     scripts/check_prometheus.sh and carries the serve counters;
-#   - the flight-recorder dump is valid JSON and saw the workload.
+#   - the flight-recorder dump is valid JSON and saw the workload;
+#   - the second pass's hits came from the request memo: the scrape's
+#     memo-hit counter and the dump's cache hits that skipped the front
+#     end each reach the second pass's hit count.
 # Finishes with the shutdown handshake and checks the daemon exits
 # cleanly.  Used locally and by the `serve-smoke` CI job so the
 # workload and gates live in exactly one place; telemetry outputs land
@@ -162,6 +165,35 @@ ops = {r.get("op") for r in dump["records"]}
 if "analyze" not in ops:
     sys.exit(f"serve_smoke: no analyze records in the flight recorder: {ops}")
 print(f"serve_smoke: flight recorder ok ({dump['recorded']} recorded, {len(dump['records'])} retained)")
+PY
+
+# The second pass repeats the first request for request, so each of its
+# hits should be a request-memo hit: the counter covers them, and as
+# many flight records are cache hits that never entered the front end.
+# A first-pass hit on a shared digest still runs the front end, so the
+# records are counted, not all required to skip it.
+python3 - "$LATENCY" "$METRICS" "$FLIGHT" <<'PY'
+import json, re, sys
+latency_path, metrics_path, flight_path = sys.argv[1:4]
+with open(latency_path) as f:
+    summary = json.loads([l for l in f if l.startswith("{")][-1])
+second = summary["passes"][1]["cacheHits"]
+with open(metrics_path) as f:
+    m = re.search(r"^cinderella_cache_request_hits_total (\d+)$", f.read(), re.M)
+if m is None:
+    sys.exit("serve_smoke: metrics scrape has no cinderella_cache_request_hits_total")
+memo_hits = int(m.group(1))
+if memo_hits < second:
+    sys.exit(f"serve_smoke: {memo_hits} request-memo hits < {second} second-pass hits")
+with open(flight_path) as f:
+    records = json.load(f)["records"]
+skipped = sum(1 for r in records if r.get("op") == "analyze" and
+              r.get("cacheHit") and "frontend" not in r.get("stages", {}))
+if skipped < second:
+    sys.exit(f"serve_smoke: {skipped} cache-hit records skipped the front end, "
+             f"< {second} second-pass hits")
+print(f"serve_smoke: request memo ok ({memo_hits} memo hits, {skipped} "
+      f"front-end-free hit records, {second} second-pass hits)")
 PY
 
 # --- Drain flow ------------------------------------------------------

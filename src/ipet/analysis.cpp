@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <variant>
 
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ilp/branch_and_bound.hpp"
@@ -54,6 +55,59 @@ void digestProblem(DigestBuilder* builder, const lp::Problem& problem) {
   for (const std::string& row : rows) builder->str(row);
 }
 
+/// Request-memo key (solve_cache.hpp): everything the analyzer would see
+/// — input kind, the resolved source, the defaulted root, the merged
+/// constraint list in order, the parameter declarations and the cache
+/// mode.  Like the system digest it leaves out the label, the cache
+/// policy and the SolveControl, none of which changes the answer.
+Digest requestKey(const AnalysisRequest& request, const std::string& source,
+                  const std::string& root,
+                  const std::vector<RequestConstraint>& constraints) {
+  DigestBuilder builder;
+  builder.tag('R');
+  builder.u8(request.lpInput ? 1 : 0);
+  builder.str(source);
+  builder.str(root);
+  builder.u32(static_cast<std::uint32_t>(constraints.size()));
+  for (const RequestConstraint& c : constraints) {
+    builder.str(c.text);
+    builder.str(c.scope);
+  }
+  builder.u32(static_cast<std::uint32_t>(request.parameters.size()));
+  for (const ParamDecl& p : request.parameters) {
+    builder.str(p.name);
+    builder.i64(p.lo);
+    builder.i64(p.hi);
+  }
+  builder.u8(static_cast<std::uint8_t>(request.cacheMode));
+  return builder.finish();
+}
+
+/// The one way a cache hit becomes a result, whether the digest path or
+/// the request memo found it: the cached answer IS the answer (equal
+/// digests => equal systems => equal bounds), so no solve runs.
+AnalysisResult hitResult(const AnalysisRequest& request,
+                         const RequestDigests& digests, CachedAnswer answer,
+                         Clock::time_point start) {
+  AnalysisResult result;
+  result.program = defaultLabel(request);
+  result.fullDigest = digests.full;
+  result.structuralDigest = digests.structural;
+  result.cacheHit = true;
+  if (CachedBound* hit = std::get_if<CachedBound>(&answer)) {
+    result.estimate.bound = hit->bound;
+    result.estimate.stats.constraintSets = hit->constraintSets;
+    result.solveMicros = hit->solveWallMicros;
+  } else {
+    CachedFormula& formula = std::get<CachedFormula>(answer);
+    result.formula = std::move(formula.formula);
+    result.estimate.bound = result.formula->hull();
+    result.solveMicros = formula.solveWallMicros;
+  }
+  result.wallMicros = microsSince(start);
+  return result;
+}
+
 }  // namespace
 
 const char* cachePolicyStr(CachePolicy policy) {
@@ -78,8 +132,13 @@ std::optional<CachePolicy> parseCachePolicy(std::string_view text) {
 AnalysisService::AnalysisService(AnalysisServiceOptions options)
     : options_(std::move(options)), cache_(options_.cache) {}
 
+bool AnalysisService::usesCache(const AnalysisRequest& request) const {
+  return cache_.enabled() && request.cachePolicy != CachePolicy::Bypass;
+}
+
 AnalysisResult AnalysisService::analyze(
     const AnalysisRequest& request, obs::RequestTelemetry* telemetry) const {
+  const Clock::time_point start = Clock::now();
   if (!request.benchmark.empty() && !request.source.empty()) {
     throw AnalysisError("request has both a source and a benchmark");
   }
@@ -98,7 +157,6 @@ AnalysisResult AnalysisService::analyze(
       throw AnalysisError(
           "parametric analysis applies to MiniC input, not lp input");
     }
-    return analyzeLp(request, telemetry);
   }
 
   std::string source = request.source;
@@ -124,22 +182,49 @@ AnalysisResult AnalysisService::analyze(
   constraints.insert(constraints.end(), request.constraints.begin(),
                      request.constraints.end());
 
-  auto frontendTimer = obs::timeStage(telemetry, obs::RequestStage::Frontend);
-  const codegen::CompileResult compiled = codegen::compileSource(source);
-  frontendTimer.stop();
+  // A repeat whose answer is still cached is served here, before any
+  // compile, CFG or system build.
+  std::optional<Digest> memoKey;
+  if (usesCache(request)) {
+    auto digestTimer = obs::timeStage(telemetry, obs::RequestStage::Digest);
+    memoKey = requestKey(request, source, root, constraints);
+    digestTimer.stop();
+    auto lookupTimer =
+        obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
+    std::optional<RequestHit> hit = cache_.lookupRequest(*memoKey);
+    lookupTimer.stop();
+    if (hit) {
+      return hitResult(request, hit->digests, std::move(hit->answer), start);
+    }
+  }
 
-  auto cfgTimer = obs::timeStage(telemetry, obs::RequestStage::Cfg);
-  AnalyzerOptions aopt;
-  aopt.cacheMode = request.cacheMode;
-  Analyzer analyzer(compiled, root, aopt);
-  for (const RequestConstraint& c : constraints) {
-    analyzer.addConstraint(c.text, c.scope);
+  AnalysisResult result;
+  if (request.lpInput) {
+    result = analyzeLp(request, telemetry);
+  } else {
+    auto frontendTimer =
+        obs::timeStage(telemetry, obs::RequestStage::Frontend);
+    const codegen::CompileResult compiled = codegen::compileSource(source);
+    frontendTimer.stop();
+
+    auto cfgTimer = obs::timeStage(telemetry, obs::RequestStage::Cfg);
+    AnalyzerOptions aopt;
+    aopt.cacheMode = request.cacheMode;
+    Analyzer analyzer(compiled, root, aopt);
+    for (const RequestConstraint& c : constraints) {
+      analyzer.addConstraint(c.text, c.scope);
+    }
+    cfgTimer.stop();
+    result = request.parameters.empty()
+                 ? analyzeWith(analyzer, request, telemetry)
+                 : analyzeParametricWith(analyzer, request, telemetry);
   }
-  cfgTimer.stop();
-  if (!request.parameters.empty()) {
-    return analyzeParametricWith(analyzer, request, telemetry);
+  if (memoKey && request.cachePolicy == CachePolicy::ReadWrite) {
+    cache_.recordRequest(*memoKey,
+                         {result.fullDigest, result.structuralDigest,
+                          !request.parameters.empty()});
   }
-  return analyzeWith(analyzer, request, telemetry);
+  return result;
 }
 
 AnalysisResult AnalysisService::analyzeWith(
@@ -153,30 +238,23 @@ AnalysisResult AnalysisService::analyzeWith(
     control.tracer = telemetry->tracer();
   }
 
-  auto digestTimer = obs::timeStage(telemetry, obs::RequestStage::Digest);
-  const Analyzer::SystemDigests digests =
-      analyzer.systemDigests(control.tracer);
-  digestTimer.stop();
-  result.fullDigest = digests.full;
-  result.structuralDigest = digests.structural;
-
-  const bool useCache =
-      cache_.enabled() && request.cachePolicy != CachePolicy::Bypass;
+  // Only a cache reads the digests, so a run without one never hashes
+  // its system and returns empty digests.
+  const bool useCache = usesCache(request);
   if (useCache) {
+    auto digestTimer = obs::timeStage(telemetry, obs::RequestStage::Digest);
+    const Analyzer::SystemDigests digests =
+        analyzer.systemDigests(control.tracer);
+    digestTimer.stop();
+    result.fullDigest = digests.full;
+    result.structuralDigest = digests.structural;
     auto lookupTimer =
         obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
     std::optional<CachedBound> hit = cache_.lookupBound(digests.full);
     lookupTimer.stop();
     if (hit) {
-      // An identical ILP system was solved and verified before: the
-      // cached interval IS the answer (equal full digests => equal
-      // systems => equal bounds), so no solve runs.
-      result.cacheHit = true;
-      result.estimate.bound = hit->bound;
-      result.estimate.stats.constraintSets = hit->constraintSets;
-      result.solveMicros = hit->solveWallMicros;
-      result.wallMicros = microsSince(start);
-      return result;
+      return hitResult(request, {digests.full, digests.structural, false},
+                       *hit, start);
     }
   }
 
@@ -189,7 +267,7 @@ AnalysisResult AnalysisService::analyzeWith(
 
   if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
     auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);
-    cache_.insert(digests.full, result.estimate, result.solveMicros);
+    cache_.insert(result.fullDigest, result.estimate, result.solveMicros);
   }
   result.wallMicros = microsSince(start);
   return result;
@@ -217,23 +295,15 @@ AnalysisResult AnalysisService::analyzeParametricWith(
   result.fullDigest = parametric;
   result.structuralDigest = parametric;
 
-  const bool useCache =
-      cache_.enabled() && request.cachePolicy != CachePolicy::Bypass;
+  const bool useCache = usesCache(request);
   if (useCache) {
     auto lookupTimer =
         obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
     std::optional<CachedFormula> hit = cache_.lookupFormula(parametric);
     lookupTimer.stop();
     if (hit) {
-      // The same system with the same symbolic parameters was already
-      // run through the parametric engine; the cached piecewise bound
-      // is the verified answer for every point in the box.
-      result.cacheHit = true;
-      result.formula = std::move(hit->formula);
-      result.estimate.bound = result.formula->hull();
-      result.solveMicros = hit->solveWallMicros;
-      result.wallMicros = microsSince(start);
-      return result;
+      return hitResult(request, {parametric, parametric, true},
+                       std::move(*hit), start);
     }
   }
 
@@ -269,32 +339,26 @@ AnalysisResult AnalysisService::analyzeLp(
       lp::parseLpFormatAll(request.source);
   frontendTimer.stop();
 
-  auto digestTimer = obs::timeStage(telemetry, obs::RequestStage::Digest);
-  DigestBuilder builder;
-  builder.tag('L');
-  builder.u32(static_cast<std::uint32_t>(problems.size()));
-  for (const lp::Problem& problem : problems) digestProblem(&builder, problem);
-  result.fullDigest = builder.finish();
-  digestTimer.stop();
-  // A stand-alone LP system has no structural core shared with other
-  // requests, so the structural key collapses onto the full key.
-  result.structuralDigest = result.fullDigest;
-
-  const bool useCache =
-      cache_.enabled() && request.cachePolicy != CachePolicy::Bypass;
+  const bool useCache = usesCache(request);
   if (useCache) {
+    auto digestTimer = obs::timeStage(telemetry, obs::RequestStage::Digest);
+    DigestBuilder builder;
+    builder.tag('L');
+    builder.u32(static_cast<std::uint32_t>(problems.size()));
+    for (const lp::Problem& problem : problems) {
+      digestProblem(&builder, problem);
+    }
+    const Digest digest = builder.finish();
+    digestTimer.stop();
+    // A stand-alone LP system has no structural core shared with other
+    // requests, so the structural key collapses onto the full key.
+    result.fullDigest = digest;
+    result.structuralDigest = digest;
     auto lookupTimer =
         obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
-    std::optional<CachedBound> hit = cache_.lookupBound(result.fullDigest);
+    std::optional<CachedBound> hit = cache_.lookupBound(digest);
     lookupTimer.stop();
-    if (hit) {
-      result.cacheHit = true;
-      result.estimate.bound = hit->bound;
-      result.estimate.stats.constraintSets = hit->constraintSets;
-      result.solveMicros = hit->solveWallMicros;
-      result.wallMicros = microsSince(start);
-      return result;
-    }
+    if (hit) return hitResult(request, {digest, digest, false}, *hit, start);
   }
 
   const SolveControl& control = request.control;

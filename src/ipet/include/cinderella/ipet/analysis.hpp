@@ -7,15 +7,20 @@
 // An AnalysisService wraps the per-request Analyzer pipeline with the
 // persistent content-addressed SolveCache:
 //
-//   request -> resolve input -> Analyzer -> systemDigests()
+//   request -> resolve input -> request key -> request memo: hit => answer
+//           -> Analyzer -> systemDigests()
 //           -> bound-cache lookup (full digest): hit => answer, no solve
-//           -> estimate() -> admission-gated insert -> result
+//           -> estimate() -> admission-gated insert -> memo the key -> result
 //
-// systemDigests() builds the analyzer's ILP system (base problem,
-// objectives, combined DNF, structural digest prefix), and estimate()
-// solves that same system without building it again.  A parametric
-// request does the same with parametricDigest() and every direct solve
-// of the parametric engine.
+// The request memo maps a digest of the request itself to the digests it
+// was answered under, so a repeat whose answer is still cached compiles
+// nothing and builds no system.  systemDigests() builds the analyzer's
+// ILP system (base problem, objectives, combined DNF, structural digest
+// prefix), and estimate() solves that same system without building it
+// again.  A parametric request does the same with parametricDigest() and
+// every direct solve of the parametric engine.  Without a cache (a
+// disabled one, or a Bypass request) no digest but the parametric one is
+// computed.
 //
 // The service accepts three inputs: MiniC source, the name of a built-in
 // Table-I benchmark (resolved through an injected ProgramResolver so
@@ -101,11 +106,12 @@ struct AnalysisResult {
   /// The estimate: freshly solved, or synthesized from a cache hit
   /// (bound + constraintSets only; per-set records are not cached).
   Estimate estimate;
-  /// Content-addressed keys of the analysed system (see digest.hpp).
-  /// For LP input the two digests coincide: there is no shared
-  /// structural core.  For parametric requests
-  /// both fields hold the *parametric* digest (the formula-cache key —
-  /// what the serve "evaluate" op takes).
+  /// Content-addressed keys of the analysed system (see digest.hpp),
+  /// computed only where a cache reads them: empty for a Bypass request
+  /// or a disabled cache.  For LP input the two digests coincide: there
+  /// is no shared structural core.  For parametric requests both fields
+  /// hold the *parametric* digest (the formula-cache key — what the
+  /// serve "evaluate" op takes), computed with or without a cache.
   Digest fullDigest;
   Digest structuralDigest;
   /// Parametric requests only: the closed-form piecewise bound.  The
@@ -146,7 +152,9 @@ class AnalysisService {
  public:
   explicit AnalysisService(AnalysisServiceOptions options = {});
 
-  /// Runs one analysis end to end.  Throws Error (ParseError /
+  /// Runs one analysis end to end, or answers it from the request memo
+  /// when the same request was answered before and its answer is still
+  /// cached.  Throws Error (ParseError /
   /// AnalysisError) on invalid requests or un-analysable input; solver
   /// degradation is reported inside the Estimate, never thrown.
   ///
@@ -179,6 +187,9 @@ class AnalysisService {
   [[nodiscard]] SolveCache& cache() const { return cache_; }
 
  private:
+  /// Whether `request` may read the cache (enabled, not Bypass).
+  [[nodiscard]] bool usesCache(const AnalysisRequest& request) const;
+
   [[nodiscard]] AnalysisResult analyzeLp(
       const AnalysisRequest& request,
       obs::RequestTelemetry* telemetry) const;

@@ -1,7 +1,8 @@
 // Persistent content-addressed solve cache: the serving layer's memory
 // of every constraint system it has already bounded.
 //
-// Two LRU stores, both keyed by the byte-stable digests of digest.hpp:
+// Three LRU stores.  The first two are keyed by the byte-stable digests
+// of digest.hpp:
 //
 //   * bounds — full-system digest (Analyzer::systemDigests) -> verified
 //     [BCET, WCET] interval.  A hit means an identical ILP system was
@@ -14,15 +15,26 @@
 //     engine; the cached piecewise bound answers every point query in
 //     that box without any solve (the serve layer's "evaluate" op).
 //
+//   * requests — a digest of the request as the analyzer would see it
+//     (AnalysisService) -> the digests it was answered under.  A hit
+//     whose digest the bound or formula store still holds answers a
+//     repeated request without compiling it, building its CFG or
+//     building and hashing its ILP system.  An entry whose digest is no
+//     longer held (evicted, cleared, never admitted) is a miss, so the
+//     memo never answers a request the digest path would not.  It lives
+//     in memory only: which system a request induces depends on this
+//     build's front end, while the persisted digests do not, so save(),
+//     the journal and restore() leave it out and restore() empties it.
+//
 // Admission is verification-gated: only estimates that are sound, not
 // timed out, fault-free, and exact on every scheduled set are admitted,
 // so a degraded or fault-injected result can never poison a future
-// request (it is simply recomputed).  Both stores are LRU-bounded and
-// the whole cache can be snapshot to / restored from disk, surviving
-// daemon restarts — the digests' byte-stability is what makes those
-// snapshots portable across rebuilds and platforms.
+// request (it is simply recomputed).  The bound and formula stores can
+// be snapshot to / restored from disk, surviving daemon restarts — the
+// digests' byte-stability is what makes those snapshots portable across
+// rebuilds and platforms.
 //
-// Thread-safe: one mutex over both stores (lookups are O(log n) map
+// Thread-safe: one mutex over all three stores (lookups are O(log n) map
 // walks plus a splice; the solves they save are milliseconds).
 #pragma once
 
@@ -30,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <variant>
 
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/ipet/digest.hpp"
@@ -40,8 +53,8 @@
 namespace cinderella::ipet {
 
 struct SolveCacheOptions {
-  /// Maximum entries per store (bounds and formulas each); 0 disables the
-  /// cache entirely — every lookup misses and every insert is dropped.
+  /// Maximum entries per store (bounds, formulas and requests each); 0
+  /// disables the cache entirely — every lookup misses and every insert is dropped.
   std::size_t capacity = 1024;
   /// When non-empty: every admitted insert is also appended (and
   /// fsync'd) to this journal file, so a crash between snapshots loses
@@ -66,14 +79,41 @@ struct CachedFormula {
   std::int64_t solveWallMicros = 0;
 };
 
+/// The cached answer of a hit: a bound, or a parametric formula.
+using CachedAnswer = std::variant<CachedBound, CachedFormula>;
+
+/// The request memo's value: the digests a request was answered under.
+/// A parametric request's answer is the formula store's entry for `full`
+/// (its parametric digest); any other request's is the bound store's.
+struct RequestDigests {
+  Digest full;
+  Digest structural;
+  bool parametric = false;
+};
+
+/// A request-memo hit: the digests and the answer they still hold.
+struct RequestHit {
+  RequestDigests digests;
+  CachedAnswer answer;
+};
+
 struct SolveCacheStats {
+  /// Bound-store hits, including those reached through the request memo.
   std::int64_t boundHits = 0;
   std::int64_t boundMisses = 0;
   /// Always 0: the cache stores no bases any more.  Stays only because
   /// perfbench/ reports it.
   std::int64_t basisHits = 0;
+  /// Formula-store hits, including those reached through the request
+  /// memo.
   std::int64_t formulaHits = 0;
   std::int64_t formulaMisses = 0;
+  /// Request-memo lookups answered / not answered (no entry, or its
+  /// digest no longer held).  A miss then takes the digest path, which
+  /// counts its own bound or formula lookup.
+  std::int64_t requestHits = 0;
+  std::int64_t requestMisses = 0;
+  /// Admissions to, and evictions from, the bound and formula stores.
   std::int64_t insertions = 0;
   std::int64_t evictions = 0;
   /// Inserts refused by the admission gate (degraded/faulted results).
@@ -142,12 +182,23 @@ class SolveCache {
   /// estimate-level admission gate here.
   void insertFormula(const Digest& parametric, CachedFormula entry);
 
+  /// Request-memo lookup: a hit needs an entry for `request` whose
+  /// digest its store still holds, and marks both most-recently-used.
+  [[nodiscard]] std::optional<RequestHit> lookupRequest(const Digest& request);
+
+  /// Maps `request` to the digests it was just answered under.  Not an
+  /// admission: nothing is journaled or persisted.
+  void recordRequest(const Digest& request, const RequestDigests& digests);
+
   [[nodiscard]] SolveCacheStats stats() const;
   [[nodiscard]] std::size_t boundEntries() const;
   [[nodiscard]] std::size_t formulaEntries() const;
+  [[nodiscard]] std::size_t requestEntries() const;
+  /// Empties all three stores; counters are kept.
   void clear();
 
-  /// Writes a binary snapshot of all stores (oldest-first, so load()
+  /// Writes a binary snapshot of the bound and formula stores
+  /// (oldest-first, so load()
   /// restores recency order) — atomically: temp file + fsync + rename,
   /// so a crash mid-save leaves the previous snapshot intact.  Each
   /// section carries its own CRC32.  After a successful save the
@@ -156,10 +207,12 @@ class SolveCache {
   /// I/O failure.  Counters are not persisted.
   bool save(const std::string& path, std::string* error) const;
 
-  /// Replaces the cache contents from a snapshot written by save() (or
-  /// by an older version: basis sections of v1-v3 snapshots are skipped),
-  /// re-applying this cache's own capacity bound.  On any malformation
-  /// (bad magic/version, truncation, CRC mismatch) returns false with a diagnostic and leaves the cache unchanged.
+  /// Replaces the cache contents (emptying the request memo) from a
+  /// snapshot written by save() (or by an older version: basis sections
+  /// of v1-v3 snapshots are skipped), re-applying this cache's own
+  /// capacity bound.  On any malformation (bad magic/version,
+  /// truncation, CRC mismatch) returns false with a diagnostic and
+  /// leaves the cache unchanged.
   /// Strict — recovery from partial damage is restore()'s job.
   bool load(const std::string& path, std::string* error);
 
@@ -168,7 +221,8 @@ class SolveCache {
   /// configured) up to its first torn or corrupt record.  A kill -9 at
   /// any byte offset therefore recovers every fully-persisted admission
   /// and never installs a corrupt entry.  Replaces the cache contents
-  /// (with whatever was recovered, possibly nothing).
+  /// (with whatever was recovered, possibly nothing) and empties the
+  /// request memo.
   SnapshotRestoreReport restore(const std::string& path);
 
  private:
@@ -180,6 +234,7 @@ class SolveCache {
   mutable std::mutex mutex_;
   support::LruMap<Digest, CachedBound> bounds_;
   support::LruMap<Digest, CachedFormula> formulas_;
+  support::LruMap<Digest, RequestDigests> requests_;
   SolveCacheStats stats_;
 };
 

@@ -376,7 +376,8 @@ bool readFile(const std::string& path, std::string* out) {
 SolveCache::SolveCache(SolveCacheOptions options)
     : options_(std::move(options)),
       bounds_(options_.capacity),
-      formulas_(options_.capacity) {}
+      formulas_(options_.capacity),
+      requests_(options_.capacity) {}
 
 std::optional<CachedBound> SolveCache::lookupBound(const Digest& full) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -401,6 +402,36 @@ std::optional<CachedFormula> SolveCache::lookupFormula(
   ++stats_.formulaMisses;
   count("solve_cache.formula_misses");
   return std::nullopt;
+}
+
+std::optional<RequestHit> SolveCache::lookupRequest(const Digest& request) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const RequestDigests* digests = requests_.find(request)) {
+    if (digests->parametric) {
+      if (const CachedFormula* entry = formulas_.find(digests->full)) {
+        ++stats_.requestHits;
+        ++stats_.formulaHits;
+        count("solve_cache.request_hits");
+        count("solve_cache.formula_hits");
+        return RequestHit{*digests, *entry};
+      }
+    } else if (const CachedBound* entry = bounds_.find(digests->full)) {
+      ++stats_.requestHits;
+      ++stats_.boundHits;
+      count("solve_cache.request_hits");
+      count("solve_cache.bound_hits");
+      return RequestHit{*digests, *entry};
+    }
+  }
+  ++stats_.requestMisses;
+  count("solve_cache.request_misses");
+  return std::nullopt;
+}
+
+void SolveCache::recordRequest(const Digest& request,
+                               const RequestDigests& digests) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  requests_.insert(request, digests);
 }
 
 void SolveCache::journalLocked(std::uint32_t type, std::string_view payload) {
@@ -484,10 +515,16 @@ std::size_t SolveCache::formulaEntries() const {
   return formulas_.size();
 }
 
+std::size_t SolveCache::requestEntries() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return requests_.size();
+}
+
 void SolveCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
   formulas_.clear();
+  requests_.clear();
 }
 
 bool SolveCache::save(const std::string& path, std::string* error) const {
@@ -575,6 +612,7 @@ bool SolveCache::load(const std::string& path, std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
   formulas_.clear();
+  requests_.clear();
   // Oldest-first replay restores the writer's recency order; this
   // cache's own capacity gates how much survives.
   for (auto& [key, entry] : staged.bounds) bounds_.insert(key, entry);
@@ -645,6 +683,7 @@ SnapshotRestoreReport SolveCache::restore(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   bounds_.clear();
   formulas_.clear();
+  requests_.clear();
   for (auto& [key, entry] : staged.bounds) bounds_.insert(key, entry);
   for (auto& [key, entry] : staged.formulas) {
     formulas_.insert(key, std::move(entry));

@@ -31,7 +31,10 @@
 //   {"id":7,"ok":true,"protocolVersion":4,
 //    "cacheHit":false,          // bound served from the solve cache
 //    "degradedAdmission":false, // overload clamped the deadline
-//    "digest":"<32 hex>","structuralDigest":"<32 hex>",
+//    "digest":"<32 hex>","structuralDigest":"<32 hex>",  // omitted
+//                               // when no cache was read (cachePolicy
+//                               // bypass, or a cache-less daemon) —
+//                               // parametric requests always carry them
 //    "wallMicros":N,"solveMicros":N,
 //    "telemetry":{"requestId":"...","stages":{"frontend":µs,...}},
 //    "formula":{...},           // parametric requests only: the

@@ -329,12 +329,14 @@ std::string encodeAnalyzeResponse(const WireId& id,
   w.key("cacheHit")
       .value(result.cacheHit)
       .key("degradedAdmission")
-      .value(degradedAdmission)
-      .key("digest")
-      .value(result.fullDigest.hex())
-      .key("structuralDigest")
-      .value(result.structuralDigest.hex())
-      .key("wallMicros")
+      .value(degradedAdmission);
+  if (!result.fullDigest.empty()) {
+    w.key("digest")
+        .value(result.fullDigest.hex())
+        .key("structuralDigest")
+        .value(result.structuralDigest.hex());
+  }
+  w.key("wallMicros")
       .value(result.wallMicros)
       .key("solveMicros")
       .value(result.solveMicros);
@@ -390,6 +392,10 @@ std::string encodeStatsResponse(const WireId& id,
       .value(cache.boundHits)
       .key("boundMisses")
       .value(cache.boundMisses)
+      .key("requestHits")
+      .value(cache.requestHits)
+      .key("requestMisses")
+      .value(cache.requestMisses)
       .key("insertions")
       .value(cache.insertions)
       .key("evictions")

@@ -630,6 +630,8 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   const ipet::SolveCacheStats cache = service_.cache().stats();
   snapshot.counters["cache.bound_hits"] = cache.boundHits;
   snapshot.counters["cache.bound_misses"] = cache.boundMisses;
+  snapshot.counters["cache.request_hits"] = cache.requestHits;
+  snapshot.counters["cache.request_misses"] = cache.requestMisses;
   snapshot.counters["cache.formula_hits"] = cache.formulaHits;
   snapshot.counters["cache.formula_misses"] = cache.formulaMisses;
   snapshot.counters["cache.insertions"] = cache.insertions;

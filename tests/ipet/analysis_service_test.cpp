@@ -1,18 +1,26 @@
 // The unified AnalysisRequest -> AnalysisResult API and its caching
 // semantics: warm-cache answers are bit-identical to cold solves across
 // every cache mode, cache policies behave as documented, LP-format
-// input closes the paper's off-the-shelf-ILP loop, and benchmark-name
-// resolution goes through the injected ProgramResolver seam.
+// input closes the paper's off-the-shelf-ILP loop, benchmark-name
+// resolution goes through the injected ProgramResolver seam, and the
+// request memo answers a repeat exactly as the digest path would.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cinderella/codegen/codegen.hpp"
 #include "cinderella/ipet/analysis.hpp"
 #include "cinderella/ipet/analyzer.hpp"
+#include "cinderella/obs/report.hpp"
+#include "cinderella/obs/request_telemetry.hpp"
 #include "cinderella/suite/suite.hpp"
 #include "cinderella/support/error.hpp"
+#include "test_util/temp_path.hpp"
 
 namespace cinderella::ipet {
 namespace {
@@ -340,6 +348,408 @@ TEST(AnalysisService, DegradedResultIsNeverAdmitted) {
   const AnalysisResult solved = service.analyze(clean);
   EXPECT_FALSE(solved.cacheHit);
   EXPECT_FALSE(solved.estimate.timedOut);
+}
+
+// --- Runs without a cache, and the request memo. --------------------
+
+// Two roots with the same shape, so a fig2 constraint fits either.
+constexpr const char* kTwoRoots =
+    "int q;\nint r;\n"
+    "void f(int p) { if (p) { q = 1; } else { q = 2; } r = q; }\n"
+    "void g(int p) { if (p) { q = 3; } else { q = 4; } r = q; }";
+
+// `x0 <= 3 * @P` is redundant for P in [1, 3]: the entry block runs
+// once, so the formula prices every point to the direct bound.
+AnalysisRequest parametricRequest() {
+  AnalysisRequest request;
+  request.source = kLoop;
+  request.root = "f";
+  request.constraints.push_back({"x0 <= 3 * @P", ""});
+  request.parameters = {{"P", 1, 3}};
+  return request;
+}
+
+std::string lpExportOf(const char* source, const char* root) {
+  const auto compiled = codegen::compileSource(source);
+  return Analyzer(compiled, root).exportWorstCaseIlp();
+}
+
+/// Section tags of a snapshot file, in order, after checking its magic
+/// and format version.
+std::vector<std::uint32_t> snapshotSections(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const auto u32At = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i]))
+           << (8 * i);
+    }
+    return v;
+  };
+  EXPECT_EQ(bytes.substr(0, 5), "CSNAP");
+  EXPECT_EQ(u32At(5), 4u) << "snapshot format version";
+  std::vector<std::uint32_t> tags;
+  // Each section: tag, entry count, payload length, payload, CRC32.
+  for (std::size_t at = 9; at + 12 <= bytes.size();) {
+    tags.push_back(u32At(at));
+    at += 12 + u32At(at + 8) + 4;
+  }
+  return tags;
+}
+
+TEST(AnalysisService, RunsWithoutACacheComputeNoDigest) {
+  // Only a cache reads the system digests.  A Bypass request and a
+  // cache-less service answer the same bound with empty digests and no
+  // digest stage; a cached request's digests are the analyzer's own.
+  const auto compiled = codegen::compileSource(kFig2);
+  Analyzer analyzer(compiled, "f");
+  analyzer.addConstraint("x1 = 0 | x2 = 0");
+  const Analyzer::SystemDigests direct = analyzer.systemDigests();
+
+  AnalysisService cached;
+  const AnalysisResult stored = cached.analyze(fig2Request());
+  EXPECT_EQ(stored.fullDigest, direct.full);
+  EXPECT_EQ(stored.structuralDigest, direct.structural);
+  AnalysisRequest lp;
+  lp.lpInput = true;
+  lp.source = lpExportOf(kLoop, "f");
+  const AnalysisResult storedLp = cached.analyze(lp);
+  EXPECT_FALSE(storedLp.fullDigest.empty());
+
+  AnalysisServiceOptions cacheless;
+  cacheless.cache.capacity = 0;
+  AnalysisService disabled(cacheless);
+  const SolveCacheStats before = cached.cache().stats();
+  struct Case {
+    const char* label;
+    const AnalysisService* service;
+    AnalysisRequest request;
+    const AnalysisResult* reference;
+  };
+  AnalysisRequest bypass = fig2Request();
+  bypass.cachePolicy = CachePolicy::Bypass;
+  AnalysisRequest lpBypass = lp;
+  lpBypass.cachePolicy = CachePolicy::Bypass;
+  const Case cases[] = {{"minic bypass", &cached, bypass, &stored},
+                        {"lp bypass", &cached, lpBypass, &storedLp},
+                        {"minic cache-less", &disabled, fig2Request(), &stored},
+                        {"lp cache-less", &disabled, lp, &storedLp}};
+  for (const Case& c : cases) {
+    obs::RequestTelemetry telemetry;
+    const AnalysisResult result = c.service->analyze(c.request, &telemetry);
+    EXPECT_FALSE(result.cacheHit) << c.label;
+    EXPECT_EQ(result.estimate.bound, c.reference->estimate.bound) << c.label;
+    EXPECT_TRUE(result.fullDigest.empty()) << c.label;
+    EXPECT_TRUE(result.structuralDigest.empty()) << c.label;
+    EXPECT_EQ(telemetry.stageMicros(obs::RequestStage::Digest), 0) << c.label;
+  }
+  // Bypass never touched the memo, nor any store.
+  const SolveCacheStats after = cached.cache().stats();
+  EXPECT_EQ(after.requestHits + after.requestMisses,
+            before.requestHits + before.requestMisses);
+  EXPECT_EQ(after.boundHits + after.boundMisses,
+            before.boundHits + before.boundMisses);
+
+  // A parametric request keeps its digest: the CLI prints it.
+  AnalysisRequest parametric = parametricRequest();
+  parametric.cachePolicy = CachePolicy::Bypass;
+  EXPECT_FALSE(cached.analyze(parametric).fullDigest.empty());
+  EXPECT_FALSE(disabled.analyze(parametricRequest()).fullDigest.empty());
+}
+
+TEST(AnalysisService, RequestMemoAnswersARepeatWithoutTheFrontEnd) {
+  AnalysisService service;
+  const AnalysisResult cold = service.analyze(fig2Request());
+  obs::RequestTelemetry telemetry;
+  const AnalysisResult repeat = service.analyze(fig2Request(), &telemetry);
+  EXPECT_TRUE(repeat.cacheHit);
+  EXPECT_EQ(repeat.estimate.bound, cold.estimate.bound);
+  EXPECT_EQ(repeat.fullDigest, cold.fullDigest);
+  EXPECT_EQ(repeat.structuralDigest, cold.structuralDigest);
+  EXPECT_EQ(telemetry.stageMicros(obs::RequestStage::Frontend), 0);
+  EXPECT_EQ(telemetry.stageMicros(obs::RequestStage::Cfg), 0);
+  EXPECT_EQ(telemetry.stageMicros(obs::RequestStage::Solve), 0);
+  const SolveCacheStats stats = service.cache().stats();
+  EXPECT_EQ(stats.requestMisses, 1);
+  EXPECT_EQ(stats.requestHits, 1);
+  // The memo hit is a bound hit too, so hit ratios keep their meaning.
+  EXPECT_EQ(stats.boundMisses, 1);
+  EXPECT_EQ(stats.boundHits, 1);
+}
+
+TEST(AnalysisService, RequestMemoKeyCoversEveryInputTheAnalyzerSees) {
+  // Each input changed alone misses the memo; the answer is then the
+  // digest path's, which equals a cold solve of the changed request.
+  const auto expectMemoMiss = [](const AnalysisRequest& base,
+                                 const AnalysisRequest& changed,
+                                 const std::string& what) {
+    AnalysisService service;
+    (void)service.analyze(base);
+    (void)service.analyze(base);
+    const SolveCacheStats before = service.cache().stats();
+    ASSERT_EQ(before.requestHits, 1) << what;
+    const AnalysisResult result = service.analyze(changed);
+    const SolveCacheStats after = service.cache().stats();
+    EXPECT_EQ(after.requestHits, before.requestHits) << what;
+    EXPECT_EQ(after.requestMisses, before.requestMisses + 1) << what;
+    AnalysisService fresh;
+    EXPECT_EQ(result.estimate.bound, fresh.analyze(changed).estimate.bound)
+        << what;
+    // The changed request memoizes under its own key.
+    (void)service.analyze(changed);
+    EXPECT_EQ(service.cache().stats().requestHits, before.requestHits + 1)
+        << what;
+  };
+
+  AnalysisRequest base;
+  base.source = kTwoRoots;
+  base.root = "f";
+  base.constraints.push_back({"x1 = 0 | x2 = 0", ""});
+
+  AnalysisRequest changed = base;
+  changed.source += "\n";
+  expectMemoMiss(base, changed, "source");
+  changed = base;
+  changed.root = "g";
+  expectMemoMiss(base, changed, "root");
+  changed = base;
+  changed.constraints[0].text = "x2 = 0 | x1 = 0";
+  expectMemoMiss(base, changed, "constraint text");
+  changed = base;
+  changed.constraints[0].scope = "f";
+  expectMemoMiss(base, changed, "constraint scope");
+  changed = base;
+  changed.constraints.push_back({"x1 = 0 | x2 = 0", ""});
+  expectMemoMiss(base, changed, "constraint count");
+  changed = base;
+  changed.cacheMode = CacheMode::FirstIterationSplit;
+  expectMemoMiss(base, changed, "cache mode");
+
+  const AnalysisRequest parametric = parametricRequest();
+  changed = parametric;
+  changed.parameters[0].hi = 4;
+  expectMemoMiss(parametric, changed, "parameter range");
+  changed = parametric;
+  changed.parameters[0].name = "Q";
+  changed.constraints[0].text = "x0 <= 3 * @Q";
+  expectMemoMiss(parametric, changed, "parameter name");
+
+  // The LP flag: the same text read as MiniC must not be answered with
+  // the LP system's bound.
+  AnalysisRequest lp;
+  lp.lpInput = true;
+  lp.source = lpExportOf(kLoop, "f");
+  AnalysisService service;
+  (void)service.analyze(lp);
+  AnalysisRequest asMiniC = lp;
+  asMiniC.lpInput = false;
+  EXPECT_THROW((void)service.analyze(asMiniC), Error);
+  EXPECT_EQ(service.cache().stats().requestHits, 0);
+  EXPECT_EQ(service.cache().stats().requestMisses, 2);
+}
+
+TEST(AnalysisService, RequestMemoIgnoresLabelPolicyAndSolveControl) {
+  // What the system digest leaves out, the request key leaves out too.
+  AnalysisService service;
+  const AnalysisResult cold = service.analyze(fig2Request());
+  AnalysisRequest labelled = fig2Request();
+  labelled.label = "renamed";
+  AnalysisRequest jobs = fig2Request();
+  jobs.control.threads = 2;
+  AnalysisRequest deadline = fig2Request();
+  deadline.control.deadline = std::chrono::milliseconds(60000);
+  AnalysisRequest readOnly = fig2Request();
+  readOnly.cachePolicy = CachePolicy::ReadOnly;
+  std::int64_t hits = 0;
+  for (const AnalysisRequest* request :
+       {&labelled, &jobs, &deadline, &readOnly}) {
+    obs::RequestTelemetry telemetry;
+    const AnalysisResult result = service.analyze(*request, &telemetry);
+    EXPECT_TRUE(result.cacheHit) << request->label;
+    EXPECT_EQ(result.estimate.bound, cold.estimate.bound);
+    EXPECT_EQ(telemetry.stageMicros(obs::RequestStage::Frontend), 0);
+    EXPECT_EQ(service.cache().stats().requestHits, ++hits);
+  }
+  // The label is the request's own, not the memoized one's.
+  EXPECT_EQ(service.analyze(labelled).program, "renamed");
+}
+
+TEST(AnalysisService, RequestMemoMissesARefinedRequestAfterARepeat) {
+  AnalysisService service;
+  (void)service.analyze(fig2Request());
+  ASSERT_TRUE(service.analyze(fig2Request()).cacheHit);
+  AnalysisRequest refined = fig2Request();
+  refined.constraints.push_back({"x1 = 1", ""});
+  const AnalysisResult result = service.analyze(refined);
+  EXPECT_FALSE(result.cacheHit);
+  EXPECT_EQ(service.cache().stats().requestHits, 1);
+  AnalysisService fresh;
+  const AnalysisResult cold = fresh.analyze(refined);
+  EXPECT_EQ(result.estimate.bound, cold.estimate.bound);
+  EXPECT_EQ(result.fullDigest, cold.fullDigest);
+}
+
+TEST(AnalysisService, RequestMemoFallsThroughWhenItsBoundWasEvicted) {
+  // Two entries per store.  A and B fill both stores; an analyzeWith()
+  // insert (which memoizes no request) then evicts A's bound while A's
+  // memo entry lives.  The repeat of A must solve, not hit.
+  AnalysisServiceOptions options;
+  options.cache.capacity = 2;
+  AnalysisService service(options);
+  const AnalysisRequest a = fig2Request();
+  AnalysisRequest b;
+  b.source = kLoop;
+  b.root = "f";
+  const AnalysisResult coldA = service.analyze(a);
+  (void)service.analyze(b);
+  const auto compiled = codegen::compileSource(kFig2);
+  Analyzer c(compiled, "f");
+  c.addConstraint("x1 = 1");
+  ASSERT_FALSE(service.analyzeWith(c, AnalysisRequest{}).cacheHit);
+  ASSERT_EQ(service.cache().requestEntries(), 2u);
+
+  const SolveCacheStats before = service.cache().stats();
+  const AnalysisResult repeat = service.analyze(a);
+  EXPECT_FALSE(repeat.cacheHit);
+  EXPECT_GT(repeat.estimate.stats.ilpSolves, 0);
+  EXPECT_EQ(repeat.estimate.bound, coldA.estimate.bound);
+  EXPECT_EQ(repeat.fullDigest, coldA.fullDigest);
+  const SolveCacheStats after = service.cache().stats();
+  EXPECT_EQ(after.requestHits, before.requestHits);
+  EXPECT_EQ(after.requestMisses, before.requestMisses + 1);
+  EXPECT_EQ(after.boundMisses, before.boundMisses + 1);
+  // Solved and admitted again, A's next repeat is a memo hit.
+  EXPECT_TRUE(service.analyze(a).cacheHit);
+  EXPECT_EQ(service.cache().stats().requestHits, before.requestHits + 1);
+}
+
+TEST(AnalysisService, ClearAndRestoreEmptyTheRequestMemo) {
+  const std::string snapshot = test_util::uniqueTempPath("memo.csnap");
+  AnalysisService service;
+  (void)service.analyze(fig2Request());
+  std::string error;
+  ASSERT_TRUE(service.cache().save(snapshot, &error)) << error;
+  ASSERT_EQ(service.cache().requestEntries(), 1u);
+  service.cache().clear();
+  EXPECT_EQ(service.cache().requestEntries(), 0u);
+  EXPECT_FALSE(service.analyze(fig2Request()).cacheHit);
+  ASSERT_EQ(service.cache().requestEntries(), 1u);
+
+  // restore() brings the bound back but not the memo: the repeat takes
+  // the digest path once, and memoizes the request again.
+  const SnapshotRestoreReport report = service.cache().restore(snapshot);
+  EXPECT_EQ(report.bounds, 1u);
+  EXPECT_EQ(service.cache().requestEntries(), 0u);
+  const SolveCacheStats before = service.cache().stats();
+  EXPECT_TRUE(service.analyze(fig2Request()).cacheHit);
+  SolveCacheStats after = service.cache().stats();
+  EXPECT_EQ(after.requestMisses, before.requestMisses + 1);
+  EXPECT_EQ(after.boundHits, before.boundHits + 1);
+  EXPECT_TRUE(service.analyze(fig2Request()).cacheHit);
+  after = service.cache().stats();
+  EXPECT_EQ(after.requestHits, before.requestHits + 1);
+  std::remove(snapshot.c_str());
+}
+
+TEST(AnalysisService, RequestMemoIsNeverPersisted) {
+  // Memo hits and records append nothing to the journal, and the
+  // snapshot keeps today's version and sections: bounds, formulas, end.
+  const std::string snapshot = test_util::uniqueTempPath("memo.csnap");
+  AnalysisServiceOptions options;
+  options.cache.journalPath = snapshot + ".journal";
+  std::remove(options.cache.journalPath.c_str());
+  AnalysisService service(options);
+  (void)service.analyze(fig2Request());
+  (void)service.analyze(parametricRequest());
+  const auto journalBytes = [&] {
+    std::ifstream in(options.cache.journalPath, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string journal = journalBytes();
+  ASSERT_FALSE(journal.empty());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(service.analyze(fig2Request()).cacheHit);
+    ASSERT_TRUE(service.analyze(parametricRequest()).cacheHit);
+  }
+  EXPECT_EQ(service.cache().stats().requestHits, 4);
+  EXPECT_EQ(journalBytes(), journal);
+
+  std::string error;
+  ASSERT_TRUE(service.cache().save(snapshot, &error)) << error;
+  EXPECT_EQ(snapshotSections(snapshot),
+            (std::vector<std::uint32_t>{1, 3, 0}));
+  std::remove(snapshot.c_str());
+  std::remove(options.cache.journalPath.c_str());
+}
+
+TEST(AnalysisService, RequestMemoHitEqualsTheDigestPathHit) {
+  // For a benchmark, an LP and a parametric request in every cache
+  // mode: after restore() (which empties the memo) the repeat is a
+  // digest-path hit; the next repeat is a memo hit.  Apart from the wall
+  // time, the two results and their reports are identical.
+  const std::string snapshot = test_util::uniqueTempPath("memo.csnap");
+  for (const CacheMode mode :
+       {CacheMode::AllMiss, CacheMode::FirstIterationSplit,
+        CacheMode::ConflictGraph}) {
+    AnalysisRequest benchmark;
+    benchmark.benchmark = "piksrt";
+    AnalysisRequest lp;
+    lp.lpInput = true;
+    lp.source = lpExportOf(kLoop, "f");
+    for (AnalysisRequest request :
+         {benchmark, lp, parametricRequest()}) {
+      request.cacheMode = mode;
+      const std::string label = std::string(cacheModeStr(mode)) + " " +
+                                (request.lpInput            ? "lp"
+                                 : request.benchmark.empty() ? "parametric"
+                                                             : "benchmark");
+      AnalysisServiceOptions options;
+      options.benchmarkResolver = suite::benchmarkResolver();
+      AnalysisService service(options);
+      ASSERT_FALSE(service.analyze(request).cacheHit) << label;
+      std::string error;
+      ASSERT_TRUE(service.cache().save(snapshot, &error)) << error;
+      (void)service.cache().restore(snapshot);
+
+      obs::RequestTelemetry digestTelemetry;
+      const AnalysisResult viaDigest =
+          service.analyze(request, &digestTelemetry);
+      obs::RequestTelemetry memoTelemetry;
+      const AnalysisResult viaMemo = service.analyze(request, &memoTelemetry);
+      const SolveCacheStats stats = service.cache().stats();
+      EXPECT_EQ(stats.requestHits, 1) << label;
+      EXPECT_EQ(stats.requestMisses, 2) << label;
+
+      ASSERT_TRUE(viaDigest.cacheHit) << label;
+      ASSERT_TRUE(viaMemo.cacheHit) << label;
+      EXPECT_EQ(viaMemo.program, viaDigest.program) << label;
+      EXPECT_EQ(viaMemo.fullDigest, viaDigest.fullDigest) << label;
+      EXPECT_EQ(viaMemo.structuralDigest, viaDigest.structuralDigest)
+          << label;
+      EXPECT_EQ(viaMemo.estimate.bound, viaDigest.estimate.bound) << label;
+      EXPECT_EQ(viaMemo.solveMicros, viaDigest.solveMicros) << label;
+      ASSERT_EQ(viaMemo.formula.has_value(), viaDigest.formula.has_value())
+          << label;
+      if (viaMemo.formula) {
+        EXPECT_EQ(viaMemo.formula->json(), viaDigest.formula->json())
+            << label;
+      }
+      EXPECT_EQ(obs::reportJson(viaMemo.program, viaMemo.estimate, nullptr),
+                obs::reportJson(viaDigest.program, viaDigest.estimate,
+                                nullptr))
+          << label;
+      for (const obs::RequestStage stage :
+           {obs::RequestStage::Frontend, obs::RequestStage::Cfg,
+            obs::RequestStage::Solve}) {
+        EXPECT_EQ(memoTelemetry.stageMicros(stage), 0)
+            << label << " " << obs::requestStageStr(stage);
+      }
+    }
+  }
+  std::remove(snapshot.c_str());
 }
 
 }  // namespace

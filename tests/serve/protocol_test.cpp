@@ -247,6 +247,24 @@ TEST(ServeProtocol, AnalyzeResponseEmbedsReportWithSchemaVersion) {
   EXPECT_EQ(response->raw.intOr("protocolVersion", -1), kProtocolVersion);
 }
 
+TEST(ServeProtocol, AnalyzeResponseOmitsDigestsNoCacheRead) {
+  // A Bypass request or a cache-less daemon computes no digest; the
+  // reply then leaves both digest fields out instead of sending zeros.
+  ipet::AnalysisResult result;
+  result.program = "unit";
+  result.estimate.bound = {7, 1234};
+  const std::string report =
+      obs::reportJson("unit", result.estimate, nullptr);
+  std::string error;
+  const auto response = decodeResponse(
+      encodeAnalyzeResponse(9, result, report, false), &error);
+  ASSERT_TRUE(response.has_value()) << error;
+  EXPECT_TRUE(response->ok);
+  EXPECT_EQ(response->boundHi, 1234);
+  EXPECT_EQ(response->raw.find("digest"), nullptr);
+  EXPECT_EQ(response->raw.find("structuralDigest"), nullptr);
+}
+
 TEST(ServeProtocol, ErrorPongStatsAndAckFrames) {
   std::string error;
   const auto err = decodeResponse(

@@ -2,8 +2,8 @@
 // flow, cache hits across connections, warm vs cold bit-identity for
 // the three analyzer cache modes, concurrent clients on the shared
 // pool, snapshot persistence across daemon restarts, overload
-// admission, the shutdown handshake, and joining the threads of closed
-// connections.  Named ServeDaemon* so the CI
+// admission, the shutdown handshake, joining the threads of closed
+// connections, and the request memo's replies and counters.  Named ServeDaemon* so the CI
 // ThreadSanitizer job can select them.
 #include <gtest/gtest.h>
 
@@ -16,10 +16,12 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cinderella/obs/prometheus.hpp"
 #include "cinderella/serve/client.hpp"
 #include "cinderella/serve/server.hpp"
 #include "cinderella/suite/suite.hpp"
@@ -695,6 +697,176 @@ TEST(ServeDaemon, ShutdownHandshakeStopsTheDaemon) {
   // The port is closed: a fresh connect fails.
   Client late;
   EXPECT_FALSE(late.connect(server.port(), &error));
+}
+
+/// An analyze reply with what differs between two answers of one
+/// request masked: the id, the wall times and the stage telemetry.
+std::string maskedReply(const Response& response) {
+  std::string text = response.rawText;
+  text = std::regex_replace(text, std::regex(R"("id":[0-9]+,)"), "");
+  text = std::regex_replace(text, std::regex(R"("wallMicros":[0-9]+,)"), "");
+  text = std::regex_replace(
+      text, std::regex(R"("telemetry":\{"requestId":"[^"]*","stages":\{[^}]*\}\},)"),
+      "");
+  return text;
+}
+
+/// The record of request `id` in a flightrecorder reply, or null.
+const obs::JsonValue* flightRecordOf(const obs::JsonValue& reply,
+                                     std::int64_t id) {
+  const obs::JsonValue* dump = reply.find("flightRecorder");
+  const obs::JsonValue* records =
+      dump != nullptr ? dump->find("records") : nullptr;
+  if (records == nullptr) return nullptr;
+  for (const obs::JsonValue& record : records->items) {
+    if (record.stringOr("id", "") == std::to_string(id)) return &record;
+  }
+  return nullptr;
+}
+
+TEST(ServeDaemon, RequestMemoReplyEqualsTheDigestPathHitReply) {
+  // For a benchmark, an LP and a parametric request in every cache
+  // mode: after restore() (which empties the memo) the repeat is a
+  // digest-path hit, the next repeat a memo hit.  The two replies are
+  // identical once ids, wall times and telemetry are masked, and the
+  // memo hit's flight record shows no frontend, cfg or solve stage.
+  const std::string snapshot = test_util::uniqueTempPath("memo.csnap");
+  RunningServer running;
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect(running.server.port(), &error)) << error;
+  ipet::SolveCache& cache = running.server.service().cache();
+
+  ipet::AnalysisRequest benchmark;
+  benchmark.benchmark = "piksrt";
+  ipet::AnalysisRequest lp;
+  lp.label = "lp";
+  lp.lpInput = true;
+  lp.source =
+      "Maximize\n obj: 3 a + 2 b\nSubject To\n c0: a + b <= 4\n c1: a <= 3\n"
+      "General\n a\n b\nEnd\n";
+  ipet::AnalysisRequest parametric;
+  parametric.label = "ploop";
+  parametric.source = kLoop;
+  parametric.root = "f";
+  parametric.constraints.push_back({"x0 <= 3 * @P", ""});
+  parametric.parameters = {{"P", 1, 3}};
+  std::vector<std::int64_t> memoIds;
+  for (const char* mode : {"allmiss", "firstiter", "ccg"}) {
+    for (ipet::AnalysisRequest request : {benchmark, lp, parametric}) {
+      request.cacheMode = *ipet::parseCacheMode(mode);
+      const std::string label =
+          std::string(mode) + " " +
+          (request.label.empty() ? request.benchmark : request.label);
+      cache.clear();
+      const auto cold = client.analyze(request, &error);
+      ASSERT_TRUE(cold.has_value() && cold->ok)
+          << label << ": " << error << (cold ? cold->error : "");
+      ASSERT_FALSE(cold->cacheHit) << label;
+      ASSERT_TRUE(cache.save(snapshot, &error)) << error;
+      (void)cache.restore(snapshot);
+      const auto viaDigest = client.analyze(request, &error);
+      ASSERT_TRUE(viaDigest.has_value() && viaDigest->ok) << label;
+      const auto viaMemo = client.analyze(request, &error);
+      ASSERT_TRUE(viaMemo.has_value() && viaMemo->ok) << label;
+      EXPECT_TRUE(viaDigest->cacheHit) << label;
+      EXPECT_TRUE(viaMemo->cacheHit) << label;
+      EXPECT_EQ(viaMemo->digest.size(), 32u) << label;
+      EXPECT_EQ(maskedReply(*viaMemo), maskedReply(*viaDigest)) << label;
+      EXPECT_EQ(maskedReply(*viaMemo).find("wallMicros"), std::string::npos);
+      EXPECT_NE(maskedReply(*viaMemo).find("\"report\":{"), std::string::npos);
+      memoIds.push_back(viaMemo->id);
+    }
+  }
+  std::remove(snapshot.c_str());
+  // Nine memo hits, counted beside the bound and formula hits.
+  EXPECT_EQ(cache.stats().requestHits, 9);
+
+  const auto dump = client.flightrecorder(&error);
+  ASSERT_TRUE(dump.has_value() && dump->ok) << error;
+  for (const std::int64_t id : memoIds) {
+    const obs::JsonValue* record = flightRecordOf(dump->raw, id);
+    ASSERT_NE(record, nullptr) << id;
+    EXPECT_TRUE(record->boolOr("cacheHit", false)) << id;
+    const obs::JsonValue* stages = record->find("stages");
+    ASSERT_NE(stages, nullptr);
+    for (const char* stage : {"frontend", "cfg", "solve"}) {
+      EXPECT_EQ(stages->find(stage), nullptr) << id << " " << stage;
+    }
+  }
+}
+
+TEST(ServeDaemon, RequestMemoCountersReachStatsAndMetrics) {
+  RunningServer running;
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect(running.server.port(), &error)) << error;
+  for (int i = 0; i < 3; ++i) {
+    const auto response = client.analyze(fig2Request(), &error);
+    ASSERT_TRUE(response.has_value() && response->ok) << error;
+  }
+  const auto stats = client.stats(&error);
+  ASSERT_TRUE(stats.has_value() && stats->ok) << error;
+  const obs::JsonValue* cache = stats->raw.find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->intOr("requestHits", -1), 2);
+  EXPECT_EQ(cache->intOr("requestMisses", -1), 1);
+  EXPECT_EQ(cache->intOr("boundHits", -1), 2);
+
+  const auto metrics = client.metrics(&error);
+  ASSERT_TRUE(metrics.has_value() && metrics->ok) << error;
+  const std::string text = metrics->raw.stringOr("prometheus", "");
+  EXPECT_EQ(obs::prometheusLint(text), "") << text;
+  EXPECT_NE(text.find("cinderella_cache_request_hits_total 2"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("cinderella_cache_request_misses_total 1"),
+            std::string::npos)
+      << text;
+}
+
+TEST(ServeDaemon, RequestMemoServesConcurrentRepeatsAcrossConnections) {
+  // Two connections repeat one request at once.  Each connection's
+  // first request may solve or take the digest path; every later one
+  // finds the memo entry the first recorded.
+  RunningServer running;
+  constexpr int kRepeats = 25;
+  std::vector<std::int64_t> his(2 * kRepeats, -1);
+  std::vector<char> hits(2 * kRepeats, 0);
+  std::vector<char> failed(2, 0);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      Client client;
+      std::string error;
+      if (!client.connect(running.server.port(), &error)) {
+        failed[c] = 1;
+        return;
+      }
+      for (int r = 0; r < kRepeats; ++r) {
+        const auto response = client.analyze(fig2Request(), &error);
+        if (!response.has_value() || !response->ok) {
+          failed[c] = 1;
+          return;
+        }
+        his[c * kRepeats + r] = response->boundHi;
+        hits[c * kRepeats + r] = response->cacheHit ? 1 : 0;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int c = 0; c < 2; ++c) ASSERT_FALSE(failed[c]) << c;
+  for (std::size_t i = 0; i < his.size(); ++i) {
+    EXPECT_EQ(his[i], his[0]) << i;
+    if (i % kRepeats != 0) {
+      EXPECT_TRUE(hits[i]) << i;
+    }
+  }
+  const ipet::SolveCacheStats stats =
+      running.server.service().cache().stats();
+  EXPECT_EQ(stats.requestHits + stats.requestMisses, 2 * kRepeats);
+  EXPECT_LE(stats.requestMisses, 2);
+  EXPECT_EQ(running.server.service().cache().requestEntries(), 1u);
 }
 
 }  // namespace
