@@ -125,5 +125,32 @@ TEST(Dedup, DuplicateOfNullSetStaysPruned) {
   EXPECT_EQ(e.setRecords[2].sharedWith, 1);
 }
 
+TEST(Dedup, DuplicateOfDominatedSetPointsAtItsDominator) {
+  const auto compiled = compileFig2();
+  Analyzer analyzer = makeFig2(compiled);
+  // Set 1 is dominated by set 0 (a proper superset of its rows), and
+  // set 2 duplicates set 1.  The chain resolves so that set 2 points at
+  // set 0, the set that actually runs, and counts as dominated.
+  analyzer.addConstraint("x1 = 0 | (x1 = 0 & x2 = 1) | (x2 = 1 & x1 = 0)",
+                         "f");
+
+  const Estimate e = analyzer.estimate();
+  ASSERT_EQ(e.stats.constraintSets, 3);
+  EXPECT_EQ(e.stats.dedupedSets, 0);
+  EXPECT_EQ(e.stats.dominatedSets, 2);
+  EXPECT_EQ(e.stats.prunedNullSets, 0);
+  EXPECT_EQ(e.stats.ilpSolves, 2);  // only set 0 solved
+  ASSERT_EQ(e.setRecords.size(), 3u);
+  EXPECT_LT(e.setRecords[0].sharedWith, 0);
+  EXPECT_EQ(e.setRecords[1].sharedWith, 0);
+  EXPECT_TRUE(e.setRecords[1].dominated);
+  EXPECT_EQ(e.setRecords[2].sharedWith, 0);
+  EXPECT_TRUE(e.setRecords[2].dominated);
+
+  Analyzer single = makeFig2(compiled);
+  single.addConstraint("x1 = 0", "f");
+  EXPECT_EQ(e.bound, single.estimate().bound);
+}
+
 }  // namespace
 }  // namespace cinderella::ipet
