@@ -1,12 +1,7 @@
 #include "cinderella/ipet/analyzer.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -16,12 +11,9 @@
 #include "cinderella/cfg/callgraph.hpp"
 #include "cinderella/ipet/formula.hpp"
 #include "cinderella/lp/lp_format.hpp"
-#include "cinderella/lp/simplex.hpp"
 #include "cinderella/cfg/dominators.hpp"
 #include "cinderella/obs/trace.hpp"
 #include "cinderella/support/error.hpp"
-#include "cinderella/support/fault_injector.hpp"
-#include "cinderella/support/thread_pool.hpp"
 
 namespace cinderella::ipet {
 
@@ -484,61 +476,6 @@ const char* cacheModeStr(CacheMode mode) {
       return "conflict-graph";
   }
   return "?";
-}
-
-const char* setVerdictStr(SetVerdict verdict) {
-  switch (verdict) {
-    case SetVerdict::Exact:
-      return "exact";
-    case SetVerdict::Relaxed:
-      return "relaxed";
-    case SetVerdict::Structural:
-      return "structural";
-    case SetVerdict::Failed:
-      return "failed";
-  }
-  return "?";
-}
-
-void SolveStats::addSolve(const IlpSolveRecord& solve) {
-  ++ilpSolves;
-  lpCalls += solve.lpCalls;
-  nodesExpanded += solve.nodes;
-  totalPivots += solve.pivots;
-  checkedPromotions += solve.checkedPromotions;
-  blandRestarts += solve.blandRestarts;
-  devexPivots += solve.devexPivots;
-  presolveRowsRemoved += solve.presolveRowsRemoved;
-  presolveColsFixed += solve.presolveColsFixed;
-  presolveSubstitutions += solve.presolveSubstitutions;
-  presolveRounds += solve.presolveRounds;
-  allFirstRelaxationsIntegral &= solve.firstRelaxationIntegral;
-}
-
-IlpSolveRecord ilpSolveRecord(const ilp::IlpSolution& solution) {
-  IlpSolveRecord record;
-  record.solved = true;
-  record.feasible = solution.status == ilp::IlpStatus::Optimal;
-  record.nodes = solution.stats.nodesExpanded;
-  record.lpCalls = solution.stats.lpCalls;
-  record.pivots = solution.stats.totalPivots;
-  record.firstRelaxationIntegral = solution.stats.firstRelaxationIntegral;
-  record.checkedPromotions = solution.stats.checkedPromotions;
-  record.blandRestarts = solution.stats.blandRestarts;
-  record.devexPivots = solution.stats.devexPivots;
-  record.presolveRowsRemoved = solution.stats.presolveRowsRemoved;
-  record.presolveColsFixed = solution.stats.presolveColsFixed;
-  record.presolveSubstitutions = solution.stats.presolveSubstitutions;
-  record.presolveRounds = solution.stats.presolveRounds;
-  if (record.feasible) {
-    // Prefer the checked integer recomputation: the double objective
-    // silently loses precision past 2^53.
-    record.objective =
-        solution.objectiveIsExact
-            ? solution.objectiveExact
-            : static_cast<std::int64_t>(std::llround(solution.objective));
-  }
-  return record;
 }
 
 std::optional<CacheMode> parseCacheMode(std::string_view text) {
@@ -1043,6 +980,12 @@ void hashSets(DigestBuilder* builder, char tag, const Dnf& sets,
 
 }  // namespace
 
+std::vector<std::string> Analyzer::concreteSetKeys(
+    const ConjunctiveSet& set) const {
+  return setRowKeys(
+      set, [this](const SymConstraint& sc) { return concreteRowKey(sc); });
+}
+
 const Analyzer::System& Analyzer::system(obs::Tracer* tracer) const {
   const std::lock_guard<std::mutex> lock(*systemMutex_);
   return systemLocked(tracer);
@@ -1181,661 +1124,6 @@ std::string Analyzer::exportWorstCaseIlp() const {
     out += lp::toLpFormat(p, {.integer = true, .header = false});
   }
   return out;
-}
-
-Estimate Analyzer::estimate(const SolveControl& control) const {
-  const auto startTime = std::chrono::steady_clock::now();
-  obs::Tracer* const tracer = control.tracer;
-  obs::Span estimateSpan(tracer, "estimate", "ipet");
-
-  const auto microsSince = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
-  const System& sys = system(tracer);
-  const Dnf& combined = sys.sets;
-
-  estimateSpan.arg("sets", static_cast<int>(combined.size()))
-      .arg("cache-mode", std::string(cacheModeStr(options_.cacheMode)))
-      .arg("contexts", static_cast<int>(contexts_.size()))
-      .arg("flow-vars", numFlowVars_);
-
-  // Pre-pass: canonicalize every expanded set, deduplicate identical
-  // ones, and prune sets whose canonical rows are a proper superset of
-  // another set's.  A superset of rows carves a sub-region, so the
-  // covering set's worst bound is >= and its best bound is <= the
-  // skipped set's — dropping the skipped set cannot change the merged
-  // interval.  Computed on the main thread before dispatch so the
-  // schedule is identical across thread counts.
-  struct SetPlan {
-    int sharedWith = -1;  ///< scheduled set whose solve covers this one
-    bool dominated = false;
-  };
-  std::vector<SetPlan> plan(combined.size());
-  int scheduledSets = static_cast<int>(combined.size());
-  if (combined.size() > 1) {
-    obs::Span dedupSpan(tracer, "dedup-sets", "ipet");
-    std::vector<std::vector<std::string>> keys(combined.size());
-    for (std::size_t i = 0; i < combined.size(); ++i) {
-      keys[i] = setRowKeys(combined[i], [this](const SymConstraint& sc) {
-        return concreteRowKey(sc);
-      });
-    }
-    // Identical sets: the first occurrence is the representative.
-    std::map<std::vector<std::string>, int> firstByKey;
-    std::vector<int> reps;
-    for (std::size_t i = 0; i < combined.size(); ++i) {
-      const auto [it, inserted] =
-          firstByKey.try_emplace(keys[i], static_cast<int>(i));
-      if (inserted) {
-        reps.push_back(static_cast<int>(i));
-      } else {
-        plan[i].sharedWith = it->second;
-      }
-    }
-    // Proper-subset domination among the representatives, smallest row
-    // count first so a dominator is always scheduled itself.  Quadratic
-    // in representatives, so capped.
-    if (reps.size() <= 256) {
-      std::stable_sort(reps.begin(), reps.end(), [&](int a, int b) {
-        return keys[static_cast<std::size_t>(a)].size() <
-               keys[static_cast<std::size_t>(b)].size();
-      });
-      std::vector<int> kept;
-      for (const int i : reps) {
-        const auto& rows = keys[static_cast<std::size_t>(i)];
-        int dominator = -1;
-        for (const int j : kept) {
-          const auto& sub = keys[static_cast<std::size_t>(j)];
-          if (sub.size() < rows.size() &&
-              std::includes(rows.begin(), rows.end(), sub.begin(),
-                            sub.end())) {
-            dominator = j;
-            break;
-          }
-        }
-        if (dominator >= 0) {
-          plan[static_cast<std::size_t>(i)].sharedWith = dominator;
-          plan[static_cast<std::size_t>(i)].dominated = true;
-        } else {
-          kept.push_back(i);
-        }
-      }
-    }
-    // Resolve chains (duplicate -> dominated representative -> its
-    // dominator) so every skipped set points at a set that runs.
-    for (auto& pl : plan) {
-      while (pl.sharedWith >= 0 &&
-             plan[static_cast<std::size_t>(pl.sharedWith)].sharedWith >= 0) {
-        const SetPlan& next = plan[static_cast<std::size_t>(pl.sharedWith)];
-        pl.dominated = pl.dominated || next.dominated;
-        pl.sharedWith = next.sharedWith;
-      }
-      if (pl.sharedWith >= 0) --scheduledSets;
-    }
-    dedupSpan.arg("scheduled", scheduledSets);
-  }
-  estimateSpan.arg("scheduled", scheduledSets);
-
-  ilp::IlpOptions ilpOptions = options_.ilpOptions;
-  if (control.maxNodes > 0) ilpOptions.maxNodes = control.maxNodes;
-  ilpOptions.lpOptions.presolve = control.presolve;
-
-  auto cancelled = [&control] {
-    return control.cancel != nullptr &&
-           control.cancel->load(std::memory_order_relaxed);
-  };
-  auto expired = [&control, startTime] {
-    // Fault-injection seam: a DeadlineClock fault makes the deadline
-    // report "expired" spuriously, driving the partial-result path
-    // without real waiting.
-    if (support::FaultInjector* const injector = support::faultInjector()) {
-      if (injector->shouldFault(support::FaultSite::DeadlineClock)) {
-        return true;
-      }
-    }
-    return control.deadline.count() != 0 &&
-           std::chrono::steady_clock::now() - startTime >= control.deadline;
-  };
-  // A deadline (or cancellation) also stops a running ILP between nodes,
-  // so a single slow set cannot blow the whole budget.
-  if (control.deadline.count() != 0 || control.cancel != nullptr ||
-      support::faultInjector() != nullptr) {
-    ilpOptions.interrupt = [cancelled, expired] {
-      return cancelled() || expired();
-    };
-  }
-
-  // Sound integer rounding for relaxation bounds.  A max-ILP's LP
-  // relaxation over-estimates its optimum, so flooring (plus the LP
-  // tolerance) keeps the upper bound sound; symmetrically for min.
-  constexpr double kRelaxTol = 1e-6;
-  constexpr double kInt64Edge = 9.2e18;  // doubles beyond here can't narrow
-  auto soundBound = [&](double v, bool upper) {
-    if (v >= kInt64Edge) return std::numeric_limits<std::int64_t>::max();
-    if (v <= -kInt64Edge) return std::numeric_limits<std::int64_t>::min();
-    return static_cast<std::int64_t>(upper ? std::floor(v + kRelaxTol)
-                                           : std::ceil(v - kRelaxTol));
-  };
-
-  // Structural fallback: the base problem's own LP relaxation.  Every
-  // constraint set's feasible region is contained in the base region, so
-  // its max (min) relaxation bounds every set's worst (best) ILP from
-  // the sound side.  Computed lazily at most once per estimate() and
-  // shared across worker threads.
-  struct Structural {
-    std::once_flag once;
-    bool haveWorst = false;
-    bool haveBest = false;
-    std::int64_t worst = 0;
-    std::int64_t best = 0;
-  };
-  Structural structural;
-  auto ensureStructural = [&]() -> const Structural& {
-    std::call_once(structural.once, [&] {
-      obs::Span span(tracer, "structural-fallback", "solve");
-      auto solveOne = [&](const lp::LinearExpr& objective, lp::Sense sense,
-                          bool* have, std::int64_t* bound) {
-        try {
-          lp::Problem p = sys.problem;
-          p.setObjective(objective, sense);
-          const lp::Solution sol = lp::solve(p, ilpOptions.lpOptions);
-          if (sol.status == lp::SolveStatus::Optimal) {
-            *bound = soundBound(sol.objective, sense == lp::Sense::Maximize);
-            *have = true;
-          }
-        } catch (...) {
-          // Even the fallback can fault (e.g. under injection); the set
-          // that needed it is then marked Failed.
-        }
-      };
-      solveOne(sys.worstObjective, lp::Sense::Maximize, &structural.haveWorst,
-               &structural.worst);
-      solveOne(sys.bestObjective, lp::Sense::Minimize, &structural.haveBest,
-               &structural.best);
-    });
-    return structural;
-  };
-
-  // One independent task per conjunctive constraint set: materialize,
-  // LP-probe for nullness, then solve the max (worst) and min (best)
-  // ILPs.  Outcomes are keyed by set index so the merge below is
-  // deterministic regardless of completion order or thread count.
-  //
-  // Fault isolation: a set hitting the deadline, node budget, numeric
-  // breakdown, or an injected fault never aborts the whole estimate.  It
-  // walks the degradation ladder instead — its own LP-relaxation bound
-  // (Relaxed), then the shared base-problem bound (Structural), then
-  // Failed — so completed sets are never lost.  Only user/model errors
-  // (AnalysisError) still abort.
-  struct SetOutcome {
-    bool started = false;  ///< task ran at all (false: lost to a fault)
-    bool skipped = false;  ///< cancellation observed before solving
-    bool haveWorst = false;
-    bool haveBest = false;
-    bool worstExact = false;  ///< bound is a proven ILP optimum
-    bool bestExact = false;
-    std::int64_t worstBound = 0;
-    std::int64_t bestBound = 0;
-    std::vector<double> worstValues;
-    std::vector<double> bestValues;
-    /// Per-set observability record; every field except the wall-clock
-    /// timings is deterministic across thread counts.
-    SetSolveRecord record;
-    std::vector<SolveIssue> issues;
-    std::exception_ptr error;  ///< user/model error — rethrown at merge
-  };
-  std::vector<SetOutcome> outcomes(combined.size());
-  std::atomic<bool> sawDeadline{false};
-
-  auto noteIssue = [](SetOutcome& out, ErrorCode code, const char* phase,
-                      std::string detail) {
-    if (out.record.issue == ErrorCode::None) out.record.issue = code;
-    out.issues.push_back(
-        {out.record.setIndex, code, phase, std::move(detail)});
-  };
-  // Records `bound` as one side's contribution of this set.
-  auto setBound = [](SetOutcome& out, bool worstSide, std::int64_t bound) {
-    (worstSide ? out.haveWorst : out.haveBest) = true;
-    (worstSide ? out.worstBound : out.bestBound) = bound;
-  };
-  auto raiseVerdict = [](SetOutcome& out, SetVerdict verdict) {
-    if (static_cast<int>(verdict) > static_cast<int>(out.record.verdict)) {
-      out.record.verdict = verdict;
-    }
-  };
-  // Last ladder rung before Failed: the shared structural bound.
-  auto applyStructural = [&](SetOutcome& out, bool worstSide) {
-    const Structural& s = ensureStructural();
-    const bool have = worstSide ? s.haveWorst : s.haveBest;
-    if (!have) {
-      raiseVerdict(out, SetVerdict::Failed);
-      return;
-    }
-    raiseVerdict(out, SetVerdict::Structural);
-    IlpSolveRecord& slot = worstSide ? out.record.worst : out.record.best;
-    slot.degraded = true;
-    slot.fallbackBound = worstSide ? s.worst : s.best;
-    setBound(out, worstSide, slot.fallbackBound);
-  };
-
-  auto solveSet = [&](std::size_t index) noexcept {
-    SetOutcome& out = outcomes[index];
-    out.started = true;
-    SetSolveRecord& rec = out.record;
-    rec.setIndex = static_cast<int>(index);
-    rec.userConstraints = static_cast<int>(combined[index].size());
-    const auto setStart = std::chrono::steady_clock::now();
-    // This span is also the thread-pool task lifetime: one task per set.
-    obs::Span setSpan(tracer, "set-solve", "solve");
-    setSpan.arg("set", static_cast<int>(index));
-    try {
-      if (cancelled()) {
-        out.skipped = true;
-        setSpan.arg("verdict", std::string("skipped"));
-        rec.wallMicros = microsSince(setStart);
-        return;
-      }
-      if (expired()) {
-        // Degrade instead of aborting: this set falls back to the shared
-        // structural bound; already-completed sets stay untouched.
-        sawDeadline.store(true, std::memory_order_relaxed);
-        noteIssue(out, ErrorCode::DeadlineExpired, "set",
-                  "deadline expired before this set was solved");
-        applyStructural(out, /*worstSide=*/true);
-        applyStructural(out, /*worstSide=*/false);
-        setSpan.arg("verdict", std::string(setVerdictStr(rec.verdict)));
-        rec.wallMicros = microsSince(setStart);
-        return;
-      }
-      lp::Problem p = materializeSet(sys, combined[index]);
-      if (control.maxMemoryBytes > 0) {
-        // Backpressure quota: a conservative dense-tableau footprint of
-        // this set's ILP, computed before anything is allocated.  Over
-        // the ceiling the set degrades to the sound structural bound —
-        // same shape as a deadline expiry, so a hostile or runaway
-        // request can never balloon the process.
-        const std::size_t rows = p.constraints().size();
-        const std::size_t cols = static_cast<std::size_t>(p.numVars()) + rows;
-        const std::size_t estimateBytes = (rows + 1) * (cols + 1) * 16;
-        if (estimateBytes > control.maxMemoryBytes) {
-          noteIssue(out, ErrorCode::MemoryCeiling, "set",
-                    "estimated solve footprint " +
-                        std::to_string(estimateBytes) +
-                        " bytes exceeds the ceiling of " +
-                        std::to_string(control.maxMemoryBytes) + " bytes");
-          applyStructural(out, /*worstSide=*/true);
-          applyStructural(out, /*worstSide=*/false);
-          setSpan.arg("verdict", std::string(setVerdictStr(rec.verdict)));
-          rec.wallMicros = microsSince(setStart);
-          return;
-        }
-      }
-
-      // The probe and both root relaxations share one tableau over
-      // these rows: a dual simplex from its slack basis answers the
-      // probe, the primal simplex under the worst objective gives the
-      // worst ILP's root relaxation, and re-priced under the best
-      // objective it continues to the best ILP's root.
-      // Branch-and-bound children dive from copies of it, which leave it
-      // as it was.  The rows are presolved once for all of these; the
-      // span covers the presolve and the tableau build.
-      std::optional<lp::LiveTableau> live;
-      {
-        obs::Span presolveSpan(tracer, "lp-presolve", "solve");
-        presolveSpan.arg("set", static_cast<int>(index));
-        live.emplace(p, ilpOptions.lpOptions);
-      }
-
-      // Null-set pruning: a cheap LP feasibility probe (paper III-D).
-      if (!options_.disableNullSetPruning) {
-        obs::Span probeSpan(tracer, "lp-probe", "solve");
-        probeSpan.arg("set", static_cast<int>(index));
-        const auto probeStart = std::chrono::steady_clock::now();
-        try {
-          const lp::Solution sol = live->feasibility();
-          rec.probePivots = sol.pivots;
-          rec.probeMicros = microsSince(probeStart);
-          const bool null = (sol.status == lp::SolveStatus::Infeasible);
-          probeSpan.arg("pivots", sol.pivots)
-              .arg("verdict", std::string(null ? "null" : "feasible"));
-          if (null) {
-            rec.pruned = true;
-            setSpan.arg("verdict", std::string("pruned"));
-            rec.wallMicros = microsSince(setStart);
-            return;
-          }
-        } catch (const InjectedFaultError& e) {
-          // Pruning is only an optimization; fall through to the ILPs.
-          rec.probeMicros = microsSince(probeStart);
-          noteIssue(out, ErrorCode::InjectedFault, "probe", e.what());
-          probeSpan.arg("verdict", std::string("faulted"));
-        } catch (const SolverError& e) {
-          rec.probeMicros = microsSince(probeStart);
-          noteIssue(out, ErrorCode::Internal, "probe", e.what());
-          probeSpan.arg("verdict", std::string("faulted"));
-        }
-      }
-
-      // One ILP per objective; fills `slot` and traces the solve.
-      auto runIlp = [&](lp::Problem& problem, const char* spanName,
-                        IlpSolveRecord* slot) {
-        obs::Span ilpSpan(tracer, spanName, "solve");
-        ilpSpan.arg("set", static_cast<int>(index));
-        const auto ilpStart = std::chrono::steady_clock::now();
-        ilp::IlpOptions setOptions = ilpOptions;
-        setOptions.live = &*live;
-        ilp::IlpSolution solution = ilp::solve(problem, setOptions);
-        *slot = ilpSolveRecord(solution);
-        slot->wallMicros = microsSince(ilpStart);
-        ilpSpan.arg("verdict", std::string(ilp::ilpStatusStr(solution.status)))
-            .arg("nodes", solution.stats.nodesExpanded)
-            .arg("lp-calls", solution.stats.lpCalls)
-            .arg("cold-nodes", solution.stats.coldNodes)
-            .arg("pivots", solution.stats.totalPivots);
-        if (slot->feasible) ilpSpan.arg("objective", slot->objective);
-        return solution;
-      };
-
-      // Degrades one side to the set's own root LP-relaxation bound
-      // after the integer solve died mid-flight; Structural beyond that.
-      auto relaxFromOwnLp = [&](lp::Problem& problem, bool worstSide) {
-        try {
-          const lp::Solution sol = lp::solve(problem, ilpOptions.lpOptions);
-          rec.fallbackPivots += sol.pivots;
-          if (sol.status == lp::SolveStatus::Infeasible) {
-            return;  // provably empty set: nothing to bound, and soundly so
-          }
-          if (sol.status == lp::SolveStatus::Optimal) {
-            const std::int64_t bound = soundBound(sol.objective, worstSide);
-            IlpSolveRecord& slot = worstSide ? rec.worst : rec.best;
-            slot.degraded = true;
-            slot.fallbackBound = bound;
-            raiseVerdict(out, SetVerdict::Relaxed);
-            setBound(out, worstSide, bound);
-            return;
-          }
-        } catch (...) {
-          // fall through to the structural rung
-        }
-        applyStructural(out, worstSide);
-      };
-
-      // Classifies a finished-but-not-optimal ILP side and walks the
-      // ladder.  Returns via out/rec side effects.
-      auto settleSide = [&](ilp::IlpSolution& solution, IlpSolveRecord* slot,
-                            bool worstSide, const char* phase) {
-        if (solution.status == ilp::IlpStatus::Optimal) {
-          if (worstSide) {
-            out.haveWorst = true;
-            out.worstExact = !solution.objectiveSaturated;
-            out.worstBound = slot->objective;
-            out.worstValues = std::move(solution.values);
-          } else {
-            out.haveBest = true;
-            out.bestExact = !solution.objectiveSaturated;
-            out.bestBound = slot->objective;
-            out.bestValues = std::move(solution.values);
-          }
-          if (solution.objectiveSaturated) {
-            // The true objective lies beyond int64; the saturated value
-            // is reported as a (representation-limited) relaxed bound.
-            noteIssue(out, ErrorCode::NumericOverflow, phase,
-                      "objective exceeds 64-bit range; bound saturated");
-            raiseVerdict(out, SetVerdict::Relaxed);
-            slot->degraded = true;
-            slot->fallbackBound = slot->objective;
-          }
-          return;
-        }
-        if (solution.status == ilp::IlpStatus::Infeasible) {
-          return;  // genuinely empty on this side; contributes nothing
-        }
-        // Limit or Interrupted: classify the budget that ran out.
-        ErrorCode code = ErrorCode::PivotLimit;
-        if (solution.status == ilp::IlpStatus::Interrupted) {
-          code = cancelled() ? ErrorCode::Cancelled : ErrorCode::DeadlineExpired;
-          if (code == ErrorCode::DeadlineExpired) {
-            sawDeadline.store(true, std::memory_order_relaxed);
-          }
-        } else if (solution.stats.nodesExpanded >= ilpOptions.maxNodes) {
-          code = ErrorCode::NodeBudgetExhausted;
-        }
-        noteIssue(out, code, phase,
-                  std::string("integer solve stopped: ") +
-                      ilp::ilpStatusStr(solution.status));
-        if (solution.haveRelaxationBound) {
-          const std::int64_t bound =
-              soundBound(solution.relaxationBound, worstSide);
-          slot->degraded = true;
-          slot->fallbackBound = bound;
-          raiseVerdict(out, SetVerdict::Relaxed);
-          setBound(out, worstSide, bound);
-        } else {
-          applyStructural(out, worstSide);
-        }
-      };
-
-      // Worst case: maximize all-miss costs.
-      p.setObjective(sys.worstObjective, lp::Sense::Maximize);
-      try {
-        ilp::IlpSolution worst = runIlp(p, "ilp-worst", &rec.worst);
-        if (worst.status == ilp::IlpStatus::Unbounded) {
-          throw AnalysisError(
-              "worst-case ILP is unbounded — a loop is missing its bound");
-        }
-        settleSide(worst, &rec.worst, /*worstSide=*/true, "ilp-worst");
-      } catch (const InjectedFaultError& e) {
-        noteIssue(out, ErrorCode::InjectedFault, "ilp-worst", e.what());
-        relaxFromOwnLp(p, /*worstSide=*/true);
-      } catch (const SolverError& e) {
-        noteIssue(out, ErrorCode::Internal, "ilp-worst", e.what());
-        relaxFromOwnLp(p, /*worstSide=*/true);
-      }
-
-      // Best case: minimize all-hit costs.
-      p.setObjective(sys.bestObjective, lp::Sense::Minimize);
-      try {
-        ilp::IlpSolution best = runIlp(p, "ilp-best", &rec.best);
-        settleSide(best, &rec.best, /*worstSide=*/false, "ilp-best");
-      } catch (const InjectedFaultError& e) {
-        noteIssue(out, ErrorCode::InjectedFault, "ilp-best", e.what());
-        relaxFromOwnLp(p, /*worstSide=*/false);
-      } catch (const SolverError& e) {
-        noteIssue(out, ErrorCode::Internal, "ilp-best", e.what());
-        relaxFromOwnLp(p, /*worstSide=*/false);
-      }
-
-      setSpan.arg("verdict", std::string(setVerdictStr(rec.verdict)));
-      rec.wallMicros = microsSince(setStart);
-    } catch (const AnalysisError&) {
-      // User/model error (unbounded ILP, bad constraint): still aborts
-      // the whole estimate — degradation must not mask a broken model.
-      out.error = std::current_exception();
-      rec.wallMicros = microsSince(setStart);
-    } catch (const std::exception& e) {
-      // Anything else is absorbed: degrade the unresolved sides.
-      noteIssue(out,
-                dynamic_cast<const InjectedFaultError*>(&e) != nullptr
-                    ? ErrorCode::InjectedFault
-                    : ErrorCode::Internal,
-                "set", e.what());
-      if (!out.haveWorst) applyStructural(out, /*worstSide=*/true);
-      if (!out.haveBest) applyStructural(out, /*worstSide=*/false);
-      rec.wallMicros = microsSince(setStart);
-    } catch (...) {
-      noteIssue(out, ErrorCode::Internal, "set", "unknown exception");
-      if (!out.haveWorst) applyStructural(out, /*worstSide=*/true);
-      if (!out.haveBest) applyStructural(out, /*worstSide=*/false);
-      rec.wallMicros = microsSince(setStart);
-    }
-  };
-
-  const int requested = control.threads > 0
-                            ? control.threads
-                            : support::ThreadPool::hardwareThreads();
-  const int workers = std::min(requested, std::max(1, scheduledSets));
-  estimateSpan.arg("workers", workers);
-  {
-    obs::Span dispatchSpan(tracer, "solve-sets", "ipet");
-    dispatchSpan.arg("workers", workers)
-        .arg("sets", static_cast<int>(combined.size()))
-        .arg("scheduled", scheduledSets);
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (plan[i].sharedWith < 0) solveSet(i);
-      }
-    } else {
-      support::ThreadPool pool(workers);
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (plan[i].sharedWith >= 0) continue;
-        pool.submit([&solveSet, i] { solveSet(i); });
-      }
-      pool.wait();
-    }
-  }
-  obs::Span mergeSpan(tracer, "merge", "ipet");
-
-  // Lost-task recovery: a scheduled task dropped by a pool fault never
-  // set `started`.  The hole is detected here (pool.wait() already
-  // returned) and the set degrades to the structural bound.
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    SetOutcome& out = outcomes[i];
-    if (out.started || plan[i].sharedWith >= 0) continue;
-    out.record.setIndex = static_cast<int>(i);
-    out.record.userConstraints = static_cast<int>(combined[i].size());
-    noteIssue(out, ErrorCode::TaskLost, "dispatch",
-              "solve task was lost before it ran");
-    applyStructural(out, /*worstSide=*/true);
-    applyStructural(out, /*worstSide=*/false);
-  }
-
-  // Fill the records of deduplicated / dominated sets from their
-  // representative's outcome.  A null representative proves the skipped
-  // set null too (its region is contained in the representative's), so
-  // the all-sets-null diagnostic below still fires correctly.
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (plan[i].sharedWith < 0) continue;
-    SetOutcome& out = outcomes[i];
-    out.record.setIndex = static_cast<int>(i);
-    out.record.userConstraints = static_cast<int>(combined[i].size());
-    out.record.sharedWith = plan[i].sharedWith;
-    out.record.dominated = plan[i].dominated;
-    out.record.pruned =
-        outcomes[static_cast<std::size_t>(plan[i].sharedWith)].record.pruned;
-  }
-
-  // Deterministic merge in set-index order.  The first user/model error
-  // (by index) wins, mirroring the sequential solve order; solver faults
-  // never surface as exceptions.
-  for (const auto& out : outcomes) {
-    if (out.error) std::rethrow_exception(out.error);
-  }
-  if (cancelled()) throw AnalysisError("estimate() cancelled");
-  for (const auto& out : outcomes) {
-    if (out.skipped) throw AnalysisError("estimate() cancelled");
-  }
-
-  Estimate result;
-  result.stats.constraintSets = static_cast<int>(combined.size());
-  result.stats.cacheFlowVars = sys.cacheFlowVars;
-  result.stats.cacheFallbackSets = sys.cacheFallbackSets;
-  result.timedOut = sawDeadline.load(std::memory_order_relaxed);
-  result.setRecords.reserve(outcomes.size());
-
-  bool haveWorst = false;
-  bool haveBest = false;
-  const std::vector<double>* worstValues = nullptr;
-  const std::vector<double>* bestValues = nullptr;
-
-  for (auto& out : outcomes) {
-    const SetSolveRecord& rec = out.record;
-    result.setRecords.push_back(rec);
-    for (auto& issue : out.issues) result.issues.push_back(std::move(issue));
-    if (rec.pruned) {
-      ++result.stats.prunedNullSets;
-      continue;
-    }
-    if (rec.sharedWith >= 0) {
-      // Skipped set with a live representative: the representative's
-      // contribution to the interval already covers it.
-      if (rec.dominated) {
-        ++result.stats.dominatedSets;
-      } else {
-        ++result.stats.dedupedSets;
-      }
-      continue;
-    }
-    switch (rec.verdict) {
-      case SetVerdict::Exact:
-        break;
-      case SetVerdict::Relaxed:
-        ++result.stats.relaxedSets;
-        break;
-      case SetVerdict::Structural:
-        ++result.stats.structuralSets;
-        break;
-      case SetVerdict::Failed:
-        ++result.stats.failedSets;
-        break;
-    }
-    for (const IlpSolveRecord* ilpRec : {&rec.worst, &rec.best}) {
-      if (ilpRec->solved) result.stats.addSolve(*ilpRec);
-    }
-    // The interval must cover every set, so degraded (non-exact) bounds
-    // compete with exact ones; only an exact winner has a witness point.
-    if (out.haveWorst && (!haveWorst || out.worstBound > result.bound.hi)) {
-      result.bound.hi = out.worstBound;
-      worstValues = out.worstExact ? &out.worstValues : nullptr;
-      haveWorst = true;
-    }
-    if (out.haveBest && (!haveBest || out.bestBound < result.bound.lo)) {
-      result.bound.lo = out.bestBound;
-      bestValues = out.bestExact ? &out.bestValues : nullptr;
-      haveBest = true;
-    }
-  }
-
-  if (result.stats.prunedNullSets == static_cast<int>(outcomes.size())) {
-    throw AnalysisError(
-        "all functionality constraint sets are infeasible (null)");
-  }
-  if (!haveWorst || !haveBest) {
-    if (result.stats.failedSets == 0 && !result.timedOut) {
-      throw AnalysisError("no feasible constraint set yielded a bound (all "
-                          "sets integer-infeasible)");
-    }
-    // Every fallback rung failed on some side.  Return the trivially
-    // sound extremes rather than throwing; failedSets > 0 already marks
-    // the estimate unsound.
-    if (!haveWorst) {
-      result.bound.hi = std::numeric_limits<std::int64_t>::max();
-    }
-    if (!haveBest) result.bound.lo = 0;
-  }
-
-  auto aggregateCounts = [&](const std::vector<double>& values) {
-    std::vector<BlockCountRow> rows;
-    for (int f = 0; f < module_->numFunctions(); ++f) {
-      const auto& cfg = cfgs_[static_cast<std::size_t>(f)];
-      for (int b = 0; b < cfg.numBlocks(); ++b) {
-        std::int64_t total = 0;
-        for (const auto& ctx : contexts_) {
-          if (ctx.function != f) continue;
-          total += static_cast<std::int64_t>(
-              std::llround(values[static_cast<std::size_t>(xVar(ctx.id, b))]));
-        }
-        if (total != 0) rows.push_back({f, b, total});
-      }
-    }
-    return rows;
-  };
-
-  if (worstValues != nullptr) result.worstCounts = aggregateCounts(*worstValues);
-  if (bestValues != nullptr) result.bestCounts = aggregateCounts(*bestValues);
-  return result;
 }
 
 }  // namespace cinderella::ipet

@@ -118,12 +118,12 @@ struct SolveControl {
   /// Overrides IlpOptions::maxNodes for every ILP when positive.
   int maxNodes = 0;
   /// Per-request memory ceiling (bytes) on any single constraint-set
-  /// ILP, estimated from the materialized problem's tableau footprint
-  /// before the solve starts; 0 = unlimited.  A set over the ceiling
-  /// degrades to the sound structural bound (like a deadline expiry)
-  /// with a MemoryCeiling issue — the call never throws and never
-  /// allocates the oversized tableau.  The serving layer's
-  /// --max-request-memory-mb backpressure quota threads through here.
+  /// ILP: what its sparse tableau holds when built (each row's nonzeros
+  /// and slack, the column index, per-column arrays), estimated before
+  /// the solve starts; fill-in during pivoting is not charged.  0 =
+  /// unlimited.  A set over the ceiling degrades to the sound structural
+  /// bound with a MemoryCeiling issue and never allocates the tableau.
+  /// The serving layer's --max-request-memory-mb quota threads through.
   std::size_t maxMemoryBytes = 0;
   /// Optional cooperative cancellation: set to true from any thread to
   /// make estimate() stop early and throw AnalysisError.
@@ -466,6 +466,9 @@ class Analyzer {
     int line = 0;
   };
 
+  /// One estimate() call: its shared state and stages (estimate.cpp).
+  struct EstimateRun;
+
   void buildContexts();
   void assignFLabels();
   void resolveLoopBounds();
@@ -526,6 +529,10 @@ class Analyzer {
   /// Canonical key of one symbolic row resolved under the current
   /// bindings (see canonicalRowKey).
   [[nodiscard]] std::string concreteRowKey(const SymConstraint& sc) const;
+  /// A set's concreteRowKey()s, sorted with duplicates removed: equal
+  /// keys => equal regions, a proper subset => a superset region.
+  [[nodiscard]] std::vector<std::string> concreteSetKeys(
+      const ConjunctiveSet& set) const;
 
   /// Binding-invariant canonical key of one symbolic row: the
   /// parameter-free part canonicalized like a concrete row, plus the rhs

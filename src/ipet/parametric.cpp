@@ -125,12 +125,9 @@ class Engine {
   /// Fits the unique affine candidate through the box corner and its
   /// axis-adjacent corners.  Returns false when a slope is not an exact
   /// integer (the bound cannot be a single affine piece on this box).
-  bool fitAffine(const Point& lo, const Point& hi, bool worstSide,
+  bool fitAffine(const Point& lo, const Point& hi, std::int64_t Interval::*end,
                  AffineForm* out) {
-    const auto value = [&](const Point& p) {
-      const Interval bound = solveAt(p);
-      return worstSide ? bound.hi : bound.lo;
-    };
+    const auto value = [&](const Point& p) { return solveAt(p).*end; };
     const std::int64_t base = value(lo);
     out->coeff.assign(params_.size(), Rat());
     std::int64_t constant = base;
@@ -219,8 +216,8 @@ class Engine {
       return;
     }
     const bool exhaustive = points <= options_.exhaustiveThreshold;
-    if (fitAffine(lo, hi, /*worstSide=*/true, &piece.worst) &&
-        fitAffine(lo, hi, /*worstSide=*/false, &piece.best) &&
+    if (fitAffine(lo, hi, &Interval::hi, &piece.worst) &&
+        fitAffine(lo, hi, &Interval::lo, &piece.best) &&
         (exhaustive ? verifyExhaustive(piece, lo, hi)
                     : verifySparse(piece, lo, hi))) {
       formula->pieces.push_back(std::move(piece));
