@@ -41,6 +41,9 @@ FLIGHT="$OUT_DIR/flightrecorder.json"
 LATENCY="$OUT_DIR/latency.json"
 SNAPSHOT="$(mktemp -u).csnap"
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$SNAPSHOT" "$SNAPSHOT.journal"' EXIT
+# The daemon appends to its request log, so an earlier run's lines would
+# count toward this run's gates; start both telemetry files empty.
+rm -f "$REQUEST_LOG" "$FLIGHT"
 
 # Ephemeral port: the daemon announces the one it picked on stdout.
 # --slow-ms 1 arms slow-request tracing for most cold solves, so the

@@ -111,9 +111,10 @@ options:
   --max-queued <N>          analyses allowed to wait beyond --max-inflight
                             before arrivals are rejected with a typed
                             "overloaded" error (default -1 = unbounded)
-  --max-request-memory-mb <N> per-request solve memory ceiling; oversize
-                            solves degrade to sound structural bounds
-                            (default 0 = none)
+  --max-request-memory-mb <N> per-request solve memory ceiling, charged
+                            as each set's sparse tableau when built;
+                            oversize solves degrade to sound structural
+                            bounds (default 0 = none)
   --fault-rate <R>          chaos testing: inject snapshot write/fsync
                             faults with probability R in [0, 1]
                             (default 0 = off)
