@@ -7,7 +7,8 @@
 #     cache with bit-identical bounds;
 #   - every line of the daemon's request log parses as JSON;
 #   - the Prometheus exposition scraped via the `metrics` op passes
-#     scripts/check_prometheus.sh and carries the serve counters;
+#     obs::prometheusLint (cinderella-replay --metrics-out exits 1
+#     otherwise) and carries the serve counters;
 #   - the flight-recorder dump is valid JSON and saw the workload;
 #   - the second pass's hits came from the request memo: the scrape's
 #     memo-hit counter and the dump's cache hits that skipped the front
@@ -22,7 +23,6 @@ set -euo pipefail
 
 SERVE="${1:-./build/src/tools/cinderella-serve}"
 REPLAY="${2:-./build/src/tools/cinderella-replay}"
-CHECK_PROM="$(dirname "$0")/check_prometheus.sh"
 
 for bin in "$SERVE" "$REPLAY"; do
   if [[ ! -x "$bin" ]]; then
@@ -87,8 +87,9 @@ PY
 # Two passes over ~25 inputs (= ~50 requests).  The replay tool exits 2
 # if any repeated input returns a different bound, and 1 if the second
 # pass's cache hit rate leaves the overall rate below the gate.  The
-# same invocation scrapes the metrics op into $METRICS and reports
-# client-observed latency percentiles per pass.
+# same invocation scrapes the metrics op into $METRICS (exiting 1 when
+# the scrape fails obs::prometheusLint) and reports client-observed
+# latency percentiles per pass.
 "$REPLAY" --port "$PORT" --generate 12 --seed 20260807 --benchmarks \
   --repeat 2 --min-hit-rate 0.45 --latency-json --metrics-out "$METRICS" \
   --shutdown | tee "$LATENCY"
@@ -134,12 +135,12 @@ if events.get("slow-request", 0) < 1:
 print(f"serve_smoke: request log ok ({events})")
 PY
 
-# The Prometheus scrape is structurally valid and saw the workload.
+# The Prometheus scrape saw the workload (the replay tool already
+# linted it: a malformed scrape makes it exit 1, which stops this script).
 if [[ ! -s "$METRICS" ]]; then
   echo "serve_smoke: replay did not scrape the metrics op" >&2
   exit 1
 fi
-"$CHECK_PROM" "$METRICS"
 for series in cinderella_serve_requests_total \
               cinderella_serve_request_micros_bucket \
               cinderella_serve_stage_solve_micros_count \

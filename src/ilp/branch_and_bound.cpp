@@ -1,6 +1,5 @@
 #include "cinderella/ilp/branch_and_bound.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -9,7 +8,6 @@
 
 #include "cinderella/support/checked_math.hpp"
 #include "cinderella/support/error.hpp"
-#include "cinderella/support/metrics_sink.hpp"
 
 namespace cinderella::ilp {
 
@@ -113,30 +111,7 @@ void recomputeExactObjective(const lp::Problem& problem,
 }  // namespace
 
 IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
-  // Observability is off on the default path: one relaxed atomic load.
-  support::MetricsSink* const sink = support::metricsSink();
-  const auto solveStart = sink != nullptr
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
-
   IlpSolution result;
-
-  // Reports solver metrics on every exit path.
-  struct MetricsReport {
-    support::MetricsSink* sink;
-    std::chrono::steady_clock::time_point start;
-    const IlpSolution& result;
-    ~MetricsReport() {
-      if (sink == nullptr) return;
-      sink->add("ilp.solves", 1);
-      sink->observe("ilp.nodes", result.stats.nodesExpanded);
-      sink->observe("ilp.pivots", result.stats.totalPivots);
-      sink->observe("ilp.micros",
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
-    }
-  } metricsReport{sink, solveStart, result};
   const bool maximize = (problem.sense() == lp::Sense::Maximize);
   const double worst = maximize ? -std::numeric_limits<double>::infinity()
                                 : std::numeric_limits<double>::infinity();

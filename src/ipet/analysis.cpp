@@ -362,69 +362,63 @@ AnalysisResult AnalysisService::analyzeLp(
   }
 
   const SolveControl& control = request.control;
-  const bool hasDeadline = control.deadline.count() != 0;
-  const Clock::time_point deadlineAt = Clock::now() + control.deadline;
+  const Clock::time_point solveStart = Clock::now();
   ilp::IlpOptions ilpOptions;
   if (control.maxNodes > 0) ilpOptions.maxNodes = control.maxNodes;
   ilpOptions.lpOptions.presolve = control.presolve;
-  ilpOptions.interrupt = [&]() {
-    if (control.cancel != nullptr &&
-        control.cancel->load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return hasDeadline && Clock::now() >= deadlineAt;
+  ilpOptions.interrupt = [&] {
+    return cancelRequested(control) || deadlineExpired(control, solveStart);
   };
 
   Estimate& estimate = result.estimate;
   estimate.stats.constraintSets = static_cast<int>(problems.size());
   std::vector<std::int64_t> maxima;
   std::vector<std::int64_t> minima;
-  const Clock::time_point solveStart = Clock::now();
   auto solveTimer = obs::timeStage(telemetry, obs::RequestStage::Solve);
 
   for (std::size_t i = 0; i < problems.size(); ++i) {
     const lp::Problem& problem = problems[i];
+    const bool maximize = problem.sense() == lp::Sense::Maximize;
+    SetSolveRecord record;
+    record.setIndex = static_cast<int>(i);
+    // Unlike the analyzer pipeline, which owns the base problem, a bare
+    // LP system has no structural fallback to degrade to: a problem that
+    // cannot be bounded exactly fails its set, and the estimate reports
+    // itself unsound.
+    auto fail = [&](ErrorCode code, const char* phase, std::string detail) {
+      record.verdict = SetVerdict::Failed;
+      record.issue = code;
+      estimate.stats.failedSets += 1;
+      if (code == ErrorCode::DeadlineExpired) estimate.timedOut = true;
+      estimate.issues.push_back(
+          {record.setIndex, code, phase, std::move(detail)});
+    };
+    if (std::optional<std::string> over = overMemoryCeiling(control, problem)) {
+      fail(ErrorCode::MemoryCeiling, "set", std::move(*over));
+      estimate.setRecords.push_back(std::move(record));
+      continue;
+    }
+
     const Clock::time_point ilpStart = Clock::now();
     const ilp::IlpSolution solution = ilp::solve(problem, ilpOptions);
-    if (control.cancel != nullptr &&
-        control.cancel->load(std::memory_order_relaxed)) {
-      throw AnalysisError("analysis cancelled");
-    }
+    if (cancelRequested(control)) throw AnalysisError("analysis cancelled");
     if (solution.status == ilp::IlpStatus::Infeasible ||
         solution.status == ilp::IlpStatus::Unbounded) {
       throw AnalysisError("lp input: problem " + std::to_string(i + 1) +
                           " is " + ilp::ilpStatusStr(solution.status));
     }
 
-    const bool maximize = problem.sense() == lp::Sense::Maximize;
-    SetSolveRecord record;
-    record.setIndex = static_cast<int>(i);
     IlpSolveRecord ilpRecord = ilpSolveRecord(solution);
     ilpRecord.wallMicros = microsSince(ilpStart);
     estimate.stats.addSolve(ilpRecord);
-
     if (ilpRecord.feasible) {
       (maximize ? maxima : minima).push_back(ilpRecord.objective);
       record.verdict = SetVerdict::Exact;
     } else {
-      // Limit or Interrupted: this side of the system could not be
-      // bounded exactly and — unlike the analyzer pipeline, which owns
-      // the base problem — there is no structural fallback to degrade
-      // to, so the set fails and the estimate reports itself unsound.
-      const bool deadlineHit = hasDeadline && Clock::now() >= deadlineAt;
-      record.verdict = SetVerdict::Failed;
-      record.issue = deadlineHit ? ErrorCode::DeadlineExpired
-                                 : ErrorCode::NodeBudgetExhausted;
       ilpRecord.degraded = true;
-      estimate.stats.failedSets += 1;
-      if (deadlineHit) estimate.timedOut = true;
-      SolveIssue issue;
-      issue.setIndex = static_cast<int>(i);
-      issue.code = record.issue;
-      issue.phase = maximize ? "ilp-worst" : "ilp-best";
-      issue.detail = std::string("lp input: ") +
-                     ilp::ilpStatusStr(solution.status);
-      estimate.issues.push_back(std::move(issue));
+      fail(stopCode(control, solution, ilpOptions.maxNodes),
+           maximize ? "ilp-worst" : "ilp-best",
+           std::string("lp input: ") + ilp::ilpStatusStr(solution.status));
     }
     (maximize ? record.worst : record.best) = ilpRecord;
     record.wallMicros = ilpRecord.wallMicros;

@@ -26,6 +26,7 @@
 
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/lp/simplex.hpp"
+#include "cinderella/lp/tableau.hpp"
 #include "cinderella/obs/trace.hpp"
 #include "cinderella/support/error.hpp"
 #include "cinderella/support/fault_injector.hpp"
@@ -88,6 +89,45 @@ IlpSolveRecord ilpSolveRecord(const ilp::IlpSolution& solution) {
   return record;
 }
 
+bool cancelRequested(const SolveControl& control) {
+  return control.cancel != nullptr &&
+         control.cancel->load(std::memory_order_relaxed);
+}
+
+bool deadlineExpired(const SolveControl& control,
+                     std::chrono::steady_clock::time_point start) {
+  // Fault-injection seam: a DeadlineClock fault expires the deadline
+  // spuriously, driving the partial-result path without real waiting.
+  support::FaultInjector* const injector = support::faultInjector();
+  if (injector != nullptr &&
+      injector->shouldFault(support::FaultSite::DeadlineClock)) {
+    return true;
+  }
+  return control.deadline.count() != 0 &&
+         std::chrono::steady_clock::now() - start >= control.deadline;
+}
+
+ErrorCode stopCode(const SolveControl& control,
+                   const ilp::IlpSolution& solution, int maxNodes) {
+  if (solution.status == ilp::IlpStatus::Interrupted) {
+    return cancelRequested(control) ? ErrorCode::Cancelled
+                                    : ErrorCode::DeadlineExpired;
+  }
+  return solution.stats.nodesExpanded >= maxNodes
+             ? ErrorCode::NodeBudgetExhausted
+             : ErrorCode::PivotLimit;
+}
+
+std::optional<std::string> overMemoryCeiling(const SolveControl& control,
+                                             const lp::Problem& p) {
+  if (control.maxMemoryBytes == 0) return std::nullopt;
+  const std::size_t bytes = lp::tableauBytes(p);
+  if (bytes <= control.maxMemoryBytes) return std::nullopt;
+  return "estimated solve footprint " + std::to_string(bytes) +
+         " bytes exceeds the ceiling of " +
+         std::to_string(control.maxMemoryBytes) + " bytes";
+}
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -114,21 +154,6 @@ ErrorCode faultCode(const std::exception& e) {
   return dynamic_cast<const InjectedFaultError*>(&e) != nullptr
              ? ErrorCode::InjectedFault
              : ErrorCode::Internal;
-}
-
-/// What the sparse tableau over `p`'s rows holds when built: per entry,
-/// each row's slack included, a column and a double (16 bytes) and a
-/// column-index link (8); per row its vector, rhs and basic (36); per
-/// column its objective, Devex weight, fixed flag and index head (21).
-/// Fill-in during pivoting is not charged.
-std::size_t tableauBytes(const lp::Problem& p) {
-  std::size_t entries = 0;
-  for (const lp::Constraint& c : p.constraints()) {
-    entries += c.expr.terms().size() + 1;
-  }
-  const std::size_t rows = p.constraints().size();
-  const std::size_t cols = static_cast<std::size_t>(p.numVars()) + rows;
-  return entries * (16 + 8) + rows * 36 + cols * 21;
 }
 
 /// Adds `rec` to the tallies of `stats`.  False when the set adds nothing
@@ -174,7 +199,9 @@ struct Analyzer::EstimateRun {
     // nodes, so a single slow set cannot blow the whole budget.
     if (control.deadline.count() != 0 || control.cancel != nullptr ||
         support::faultInjector() != nullptr) {
-      ilpOptions_.interrupt = [this] { return cancelled() || expired(); };
+      ilpOptions_.interrupt = [this] {
+        return cancelRequested(control_) || deadlineExpired(control_, start_);
+      };
     }
     for (std::size_t i = 0; i < outcomes_.size(); ++i) {
       SetSolveRecord& rec = outcomes_[i].record;
@@ -281,7 +308,9 @@ struct Analyzer::EstimateRun {
     for (const SetOutcome& out : outcomes_) {
       if (out.error) std::rethrow_exception(out.error);
     }
-    if (cancelled()) throw AnalysisError("estimate() cancelled");
+    if (cancelRequested(control_)) {
+      throw AnalysisError("estimate() cancelled");
+    }
     for (const SetOutcome& out : outcomes_) {
       if (out.skipped) throw AnalysisError("estimate() cancelled");
     }
@@ -382,23 +411,6 @@ struct Analyzer::EstimateRun {
     return outcomes_[static_cast<std::size_t>(set)].record;
   }
 
-  [[nodiscard]] bool cancelled() const {
-    return control_.cancel != nullptr &&
-           control_.cancel->load(std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool expired() const {
-    // Fault-injection seam: a DeadlineClock fault expires the deadline
-    // spuriously, driving the partial-result path without real waiting.
-    support::FaultInjector* const injector = support::faultInjector();
-    if (injector != nullptr &&
-        injector->shouldFault(support::FaultSite::DeadlineClock)) {
-      return true;
-    }
-    return control_.deadline.count() != 0 &&
-           Clock::now() - start_ >= control_.deadline;
-  }
-
   /// One set's task; its outcome is keyed by set index.
   void solveSet(std::size_t index) noexcept {
     SetOutcome& out = outcomes_[index];
@@ -424,11 +436,11 @@ struct Analyzer::EstimateRun {
 
   /// solveSet()'s body; returns the set span's verdict.
   const char* attemptSet(SetOutcome& out, std::size_t index) {
-    if (cancelled()) {
+    if (cancelRequested(control_)) {
       out.skipped = true;
       return "skipped";
     }
-    if (expired()) {
+    if (deadlineExpired(control_, start_)) {
       // Degrade this set instead of aborting; completed sets stay.
       sawDeadline_.store(true, std::memory_order_relaxed);
       degrade(out, ErrorCode::DeadlineExpired, "set",
@@ -436,17 +448,11 @@ struct Analyzer::EstimateRun {
       return setVerdictStr(out.record.verdict);
     }
     lp::Problem p = analyzer_.materializeSet(sys_, sys_.sets[index]);
-    if (control_.maxMemoryBytes > 0) {
-      // Backpressure quota, checked before anything is allocated, so a
-      // hostile or runaway request can never balloon the process.
-      const std::size_t bytes = tableauBytes(p);
-      if (bytes > control_.maxMemoryBytes) {
-        degrade(out, ErrorCode::MemoryCeiling, "set",
-                "estimated solve footprint " + std::to_string(bytes) +
-                    " bytes exceeds the ceiling of " +
-                    std::to_string(control_.maxMemoryBytes) + " bytes");
-        return setVerdictStr(out.record.verdict);
-      }
+    // Backpressure quota, checked before the tableau is allocated, so a
+    // hostile or runaway request can never balloon the process.
+    if (std::optional<std::string> over = overMemoryCeiling(control_, p)) {
+      degrade(out, ErrorCode::MemoryCeiling, "set", std::move(*over));
+      return setVerdictStr(out.record.verdict);
     }
     // The probe and both root relaxations share one tableau over these
     // rows: the dual simplex from its slack basis answers the probe, and
@@ -552,14 +558,9 @@ struct Analyzer::EstimateRun {
       return;  // genuinely empty on this side; contributes nothing
     }
     // Limit or Interrupted: classify the budget that ran out.
-    ErrorCode code = ErrorCode::PivotLimit;
-    if (solution.status == ilp::IlpStatus::Interrupted) {
-      code = cancelled() ? ErrorCode::Cancelled : ErrorCode::DeadlineExpired;
-      if (code == ErrorCode::DeadlineExpired) {
-        sawDeadline_.store(true, std::memory_order_relaxed);
-      }
-    } else if (solution.stats.nodesExpanded >= ilpOptions_.maxNodes) {
-      code = ErrorCode::NodeBudgetExhausted;
+    const ErrorCode code = stopCode(control_, solution, ilpOptions_.maxNodes);
+    if (code == ErrorCode::DeadlineExpired) {
+      sawDeadline_.store(true, std::memory_order_relaxed);
     }
     out.note(code, spec.phase,
              std::string("integer solve stopped: ") +

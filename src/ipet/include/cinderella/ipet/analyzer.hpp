@@ -295,6 +295,30 @@ struct IlpSolveRecord {
 /// are left for the caller.
 [[nodiscard]] IlpSolveRecord ilpSolveRecord(const ilp::IlpSolution& solution);
 
+// The budget checks every solve path shares: Analyzer::estimate and the
+// LP-input path of AnalysisService.
+
+/// True when `control`'s cancel flag is set.
+[[nodiscard]] bool cancelRequested(const SolveControl& control);
+
+/// True once `control`'s deadline, counted from `start`, has run out.  A
+/// DeadlineClock fault (support/fault_injector.hpp) expires it too, so
+/// fault drills reach the partial-result path without real waiting.
+[[nodiscard]] bool deadlineExpired(const SolveControl& control,
+                                   std::chrono::steady_clock::time_point start);
+
+/// Why an ILP stopped without an optimum (status Limit or Interrupted):
+/// Cancelled or DeadlineExpired when interrupted, NodeBudgetExhausted
+/// once it expanded `maxNodes` nodes, else PivotLimit.
+[[nodiscard]] ErrorCode stopCode(const SolveControl& control,
+                                 const ilp::IlpSolution& solution,
+                                 int maxNodes);
+
+/// The MemoryCeiling issue detail when the tableau over `p`'s rows
+/// (lp::tableauBytes) exceeds `control.maxMemoryBytes`, else nullopt.
+[[nodiscard]] std::optional<std::string> overMemoryCeiling(
+    const SolveControl& control, const lp::Problem& p);
+
 /// Per-constraint-set solve record (paper Table I granularity): how the
 /// LP feasibility probe and the two ILPs of set `setIndex` went.
 struct SetSolveRecord {

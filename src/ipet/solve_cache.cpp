@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cinderella/support/io.hpp"
-#include "cinderella/support/metrics_sink.hpp"
 
 namespace cinderella::ipet {
 
@@ -103,12 +102,6 @@ struct Reader {
     return out;
   }
 };
-
-void count(std::string_view counter) {
-  if (support::MetricsSink* sink = support::metricsSink()) {
-    sink->add(counter, 1);
-  }
-}
 
 // --- Per-entry codecs, shared by snapshot sections and journal records.
 
@@ -383,11 +376,9 @@ std::optional<CachedBound> SolveCache::lookupBound(const Digest& full) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (CachedBound* entry = bounds_.find(full)) {
     ++stats_.boundHits;
-    count("solve_cache.bound_hits");
     return *entry;
   }
   ++stats_.boundMisses;
-  count("solve_cache.bound_misses");
   return std::nullopt;
 }
 
@@ -396,11 +387,9 @@ std::optional<CachedFormula> SolveCache::lookupFormula(
   std::lock_guard<std::mutex> lock(mutex_);
   if (CachedFormula* entry = formulas_.find(parametric)) {
     ++stats_.formulaHits;
-    count("solve_cache.formula_hits");
     return *entry;
   }
   ++stats_.formulaMisses;
-  count("solve_cache.formula_misses");
   return std::nullopt;
 }
 
@@ -411,20 +400,15 @@ std::optional<RequestHit> SolveCache::lookupRequest(const Digest& request) {
       if (const CachedFormula* entry = formulas_.find(digests->full)) {
         ++stats_.requestHits;
         ++stats_.formulaHits;
-        count("solve_cache.request_hits");
-        count("solve_cache.formula_hits");
         return RequestHit{*digests, *entry};
       }
     } else if (const CachedBound* entry = bounds_.find(digests->full)) {
       ++stats_.requestHits;
       ++stats_.boundHits;
-      count("solve_cache.request_hits");
-      count("solve_cache.bound_hits");
       return RequestHit{*digests, *entry};
     }
   }
   ++stats_.requestMisses;
-  count("solve_cache.request_misses");
   return std::nullopt;
 }
 
@@ -445,10 +429,8 @@ void SolveCache::journalLocked(std::uint32_t type, std::string_view payload) {
   if (support::io::appendDurable(options_.journalPath, record,
                                  &appendError)) {
     ++stats_.journaledInserts;
-    count("solve_cache.journaled_inserts");
   } else {
     ++stats_.journalFailures;
-    count("solve_cache.journal_failures");
   }
 }
 
@@ -461,10 +443,6 @@ void SolveCache::insertFormula(const Digest& parametric, CachedFormula entry) {
       static_cast<std::int64_t>(formulas_.insert(parametric, std::move(entry)));
   stats_.evictions += evicted;
   ++stats_.insertions;
-  if (support::MetricsSink* sink = support::metricsSink()) {
-    sink->add("solve_cache.insertions", 1);
-    if (evicted > 0) sink->add("solve_cache.evictions", evicted);
-  }
   journalLocked(kRecordFormula, payload);
 }
 
@@ -479,7 +457,6 @@ bool SolveCache::insert(const Digest& full, const Estimate& estimate,
   if (!enabled()) return false;
   if (!admissible(estimate)) {
     ++stats_.rejectedInserts;
-    count("solve_cache.rejected_inserts");
     return false;
   }
   CachedBound entry;
@@ -492,10 +469,6 @@ bool SolveCache::insert(const Digest& full, const Estimate& estimate,
       static_cast<std::int64_t>(bounds_.insert(full, entry));
   stats_.evictions += evicted;
   ++stats_.insertions;
-  if (support::MetricsSink* sink = support::metricsSink()) {
-    sink->add("solve_cache.insertions", 1);
-    if (evicted > 0) sink->add("solve_cache.evictions", evicted);
-  }
   journalLocked(kRecordBound, payload);
   return true;
 }

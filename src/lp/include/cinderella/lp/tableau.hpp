@@ -35,6 +35,7 @@
 // bit-identical results to a scan over every row.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "cinderella/lp/carrier_index.hpp"
@@ -189,5 +190,12 @@ class Tableau {
   int pivots_ = 0;
   int devexPivots_ = 0;
 };
+
+/// What the sparse tableau over `p`'s rows holds when built: per entry,
+/// each row's slack included, a column and a double (16 bytes) and a
+/// column-index link (8); per row its vector, rhs and basic (36); per
+/// column its objective, Devex weight, fixed flag and index head (21).
+/// Fill-in during pivoting is not charged.
+[[nodiscard]] std::size_t tableauBytes(const Problem& p);
 
 }  // namespace cinderella::lp

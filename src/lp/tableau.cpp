@@ -532,4 +532,14 @@ void Tableau::fillSolutionValues(Solution* solution) const {
   }
 }
 
+std::size_t tableauBytes(const Problem& p) {
+  std::size_t entries = 0;
+  for (const Constraint& c : p.constraints()) {
+    entries += c.expr.terms().size() + 1;
+  }
+  const std::size_t rows = p.constraints().size();
+  const std::size_t cols = static_cast<std::size_t>(p.numVars()) + rows;
+  return entries * (16 + 8) + rows * 36 + cols * 21;
+}
+
 }  // namespace cinderella::lp

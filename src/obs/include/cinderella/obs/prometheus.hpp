@@ -47,8 +47,8 @@ struct PrometheusOptions {
 /// announced by a preceding # TYPE; histogram bucket series are
 /// cumulative and end with le="+Inf"; _count matches the +Inf bucket.
 /// Returns the empty string when valid, else a "line N: reason"
-/// diagnostic.  Used by the exposition tests and mirrored by
-/// scripts/check_prometheus.sh for CI smoke checks.
+/// diagnostic.  Used by the exposition tests and by cinderella-replay
+/// --metrics-out, which fails on a malformed scrape.
 [[nodiscard]] std::string prometheusLint(std::string_view text);
 
 }  // namespace cinderella::obs

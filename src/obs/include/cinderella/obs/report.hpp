@@ -1,6 +1,6 @@
 // Structured solve reports: the machine-readable (JSON) and
 // human-readable (table) views of an Estimate's per-constraint-set solve
-// records, plus an optional metrics snapshot.
+// records, plus an optional metrics snapshot derived from them.
 //
 // The JSON report is the scripting surface for benchmark trajectories
 // and CI checks; its per-set records mirror ipet::SetSolveRecord
@@ -14,11 +14,13 @@
 #include <string_view>
 
 #include "cinderella/ipet/analyzer.hpp"
+#include "cinderella/ipet/solve_cache.hpp"
 
 namespace cinderella::obs {
 
 class JsonWriter;
 class MetricsRegistry;
+struct MetricsSnapshot;
 
 struct ReportOptions {
   /// Include wall-clock µs fields.  Off => the report for a fixed
@@ -35,8 +37,13 @@ struct ReportOptions {
 /// stats.presolve*, and the per-ILP-record equivalents); 4 removed the
 /// warm-start counters (stats.warmStarts, coldStarts, dualPivots,
 /// warmFailures, installPivots, seedPivots, and the per-ILP-record
-/// equivalents).
-inline constexpr int kReportSchemaVersion = 4;
+/// equivalents); 5 derives "metrics" from the set records instead of a
+/// process-wide sink inside the solvers: the per-LP-call histograms
+/// (lp.*), which the records cannot reproduce and whose sums already
+/// sit in "stats" and "sets", and the thread pool's pool.* counters,
+/// which depended on the job count, are gone, and the solve cache's
+/// counters take the daemon's cache.* names.
+inline constexpr int kReportSchemaVersion = 5;
 
 // Composable pieces (used by the bench JSON emitters as well as the full
 // report): each writes one JSON value at the writer's current position.
@@ -44,6 +51,17 @@ void boundToJson(JsonWriter* w, const ipet::Interval& bound);
 void statsToJson(JsonWriter* w, const ipet::SolveStats& stats);
 void setRecordToJson(JsonWriter* w, const ipet::SetSolveRecord& record,
                      const ReportOptions& options = {});
+
+/// Adds `estimate`'s solver metrics to `metrics`, derived from its set
+/// records: per ILP solved (a side of a set neither pruned nor shared),
+/// ilp.solves +1 and one ilp.nodes, ilp.pivots and ilp.micros sample.
+void addEstimateMetrics(const ipet::Estimate& estimate,
+                        MetricsRegistry* metrics);
+
+/// Sets the cache.* counters of `snapshot` from the solve cache's stats:
+/// the names the daemon scrapes and the CLI report carries.
+void foldCacheStats(const ipet::SolveCacheStats& stats,
+                    MetricsSnapshot* snapshot);
 
 /// The full report document:
 /// {"program":...,"bound":...,"stats":...,"sets":[...],"metrics":...}.

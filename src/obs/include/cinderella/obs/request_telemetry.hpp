@@ -6,7 +6,7 @@
 // serve::Server -> ipet::AnalysisService -> Analyzer / SolveCache — so
 // with N concurrent connections every stage duration, cache outcome and
 // span lands on the request that incurred it, never on a neighbour.
-// Nothing here touches the process-wide support::MetricsSink seam.
+// Nothing here is process-wide state.
 //
 // Contents:
 //   * the request id (client-supplied or server-generated) echoed in

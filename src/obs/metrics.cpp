@@ -179,14 +179,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return *it->second;
 }
 
-void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
-  counter(name).add(delta);
-}
-
-void MetricsRegistry::observe(std::string_view name, std::int64_t value) {
-  histogram(name).observe(value);
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   // Copy the name -> metric pointers under the lock, then read the
   // atomics outside it; metrics are never removed, so the pointers stay

@@ -627,16 +627,7 @@ obs::MetricsSnapshot Server::metricsSnapshot() const {
   snapshot.counters["serve.rejected_overload"] = server.rejectedOverload;
   snapshot.counters["serve.drain_rejections"] = server.drainRejections;
   snapshot.counters["serve.draining"] = server.draining ? 1 : 0;
-  const ipet::SolveCacheStats cache = service_.cache().stats();
-  snapshot.counters["cache.bound_hits"] = cache.boundHits;
-  snapshot.counters["cache.bound_misses"] = cache.boundMisses;
-  snapshot.counters["cache.request_hits"] = cache.requestHits;
-  snapshot.counters["cache.request_misses"] = cache.requestMisses;
-  snapshot.counters["cache.formula_hits"] = cache.formulaHits;
-  snapshot.counters["cache.formula_misses"] = cache.formulaMisses;
-  snapshot.counters["cache.insertions"] = cache.insertions;
-  snapshot.counters["cache.evictions"] = cache.evictions;
-  snapshot.counters["cache.rejected_inserts"] = cache.rejectedInserts;
+  obs::foldCacheStats(service_.cache().stats(), &snapshot);
   snapshot.counters["cache.bound_entries"] =
       static_cast<std::int64_t>(service_.cache().boundEntries());
   snapshot.counters["cache.formula_entries"] =

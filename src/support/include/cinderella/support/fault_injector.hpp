@@ -1,17 +1,19 @@
 // Deterministic fault injection — the seam that lets tests and the fuzz
 // oracle prove the solve engine's degradation paths stay sound.
 //
-// A FaultInjector is installed process-wide (like the MetricsSink) and
-// consulted at five sites:
+// A FaultInjector is installed process-wide and consulted at five
+// sites:
 //
 //   * LpPivot        — the simplex pivot loop throws InjectedFaultError,
 //                      emulating a numeric breakdown mid-solve;
 //   * ThreadPoolTask — the work-stealing pool drops a claimed task on the
 //                      floor (it completes without running), emulating a
 //                      lost per-constraint-set solve;
-//   * DeadlineClock  — the analyzer's deadline check reports "expired"
-//                      spuriously, emulating clock faults and exercising
-//                      the partial-result path without real waiting;
+//   * DeadlineClock  — the deadline check (ipet::deadlineExpired, used by
+//                      estimate() and by LP-input requests) reports
+//                      "expired" spuriously, emulating clock faults and
+//                      exercising the partial-result path without real
+//                      waiting;
 //   * SnapshotWrite  — support::io's file writers stop after a prefix of
 //                      the bytes and report failure, emulating ENOSPC or
 //                      a crash mid-write (the torn file stays on disk);
@@ -80,7 +82,7 @@ class FaultInjector {
 /// Installs `injector` (nullptr to disable); returns the previous one.
 FaultInjector* setFaultInjector(FaultInjector* injector) noexcept;
 
-/// RAII install/restore, mirroring obs::ScopedMetricsSink.
+/// RAII install/restore of the process-wide injector.
 class ScopedFaultInjector {
  public:
   explicit ScopedFaultInjector(FaultInjector* injector)

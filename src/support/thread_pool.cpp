@@ -2,7 +2,6 @@
 
 #include "cinderella/support/error.hpp"
 #include "cinderella/support/fault_injector.hpp"
-#include "cinderella/support/metrics_sink.hpp"
 
 namespace cinderella::support {
 
@@ -53,7 +52,6 @@ void ThreadPool::submit(std::function<void()> task) {
     ++unfinished_;
   }
   workCv_.notify_one();
-  if (MetricsSink* const sink = metricsSink()) sink->add("pool.tasks", 1);
 }
 
 void ThreadPool::wait() {
@@ -79,7 +77,6 @@ bool ThreadPool::popOrSteal(std::size_t self, std::function<void()>* task) {
       *task = std::move(victim.tasks.front());
       victim.tasks.pop_front();
     }
-    if (MetricsSink* const sink = metricsSink()) sink->add("pool.steals", 1);
     return true;
   }
   return false;

@@ -14,6 +14,7 @@
 #include "cinderella/fuzz/generator.hpp"
 #include "cinderella/obs/json.hpp"
 #include "cinderella/obs/metrics.hpp"
+#include "cinderella/obs/prometheus.hpp"
 #include "cinderella/serve/client.hpp"
 #include "cinderella/suite/suite.hpp"
 #include "cinderella/support/error.hpp"
@@ -42,7 +43,8 @@ options:
   --latency-json        print one JSON line with per-pass p50/p90/p99
                         request latency and the overall hit rate
   --metrics-out <file>  scrape the daemon's metrics op afterwards and
-                        write the Prometheus text exposition ("-" = stdout)
+                        write the Prometheus text exposition ("-" = stdout);
+                        exit 1 when the scrape fails the exposition lint
   --flight-out <file>   fetch the daemon's flight recorder afterwards and
                         write the dump envelope ("-" = stdout)
   --retries <N>         retry each request up to N extra times on
@@ -451,9 +453,13 @@ int runReplayTool(const ReplayToolOptions& options, std::ostream& out,
           << (!response ? error : response->error) << "\n";
       return 1;
     }
-    if (!writeTextOutput(options.metricsOut,
-                         response->raw.stringOr("prometheus", ""), out, err,
-                         "metrics")) {
+    const std::string scrape = response->raw.stringOr("prometheus", "");
+    if (!writeTextOutput(options.metricsOut, scrape, out, err, "metrics")) {
+      return 1;
+    }
+    if (const std::string lint = obs::prometheusLint(scrape); !lint.empty()) {
+      err << "cinderella-replay: metrics scrape is malformed: " << lint
+          << "\n";
       return 1;
     }
   }

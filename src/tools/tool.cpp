@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -443,13 +442,9 @@ int runTool(const ToolOptions& options, std::ostream& out,
     }
 
     // Observability: a tracer only when --trace-out asked for one (a null
-    // tracer keeps every Span disabled), and a metrics registry installed
-    // as the process-wide sink only while --report-json needs a snapshot.
+    // tracer keeps every Span disabled).
     std::unique_ptr<obs::Tracer> tracer;
     if (!options.traceOut.empty()) tracer = std::make_unique<obs::Tracer>();
-    obs::MetricsRegistry metrics;
-    std::optional<obs::ScopedMetricsSink> scopedSink;
-    if (!options.reportJson.empty()) scopedSink.emplace(&metrics);
 
     obs::Span frontendSpan(tracer.get(), "frontend", "ipet");
     const codegen::CompileResult compiled = codegen::compileSource(source);
@@ -529,7 +524,15 @@ int runTool(const ToolOptions& options, std::ostream& out,
       tracer->writeChromeTrace(traceFile);
     }
     if (!options.reportJson.empty()) {
-      scopedSink.reset();  // stop collecting; the snapshot is final
+      // The metrics are derived from what the run left behind: the
+      // estimate's set records and the solve cache's counters.
+      obs::MetricsRegistry metrics;
+      obs::addEstimateMetrics(estimate, &metrics);
+      obs::MetricsSnapshot cache;
+      obs::foldCacheStats(service.cache().stats(), &cache);
+      for (const auto& [name, value] : cache.counters) {
+        metrics.counter(name).add(value);
+      }
       const std::string program =
           !options.benchmark.empty() ? options.benchmark : options.sourcePath;
       std::ofstream reportFile(options.reportJson);

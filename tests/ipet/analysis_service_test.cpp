@@ -20,6 +20,7 @@
 #include "cinderella/obs/request_telemetry.hpp"
 #include "cinderella/suite/suite.hpp"
 #include "cinderella/support/error.hpp"
+#include "cinderella/support/fault_injector.hpp"
 #include "test_util/temp_path.hpp"
 
 namespace cinderella::ipet {
@@ -372,6 +373,65 @@ AnalysisRequest parametricRequest() {
 std::string lpExportOf(const char* source, const char* root) {
   const auto compiled = codegen::compileSource(source);
   return Analyzer(compiled, root).exportWorstCaseIlp();
+}
+
+TEST(AnalysisService, LpInputHonoursTheMemoryCeiling) {
+  // The per-request memory quota applies to LP input as it does to
+  // MiniC: an over-ceiling system fails its set before any tableau is
+  // built, the estimate is unsound, and the cache does not admit it.
+  AnalysisService service;
+  AnalysisRequest request;
+  request.lpInput = true;
+  request.source = lpExportOf(kLoop, "f");
+  request.control.maxMemoryBytes = 1024;
+  const AnalysisResult result = service.analyze(request);
+  ASSERT_EQ(result.estimate.setRecords.size(), 1u);
+  const SetSolveRecord& record = result.estimate.setRecords[0];
+  EXPECT_EQ(record.verdict, SetVerdict::Failed);
+  EXPECT_EQ(record.issue, ErrorCode::MemoryCeiling);
+  EXPECT_FALSE(record.worst.solved);
+  EXPECT_FALSE(result.estimate.sound());
+  ASSERT_EQ(result.estimate.issues.size(), 1u);
+  EXPECT_EQ(result.estimate.issues[0].phase, "set");
+  EXPECT_EQ(service.cache().boundEntries(), 0u);
+  EXPECT_EQ(service.cache().stats().rejectedInserts, 1);
+}
+
+TEST(AnalysisService, LpInputDeadlineConsultsTheFaultSeam) {
+  // A DeadlineClock fault expires the deadline of an LP-input request
+  // just as it does inside Analyzer::estimate.
+  support::FaultPlan plan;
+  plan.deadlineClockRate = 1.0;
+  support::FaultInjector injector{plan};
+  support::ScopedFaultInjector install(&injector);
+  AnalysisService service;
+  AnalysisRequest request;
+  request.lpInput = true;
+  request.source = lpExportOf(kLoop, "f");
+  const AnalysisResult result = service.analyze(request);
+  ASSERT_EQ(result.estimate.setRecords.size(), 1u);
+  EXPECT_EQ(result.estimate.setRecords[0].issue, ErrorCode::DeadlineExpired);
+  EXPECT_TRUE(result.estimate.timedOut);
+  EXPECT_FALSE(result.estimate.sound());
+  EXPECT_GT(injector.injected(support::FaultSite::DeadlineClock), 0);
+}
+
+TEST(AnalysisService, LpInputNodeBudgetIsNamedAsSuch) {
+  // The root relaxation is fractional (x + y = 1.5), so one node cannot
+  // finish the search.
+  AnalysisService service;
+  AnalysisRequest request;
+  request.lpInput = true;
+  request.source =
+      "Maximize\n obj: x + y\nSubject To\n c1: 2 x + 2 y <= 3\n"
+      "General\n x\n y\nEnd\n";
+  request.control.maxNodes = 1;
+  const AnalysisResult result = service.analyze(request);
+  ASSERT_EQ(result.estimate.setRecords.size(), 1u);
+  EXPECT_EQ(result.estimate.setRecords[0].issue,
+            ErrorCode::NodeBudgetExhausted);
+  EXPECT_FALSE(result.estimate.timedOut);
+  EXPECT_FALSE(result.estimate.sound());
 }
 
 /// Section tags of a snapshot file, in order, after checking its magic

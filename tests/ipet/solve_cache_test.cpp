@@ -342,7 +342,9 @@ TEST_F(SolveCacheCrashTest, TornSnapshotRecoversConsistentPrefixAtEveryByte) {
       }
     }
     const auto formula = victim.lookupFormula(key(50));
-    if (formula.has_value()) EXPECT_EQ(formula->formula, someFormula());
+    if (formula.has_value()) {
+      EXPECT_EQ(formula->formula, someFormula());
+    }
     // The intact journal replays regardless of snapshot damage.
     EXPECT_EQ(report.journalRecords, 1u) << "cut at byte " << cut;
     const auto replayed = victim.lookupBound(key(9));

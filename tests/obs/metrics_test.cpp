@@ -1,5 +1,4 @@
-// Counters, log2-bucket histograms, the registry-as-sink, and the
-// ScopedMetricsSink install/restore discipline.
+// Counters, log2-bucket histograms, the registry and its snapshots.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -7,7 +6,6 @@
 
 #include "cinderella/obs/json.hpp"
 #include "cinderella/obs/metrics.hpp"
-#include "cinderella/support/metrics_sink.hpp"
 
 namespace cinderella::obs {
 namespace {
@@ -62,15 +60,15 @@ TEST(Histogram, ObserveTracksCountSumMaxAndBuckets) {
   EXPECT_EQ(buckets[Histogram::bucketOf(100)], 1);    // the 100
 }
 
-TEST(MetricsRegistry, ActsAsASink) {
+TEST(MetricsRegistry, OneMetricPerName) {
   MetricsRegistry registry;
-  support::MetricsSink& sink = registry;
-  sink.add("lp.solves", 1);
-  sink.add("lp.solves", 2);
-  sink.observe("lp.pivots", 17);
-  EXPECT_EQ(registry.counter("lp.solves").value(), 3);
-  EXPECT_EQ(registry.histogram("lp.pivots").count(), 1);
-  EXPECT_EQ(registry.histogram("lp.pivots").sum(), 17);
+  registry.counter("ilp.solves").add(1);
+  registry.counter("ilp.solves").add(2);
+  registry.histogram("ilp.pivots").observe(17);
+  EXPECT_EQ(&registry.counter("ilp.solves"), &registry.counter("ilp.solves"));
+  EXPECT_EQ(registry.counter("ilp.solves").value(), 3);
+  EXPECT_EQ(registry.histogram("ilp.pivots").count(), 1);
+  EXPECT_EQ(registry.histogram("ilp.pivots").sum(), 17);
 }
 
 TEST(MetricsRegistry, LookupIsStableAcrossThreads) {
@@ -80,8 +78,8 @@ TEST(MetricsRegistry, LookupIsStableAcrossThreads) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&registry] {
       for (int i = 0; i < 1000; ++i) {
-        registry.add("shared", 1);
-        registry.observe("samples", i);
+        registry.counter("shared").add(1);
+        registry.histogram("samples").observe(i);
       }
     });
   }
@@ -92,9 +90,9 @@ TEST(MetricsRegistry, LookupIsStableAcrossThreads) {
 
 TEST(MetricsRegistry, JsonSnapshotIsValid) {
   MetricsRegistry registry;
-  registry.add("ilp.solves", 2);
-  registry.observe("ilp.nodes", 1);
-  registry.observe("ilp.nodes", 5);
+  registry.counter("ilp.solves").add(2);
+  registry.histogram("ilp.nodes").observe(1);
+  registry.histogram("ilp.nodes").observe(5);
   const std::string json = registry.json();
   EXPECT_EQ(jsonLint(json), "") << json;
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -102,40 +100,15 @@ TEST(MetricsRegistry, JsonSnapshotIsValid) {
   EXPECT_NE(json.find("\"ilp.nodes\""), std::string::npos);
 }
 
-TEST(ScopedMetricsSink, InstallsAndRestores) {
-  ASSERT_EQ(support::metricsSink(), nullptr);
-  MetricsRegistry outer;
-  {
-    ScopedMetricsSink installOuter(&outer);
-    EXPECT_EQ(support::metricsSink(), &outer);
-    MetricsRegistry inner;
-    {
-      ScopedMetricsSink installInner(&inner);
-      EXPECT_EQ(support::metricsSink(), &inner);
-      support::metricsSink()->add("depth", 2);
-    }
-    EXPECT_EQ(support::metricsSink(), &outer);
-    EXPECT_EQ(inner.counter("depth").value(), 2);
-  }
-  EXPECT_EQ(support::metricsSink(), nullptr);
-}
-
-TEST(MetricsSink, OffPathReportsNothing) {
-  ASSERT_EQ(support::metricsSink(), nullptr);
-  // Instrumented code does `if (auto* sink = metricsSink()) ...`; with no
-  // sink installed this must stay null so the branch is never taken.
-  EXPECT_EQ(support::metricsSink(), nullptr);
-}
-
 TEST(MetricsSnapshot, CopiesStateAndDetachesFromTheRegistry) {
   MetricsRegistry registry;
-  registry.add("solves", 3);
-  registry.observe("micros", 100);
-  registry.observe("micros", 900);
+  registry.counter("solves").add(3);
+  registry.histogram("micros").observe(100);
+  registry.histogram("micros").observe(900);
   const MetricsSnapshot snap = registry.snapshot();
   // Mutating the registry after the snapshot must not change it.
-  registry.add("solves", 7);
-  registry.observe("micros", 5000);
+  registry.counter("solves").add(7);
+  registry.histogram("micros").observe(5000);
   EXPECT_EQ(snap.counters.at("solves"), 3);
   EXPECT_EQ(snap.histograms.at("micros").count, 2);
   EXPECT_EQ(snap.histograms.at("micros").sum, 1000);
@@ -145,13 +118,13 @@ TEST(MetricsSnapshot, CopiesStateAndDetachesFromTheRegistry) {
 
 TEST(MetricsSnapshot, DeltaSinceScopesCumulativeStateToAnInterval) {
   MetricsRegistry registry;
-  registry.add("requests", 5);
-  registry.observe("micros", 64);
+  registry.counter("requests").add(5);
+  registry.histogram("micros").observe(64);
   const MetricsSnapshot before = registry.snapshot();
-  registry.add("requests", 2);
-  registry.add("errors", 1);  // born after `before`
-  registry.observe("micros", 64);
-  registry.observe("micros", 128);
+  registry.counter("requests").add(2);
+  registry.counter("errors").add(1);  // born after `before`
+  registry.histogram("micros").observe(64);
+  registry.histogram("micros").observe(128);
   const MetricsSnapshot delta = deltaSince(before, registry.snapshot());
   EXPECT_EQ(delta.counters.at("requests"), 2);
   EXPECT_EQ(delta.counters.at("errors"), 1);

@@ -1,6 +1,6 @@
 // Prometheus text exposition: name sanitisation, counter/gauge/histogram
-// rendering from a MetricsSnapshot, and the structural linter that backs
-// scripts/check_prometheus.sh.
+// rendering from a MetricsSnapshot, and the structural linter that
+// cinderella-replay --metrics-out runs on every scrape.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,7 +20,7 @@ TEST(Prometheus, SanitisesNamesToTheMetricGrammar) {
 
 TEST(Prometheus, RendersCountersWithTotalSuffixAndTypeLine) {
   MetricsRegistry registry;
-  registry.add("serve.requests", 42);
+  registry.counter("serve.requests").add(42);
   const std::string text = prometheusText(registry.snapshot());
   EXPECT_NE(text.find("# TYPE cinderella_serve_requests_total counter"),
             std::string::npos)
@@ -32,7 +32,7 @@ TEST(Prometheus, RendersCountersWithTotalSuffixAndTypeLine) {
 
 TEST(Prometheus, GaugeListSuppressesTotalSuffix) {
   MetricsRegistry registry;
-  registry.add("serve.inflight", 3);
+  registry.counter("serve.inflight").add(3);
   PrometheusOptions options;
   options.gauges = {"serve.inflight"};
   const std::string text = prometheusText(registry.snapshot(), options);
@@ -46,8 +46,8 @@ TEST(Prometheus, GaugeListSuppressesTotalSuffix) {
 
 TEST(Prometheus, HistogramsRenderCumulativeBucketsSumAndCount) {
   MetricsRegistry registry;
-  registry.observe("serve.request_micros", 3);    // bucket [2, 4)
-  registry.observe("serve.request_micros", 100);  // bucket [64, 128)
+  registry.histogram("serve.request_micros").observe(3);    // bucket [2, 4)
+  registry.histogram("serve.request_micros").observe(100);  // bucket [64, 128)
   const std::string text = prometheusText(registry.snapshot());
   EXPECT_NE(
       text.find("# TYPE cinderella_serve_request_micros histogram"),
@@ -99,12 +99,12 @@ TEST(Prometheus, LintCatchesStructuralViolations) {
 
 TEST(Prometheus, WholeRegistrySnapshotLintsClean) {
   MetricsRegistry registry;
-  registry.add("serve.requests", 10);
-  registry.add("serve.errors", 1);
-  registry.add("cache.bound_entries", 4);
+  registry.counter("serve.requests").add(10);
+  registry.counter("serve.errors").add(1);
+  registry.counter("cache.bound_entries").add(4);
   for (int i = 1; i <= 64; ++i) {
-    registry.observe("serve.request_micros", i * 37);
-    registry.observe("serve.stage.solve_micros", i * 29);
+    registry.histogram("serve.request_micros").observe(i * 37);
+    registry.histogram("serve.stage.solve_micros").observe(i * 29);
   }
   PrometheusOptions options;
   options.gauges = {"cache.bound_entries"};

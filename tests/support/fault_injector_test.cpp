@@ -1,6 +1,6 @@
 // Fault-injection seam tests: decisions must be deterministic in
 // (seed, site, call index), counters must account for every
-// opportunity, and installation must nest like the metrics sink.
+// opportunity, and installation must nest and restore.
 #include <gtest/gtest.h>
 
 #include <string>
