@@ -132,7 +132,9 @@ TEST(Dominators, LinearChain) {
   const DominatorTree dom(g);
   // Entry dominates everything.
   for (int b = 0; b < g.numBlocks(); ++b) {
-    if (dom.reachable(b)) EXPECT_TRUE(dom.dominates(0, b));
+    if (dom.reachable(b)) {
+      EXPECT_TRUE(dom.dominates(0, b));
+    }
   }
   EXPECT_EQ(dom.idom(0), -1);
 }
