@@ -12,7 +12,9 @@
 #   - the flight-recorder dump is valid JSON and saw the workload;
 #   - the second pass's hits came from the request memo: the scrape's
 #     memo-hit counter and the dump's cache hits that skipped the front
-#     end each reach the second pass's hit count.
+#     end each reach the second pass's hit count;
+#   - each analyze request looked the memo up exactly once: the scrape's
+#     memo hits plus misses equal the requests the replay got answered.
 # Finishes with the shutdown handshake and checks the daemon exits
 # cleanly.  Used locally and by the `serve-smoke` CI job so the
 # workload and gates live in exactly one place; telemetry outputs land
@@ -175,7 +177,9 @@ PY
 # hits should be a request-memo hit: the counter covers them, and as
 # many flight records are cache hits that never entered the front end.
 # A first-pass hit on a shared digest still runs the front end, so the
-# records are counted, not all required to skip it.
+# records are counted, not all required to skip it.  A request looks
+# the memo up once, so hits plus misses equal the analyze requests: a
+# miss looked up again on its way to the solver would count twice.
 python3 - "$LATENCY" "$METRICS" "$FLIGHT" <<'PY'
 import json, re, sys
 latency_path, metrics_path, flight_path = sys.argv[1:4]
@@ -183,10 +187,17 @@ with open(latency_path) as f:
     summary = json.loads([l for l in f if l.startswith("{")][-1])
 second = summary["passes"][1]["cacheHits"]
 with open(metrics_path) as f:
-    m = re.search(r"^cinderella_cache_request_hits_total (\d+)$", f.read(), re.M)
-if m is None:
-    sys.exit("serve_smoke: metrics scrape has no cinderella_cache_request_hits_total")
-memo_hits = int(m.group(1))
+    scrape = f.read()
+def counter(name):
+    m = re.search(rf"^{name} (\d+)$", scrape, re.M)
+    if m is None:
+        sys.exit(f"serve_smoke: metrics scrape has no {name}")
+    return int(m.group(1))
+memo_hits = counter("cinderella_cache_request_hits_total")
+memo_misses = counter("cinderella_cache_request_misses_total")
+if memo_hits + memo_misses != summary["requests"]:
+    sys.exit(f"serve_smoke: {memo_hits} memo hits + {memo_misses} memo misses "
+             f"!= {summary['requests']} analyze requests answered")
 if memo_hits < second:
     sys.exit(f"serve_smoke: {memo_hits} request-memo hits < {second} second-pass hits")
 with open(flight_path) as f:
@@ -196,8 +207,9 @@ skipped = sum(1 for r in records if r.get("op") == "analyze" and
 if skipped < second:
     sys.exit(f"serve_smoke: {skipped} cache-hit records skipped the front end, "
              f"< {second} second-pass hits")
-print(f"serve_smoke: request memo ok ({memo_hits} memo hits, {skipped} "
-      f"front-end-free hit records, {second} second-pass hits)")
+print(f"serve_smoke: request memo ok ({memo_hits} memo hits + {memo_misses} "
+      f"misses = {summary['requests']} requests, {skipped} front-end-free "
+      f"hit records, {second} second-pass hits)")
 PY
 
 # --- Drain flow ------------------------------------------------------

@@ -55,21 +55,20 @@ void digestProblem(DigestBuilder* builder, const lp::Problem& problem) {
   for (const std::string& row : rows) builder->str(row);
 }
 
-/// Request-memo key (solve_cache.hpp): everything the analyzer would see
-/// — input kind, the resolved source, the defaulted root, the merged
-/// constraint list in order, the parameter declarations and the cache
-/// mode.  Like the system digest it leaves out the label, the cache
-/// policy and the SolveControl, none of which changes the answer.
-Digest requestKey(const AnalysisRequest& request, const std::string& source,
-                  const std::string& root,
-                  const std::vector<RequestConstraint>& constraints) {
+/// Request-memo key (solve_cache.hpp) of a resolved request: everything
+/// the analyzer would see — input kind, the resolved source, the
+/// defaulted root, the merged constraint list in order, the parameter
+/// declarations and the cache mode.  Like the system digest it leaves
+/// out the label, the cache policy and the SolveControl, none of which
+/// changes the answer.
+Digest requestKey(const AnalysisRequest& request) {
   DigestBuilder builder;
   builder.tag('R');
   builder.u8(request.lpInput ? 1 : 0);
-  builder.str(source);
-  builder.str(root);
-  builder.u32(static_cast<std::uint32_t>(constraints.size()));
-  for (const RequestConstraint& c : constraints) {
+  builder.str(request.source);
+  builder.str(request.root);
+  builder.u32(static_cast<std::uint32_t>(request.constraints.size()));
+  for (const RequestConstraint& c : request.constraints) {
     builder.str(c.text);
     builder.str(c.scope);
   }
@@ -138,7 +137,17 @@ bool AnalysisService::usesCache(const AnalysisRequest& request) const {
 
 AnalysisResult AnalysisService::analyze(
     const AnalysisRequest& request, obs::RequestTelemetry* telemetry) const {
-  const Clock::time_point start = Clock::now();
+  const ResolvedRequest resolved = resolve(request, telemetry);
+  if (std::optional<AnalysisResult> hit = lookup(resolved, telemetry)) {
+    return std::move(*hit);
+  }
+  return solve(resolved, telemetry);
+}
+
+ResolvedRequest AnalysisService::resolve(
+    const AnalysisRequest& request, obs::RequestTelemetry* telemetry) const {
+  ResolvedRequest resolved;
+  resolved.start = Clock::now();
   if (!request.benchmark.empty() && !request.source.empty()) {
     throw AnalysisError("request has both a source and a benchmark");
   }
@@ -159,59 +168,66 @@ AnalysisResult AnalysisService::analyze(
     }
   }
 
-  std::string source = request.source;
-  std::string root = request.root;
-  std::vector<RequestConstraint> constraints;
+  AnalysisRequest& out = resolved.request;
+  out = request;
+  out.label = defaultLabel(request);
   if (!request.benchmark.empty()) {
     if (!options_.benchmarkResolver) {
       throw AnalysisError("benchmark input is not available here (no "
                           "benchmark resolver installed)");
     }
     auto resolveTimer = obs::timeStage(telemetry, obs::RequestStage::Resolve);
-    std::optional<ResolvedProgram> resolved =
+    std::optional<ResolvedProgram> program =
         options_.benchmarkResolver(request.benchmark);
     resolveTimer.stop();
-    if (!resolved) {
+    if (!program) {
       throw AnalysisError("unknown benchmark '" + request.benchmark + "'");
     }
-    source = std::move(resolved->source);
-    if (root.empty()) root = std::move(resolved->root);
-    constraints = std::move(resolved->constraints);
+    out.benchmark.clear();
+    out.source = std::move(program->source);
+    if (out.root.empty()) out.root = std::move(program->root);
+    out.constraints = std::move(program->constraints);
+    out.constraints.insert(out.constraints.end(), request.constraints.begin(),
+                           request.constraints.end());
   }
-  if (root.empty()) root = "main";
-  constraints.insert(constraints.end(), request.constraints.begin(),
-                     request.constraints.end());
+  if (out.root.empty()) out.root = "main";
 
-  // A repeat whose answer is still cached is served here, before any
-  // compile, CFG or system build.
-  std::optional<Digest> memoKey;
-  if (usesCache(request)) {
+  if (usesCache(out)) {
     auto digestTimer = obs::timeStage(telemetry, obs::RequestStage::Digest);
-    memoKey = requestKey(request, source, root, constraints);
-    digestTimer.stop();
-    auto lookupTimer =
-        obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
-    std::optional<RequestHit> hit = cache_.lookupRequest(*memoKey);
-    lookupTimer.stop();
-    if (hit) {
-      return hitResult(request, hit->digests, std::move(hit->answer), start);
-    }
+    resolved.memoKey = requestKey(out);
   }
+  return resolved;
+}
 
+std::optional<AnalysisResult> AnalysisService::lookup(
+    const ResolvedRequest& resolved, obs::RequestTelemetry* telemetry) const {
+  if (!resolved.memoKey) return std::nullopt;
+  auto lookupTimer = obs::timeStage(telemetry, obs::RequestStage::CacheLookup);
+  std::optional<RequestHit> hit = cache_.lookupRequest(*resolved.memoKey);
+  lookupTimer.stop();
+  if (!hit) return std::nullopt;
+  return hitResult(resolved.request, hit->digests, std::move(hit->answer),
+                   resolved.start);
+}
+
+AnalysisResult AnalysisService::solve(const ResolvedRequest& resolved,
+                                      obs::RequestTelemetry* telemetry) const {
+  const AnalysisRequest& request = resolved.request;
   AnalysisResult result;
   if (request.lpInput) {
     result = analyzeLp(request, telemetry);
   } else {
     auto frontendTimer =
         obs::timeStage(telemetry, obs::RequestStage::Frontend);
-    const codegen::CompileResult compiled = codegen::compileSource(source);
+    const codegen::CompileResult compiled =
+        codegen::compileSource(request.source);
     frontendTimer.stop();
 
     auto cfgTimer = obs::timeStage(telemetry, obs::RequestStage::Cfg);
     AnalyzerOptions aopt;
     aopt.cacheMode = request.cacheMode;
-    Analyzer analyzer(compiled, root, aopt);
-    for (const RequestConstraint& c : constraints) {
+    Analyzer analyzer(compiled, request.root, aopt);
+    for (const RequestConstraint& c : request.constraints) {
       analyzer.addConstraint(c.text, c.scope);
     }
     cfgTimer.stop();
@@ -219,8 +235,8 @@ AnalysisResult AnalysisService::analyze(
                  ? analyzeWith(analyzer, request, telemetry)
                  : analyzeParametricWith(analyzer, request, telemetry);
   }
-  if (memoKey && request.cachePolicy == CachePolicy::ReadWrite) {
-    cache_.recordRequest(*memoKey,
+  if (resolved.memoKey && request.cachePolicy == CachePolicy::ReadWrite) {
+    cache_.recordRequest(*resolved.memoKey,
                          {result.fullDigest, result.structuralDigest,
                           !request.parameters.empty()});
   }
@@ -316,6 +332,8 @@ AnalysisResult AnalysisService::analyzeParametricWith(
   result.solveMicros = microsSince(solveStart);
   result.formula = std::move(solved.formula);
   result.estimate.bound = result.formula->hull();
+  result.estimate.stats = solved.solveStats;
+  result.estimate.setRecords = std::move(solved.setRecords);
 
   if (useCache && request.cachePolicy == CachePolicy::ReadWrite) {
     auto storeTimer = obs::timeStage(telemetry, obs::RequestStage::CacheStore);

@@ -63,6 +63,24 @@ void SolveStats::addSolve(const IlpSolveRecord& solve) {
   allFirstRelaxationsIntegral &= solve.firstRelaxationIntegral;
 }
 
+bool SolveStats::addSet(const SetSolveRecord& record) {
+  if (record.pruned) {
+    ++prunedNullSets;
+    return false;
+  }
+  if (record.sharedWith >= 0) {
+    ++(record.dominated ? dominatedSets : dedupedSets);
+    return false;
+  }
+  // Indexed by SetVerdict; exact sets are the remainder.
+  int* const tally[] = {nullptr, &relaxedSets, &structuralSets, &failedSets};
+  if (int* const count = tally[static_cast<int>(record.verdict)]) ++*count;
+  for (const IlpSolveRecord* solve : {&record.worst, &record.best}) {
+    if (solve->solved) addSolve(*solve);
+  }
+  return true;
+}
+
 IlpSolveRecord ilpSolveRecord(const ilp::IlpSolution& solution) {
   IlpSolveRecord record;
   record.solved = true;
@@ -154,27 +172,6 @@ ErrorCode faultCode(const std::exception& e) {
   return dynamic_cast<const InjectedFaultError*>(&e) != nullptr
              ? ErrorCode::InjectedFault
              : ErrorCode::Internal;
-}
-
-/// Adds `rec` to the tallies of `stats`.  False when the set adds nothing
-/// to the interval itself: it was proved null, or a solved set covers it.
-bool tallySet(const SetSolveRecord& rec, SolveStats* stats) {
-  if (rec.pruned) {
-    ++stats->prunedNullSets;
-    return false;
-  }
-  if (rec.sharedWith >= 0) {
-    ++(rec.dominated ? stats->dominatedSets : stats->dedupedSets);
-    return false;
-  }
-  // Indexed by SetVerdict; exact sets are the remainder.
-  int* const tally[] = {nullptr, &stats->relaxedSets, &stats->structuralSets,
-                        &stats->failedSets};
-  if (int* const count = tally[static_cast<int>(rec.verdict)]) ++*count;
-  for (const IlpSolveRecord* solve : {&rec.worst, &rec.best}) {
-    if (solve->solved) stats->addSolve(*solve);
-  }
-  return true;
 }
 
 }  // namespace
@@ -326,7 +323,7 @@ struct Analyzer::EstimateRun {
     for (SetOutcome& out : outcomes_) {
       result.setRecords.push_back(out.record);
       for (auto& issue : out.issues) result.issues.push_back(std::move(issue));
-      if (!tallySet(out.record, &result.stats)) continue;
+      if (!result.stats.addSet(out.record)) continue;
       for (std::size_t side = 0; side < kSides.size(); ++side) {
         const Side& s = out.sides[side];
         const Side* cur = extreme[side];

@@ -7,10 +7,15 @@
 // An AnalysisService wraps the per-request Analyzer pipeline with the
 // persistent content-addressed SolveCache:
 //
-//   request -> resolve input -> request key -> request memo: hit => answer
-//           -> Analyzer -> systemDigests()
-//           -> bound-cache lookup (full digest): hit => answer, no solve
-//           -> estimate() -> admission-gated insert -> memo the key -> result
+//   resolve: input -> defaulted root, merged constraints -> request key
+//   lookup:  request memo -> bound or formula store: hit => answer
+//   solve:   Analyzer -> systemDigests()
+//            -> bound-cache lookup (full digest): hit => answer, no solve
+//            -> estimate() -> admission-gated insert -> memo the key
+//
+// analyze() chains the three stages.  The daemon runs resolve() and
+// lookup() on its connection thread and hands only a miss, already
+// resolved, to a solver thread for solve().
 //
 // The request memo maps a digest of the request itself to the digests it
 // was answered under, so a repeat whose answer is still cached compiles
@@ -30,6 +35,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -104,7 +110,9 @@ struct AnalysisResult {
   /// Label echoed from the request (after defaulting).
   std::string program;
   /// The estimate: freshly solved, or synthesized from a cache hit
-  /// (bound + constraintSets only; per-set records are not cached).
+  /// (bound + constraintSets only; per-set records are not cached).  A
+  /// solved parametric request carries the formula's hull with the
+  /// stats and set records of every direct solve of its sweep.
   Estimate estimate;
   /// Content-addressed keys of the analysed system (see digest.hpp),
   /// computed only where a cache reads them: empty for a Bypass request
@@ -126,6 +134,21 @@ struct AnalysisResult {
   std::int64_t solveMicros = 0;
 };
 
+/// A request after AnalysisService::resolve(): what lookup() and
+/// solve() read.
+struct ResolvedRequest {
+  /// The request with its input resolved: a benchmark is replaced by
+  /// its source, the root is defaulted, the benchmark's constraints
+  /// precede the request's own, and the label is defaulted.  The
+  /// SolveControl is the caller's to adjust before solve(); it is not
+  /// part of the request key.
+  AnalysisRequest request;
+  /// Request-memo key; set only when the request reads the cache.
+  std::optional<Digest> memoKey;
+  /// When resolve() began: a hit's wallMicros counts from here.
+  std::chrono::steady_clock::time_point start;
+};
+
 /// Resolved form of a named benchmark: what the service needs to build
 /// the analyzer without depending on cin_suite.
 struct ResolvedProgram {
@@ -135,7 +158,7 @@ struct ResolvedProgram {
 };
 
 /// Maps a benchmark name to its program, or nullopt when unknown.  Must
-/// be thread-safe (the daemon resolves from worker threads).
+/// be thread-safe (the daemon resolves from its connection threads).
 using ProgramResolver =
     std::function<std::optional<ResolvedProgram>(const std::string&)>;
 
@@ -154,9 +177,10 @@ class AnalysisService {
 
   /// Runs one analysis end to end, or answers it from the request memo
   /// when the same request was answered before and its answer is still
-  /// cached.  Throws Error (ParseError /
-  /// AnalysisError) on invalid requests or un-analysable input; solver
-  /// degradation is reported inside the Estimate, never thrown.
+  /// cached: resolve(), then lookup(), then solve() on a miss.  Throws
+  /// Error (ParseError / AnalysisError) on invalid requests or
+  /// un-analysable input; solver degradation is reported inside the
+  /// Estimate, never thrown.
   ///
   /// `telemetry` (optional) receives per-stage wall timings — resolve,
   /// frontend, cfg, digest, cache-lookup, solve, cache-store — scoped
@@ -165,6 +189,29 @@ class AnalysisService {
   /// answer: it is timers around the existing pipeline, nothing more.
   [[nodiscard]] AnalysisResult analyze(
       const AnalysisRequest& request,
+      obs::RequestTelemetry* telemetry = nullptr) const;
+
+  /// Stage 1: validates the request, resolves a benchmark through the
+  /// ProgramResolver, and hashes the request key once when the request
+  /// reads the cache.  Compiles nothing.  Throws AnalysisError on an
+  /// invalid request or an unknown benchmark.
+  [[nodiscard]] ResolvedRequest resolve(
+      const AnalysisRequest& request,
+      obs::RequestTelemetry* telemetry = nullptr) const;
+
+  /// Stage 2: one request-memo lookup.  Returns the answer when the
+  /// request was answered before and its bound or formula is still
+  /// cached; nullopt on a miss or when the request does not read the
+  /// cache.  Runs no solve.
+  [[nodiscard]] std::optional<AnalysisResult> lookup(
+      const ResolvedRequest& resolved,
+      obs::RequestTelemetry* telemetry = nullptr) const;
+
+  /// Stage 3, the miss path: compiles, builds the system, looks its
+  /// digest up, solves on a miss, admits the result and memoizes the
+  /// request key.  Never consults the request memo again.
+  [[nodiscard]] AnalysisResult solve(
+      const ResolvedRequest& resolved,
       obs::RequestTelemetry* telemetry = nullptr) const;
 
   /// The caching core, for callers that already built an Analyzer (the

@@ -157,12 +157,18 @@ struct Interval {
 };
 
 struct IlpSolveRecord;
+struct SetSolveRecord;
 
 struct SolveStats {
   /// Adds one solved ILP's counters: ilpSolves, lpCalls, nodesExpanded,
   /// the pivot, promotion, restart and presolve sums, and the
   /// first-relaxation flag.
   void addSolve(const IlpSolveRecord& solve);
+  /// Adds one set's record: its null, covered or degraded tally, and
+  /// addSolve() for each ILP it solved.  False when the set adds nothing
+  /// to the interval itself: it was proved null, or a solved set covers
+  /// it.  constraintSets and the ConflictGraph fields are the caller's.
+  bool addSet(const SetSolveRecord& record);
 
   /// Constraint sets after DNF combination (paper Table I "Sets").
   int constraintSets = 0;

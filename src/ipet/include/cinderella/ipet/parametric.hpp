@@ -56,6 +56,12 @@ struct ParametricStats {
 struct ParametricResult {
   WcetFormula formula;
   ParametricStats stats;
+  /// Every direct solve's per-set records, in solve order, and the
+  /// solver counters tallied over them (SolveStats::addSet).  Sets are
+  /// counted per solve, so N direct solves of an S-set system report
+  /// N*S constraint sets.
+  SolveStats solveStats;
+  std::vector<SetSolveRecord> setRecords;
 };
 
 /// Runs the parametric analysis.  `analyzer` must carry constraints

@@ -56,12 +56,10 @@ class Engine {
       lo[i] = params_[i].lo;
       hi[i] = params_[i].hi;
     }
-    ParametricResult out;
-    out.formula.params = params_;
-    cover(lo, hi, &out.formula);
-    stats_.pieces = static_cast<int>(out.formula.pieces.size());
-    out.stats = stats_;
-    return out;
+    out_.formula.params = params_;
+    cover(lo, hi, &out_.formula);
+    out_.stats.pieces = static_cast<int>(out_.formula.pieces.size());
+    return std::move(out_);
   }
 
  private:
@@ -100,7 +98,7 @@ class Engine {
   Interval solveAt(const Point& point) {
     const auto cached = memo_.find(point);
     if (cached != memo_.end()) return cached->second;
-    if (stats_.directSolves >= options_.maxDirectSolves) {
+    if (out_.stats.directSolves >= options_.maxDirectSolves) {
       throw AnalysisError("parametric analysis exceeded its direct-solve "
                           "budget — narrow the parameter ranges");
     }
@@ -108,15 +106,22 @@ class Engine {
       analyzer_.bindParam(params_[i].name, point[i]);
     }
     const Estimate estimate = analyzer_.estimate(control_);
-    ++stats_.directSolves;
+    ++out_.stats.directSolves;
     std::int64_t wall = 0;
     for (const auto& record : estimate.setRecords) wall += record.wallMicros;
-    stats_.solveWallMicros += wall;
+    out_.stats.solveWallMicros += wall;
     if (!estimate.sound() || estimate.timedOut || !estimate.issues.empty() ||
         estimate.stats.relaxedSets > 0 || estimate.stats.structuralSets > 0) {
       throw AnalysisError(
           "parametric analysis needs exact solves; the direct solve at a "
           "sample point degraded (raise the deadline or node budget)");
+    }
+    out_.solveStats.constraintSets += estimate.stats.constraintSets;
+    out_.solveStats.cacheFlowVars = estimate.stats.cacheFlowVars;
+    out_.solveStats.cacheFallbackSets += estimate.stats.cacheFallbackSets;
+    for (const SetSolveRecord& record : estimate.setRecords) {
+      out_.solveStats.addSet(record);
+      out_.setRecords.push_back(record);
     }
     memo_.emplace(point, estimate.bound);
     return estimate.bound;
@@ -226,7 +231,7 @@ class Engine {
     // The optimal basis changes inside this box: split its longest axis
     // at the midpoint and recurse.  Widths shrink strictly, so this
     // bottoms out at singleton boxes.
-    ++stats_.splits;
+    ++out_.stats.splits;
     std::size_t axis = 0;
     std::int64_t widest = -1;
     for (std::size_t i = 0; i < lo.size(); ++i) {
@@ -250,7 +255,9 @@ class Engine {
   const SolveControl& control_;
   const ParametricOptions& options_;
   std::map<Point, Interval> memo_;
-  ParametricStats stats_;
+  /// The result under construction: the formula, the sweep's counters
+  /// and every direct solve's set records.
+  ParametricResult out_;
 };
 
 }  // namespace

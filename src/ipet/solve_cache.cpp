@@ -395,21 +395,23 @@ std::optional<CachedFormula> SolveCache::lookupFormula(
 
 std::optional<RequestHit> SolveCache::lookupRequest(const Digest& request) {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Built in place and returned as the one named result, so no
+  // RequestHit temporary has its variant moved: GCC's inlined variant
+  // move reads the inactive alternative and warns -Wmaybe-uninitialized.
+  std::optional<RequestHit> hit;
   if (const RequestDigests* digests = requests_.find(request)) {
     if (digests->parametric) {
       if (const CachedFormula* entry = formulas_.find(digests->full)) {
-        ++stats_.requestHits;
         ++stats_.formulaHits;
-        return RequestHit{*digests, *entry};
+        hit.emplace(*digests, *entry);
       }
     } else if (const CachedBound* entry = bounds_.find(digests->full)) {
-      ++stats_.requestHits;
       ++stats_.boundHits;
-      return RequestHit{*digests, *entry};
+      hit.emplace(*digests, *entry);
     }
   }
-  ++stats_.requestMisses;
-  return std::nullopt;
+  ++(hit ? stats_.requestHits : stats_.requestMisses);
+  return hit;
 }
 
 void SolveCache::recordRequest(const Digest& request,

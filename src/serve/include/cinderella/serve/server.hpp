@@ -4,18 +4,24 @@
 // content-addressed SolveCache) plus one work-stealing thread pool, and
 // listens on a loopback TCP socket speaking the newline-delimited JSON
 // protocol of protocol.hpp.  Each connection gets a reader thread that
-// decodes frames and answers them in order; the solves themselves are
-// multiplexed onto the shared pool, so N cheap connections do not need N
-// solver threads and one expensive request cannot starve the listener.
+// decodes frames and answers them in order.  That thread also resolves
+// each analyze and looks it up in the request memo, so a cache hit is
+// answered there.  Only a miss is multiplexed onto the shared solver
+// pool, so N cheap connections do not need N solver threads and one
+// expensive request cannot starve the listener.
 //
 // Overload is admission-controlled through the degradation ladder
 // rather than queued: when more than `maxInflight` solves are already
-// running, an arriving request is still served, but with its deadline
-// clamped to `overloadDeadlineMs` — the PR-4 ladder then degrades
-// whatever cannot finish in time to a sound relaxation/structural
-// bound, and the response carries "degradedAdmission":true.  Cache hits
-// are unaffected (they skip the solve entirely), which is what makes a
-// warmed-up daemon robust to repeat-heavy request storms.
+// running, an arriving miss is still solved, but with its deadline
+// clamped to `overloadDeadlineMs` — the ladder then degrades whatever
+// cannot finish in time to a sound relaxation/structural bound, and the
+// response carries "degradedAdmission":true.  With `maxQueuedRequests`
+// set, a miss beyond the cap plus the queue is rejected as "overloaded".
+// Admission counts solves only: a cache hit takes no inflight slot, is
+// never clamped or rejected as overloaded, and never waits for a solver
+// thread, which is what makes a warmed-up daemon robust to repeat-heavy
+// request storms.  The `serve.inflight` gauge and `health` count the
+// same solves.
 #pragma once
 
 #include <atomic>
@@ -65,9 +71,10 @@ struct ServerOptions {
   /// is answered with a typed "toolarge" error and discarded — the
   /// connection survives.
   std::size_t maxRequestBytes = 16u << 20;
-  /// Analyses allowed to wait beyond maxInflight before new arrivals
-  /// are rejected outright with "overloaded"; -1 = unbounded (degraded
-  /// admission only, the pre-quota behavior).
+  /// Solves (cache misses) allowed to wait beyond maxInflight before a
+  /// new miss is rejected outright with "overloaded"; -1 = unbounded
+  /// (degraded admission only, the pre-quota behavior).  Cache hits are
+  /// never rejected.
   int maxQueuedRequests = -1;
   /// Per-request solve memory ceiling (bytes) clamped onto every
   /// admitted analyze (SolveControl::maxMemoryBytes); 0 = none.  A
@@ -119,7 +126,7 @@ class Server {
 
   /// Begins a graceful drain: the listener stops accepting connections,
   /// new analyses are rejected with a typed "draining" error, health
-  /// flips to "draining", and wait() wakes.  In-flight analyses keep
+  /// flips to "draining", and wait() wakes.  In-flight solves keep
   /// running — awaitIdle() then stop() complete the shutdown.
   /// Idempotent; triggered by the "drain" op and by SIGTERM/SIGINT in
   /// the daemon driver.
@@ -128,7 +135,7 @@ class Server {
   /// True once a drain began.
   [[nodiscard]] bool draining() const;
 
-  /// Blocks until no analyses are in flight, up to `timeoutMs`.
+  /// Blocks until no solves are in flight, up to `timeoutMs`.
   /// Returns true when idle (a clean drain), false on timeout.
   [[nodiscard]] bool awaitIdle(std::int64_t timeoutMs);
 
@@ -190,9 +197,20 @@ class Server {
                                        bool* shutdownAfterReply,
                                        bool* drainAfterReply,
                                        bool* closeAfterReply);
+  /// Resolves the request and looks it up on the connection thread; a
+  /// hit is answered there.  Only a miss is admitted against the
+  /// inflight cap and solved on the pool while this thread waits.
   [[nodiscard]] AnalyzeOutcome handleAnalyze(const RequestFrame& frame,
                                              const WireId& wireId,
                                              obs::RequestTelemetry* telemetry);
+  /// Encodes a result (a hit's or a solve's) as the analyze reply.
+  [[nodiscard]] AnalyzeOutcome answered(const WireId& wireId,
+                                        const ipet::AnalysisResult& result,
+                                        bool degradedAdmission,
+                                        obs::RequestTelemetry* telemetry);
+  /// Counts an error and encodes it as a typed error reply.
+  [[nodiscard]] AnalyzeOutcome failed(const WireId& wireId, const char* code,
+                                      const std::string& message);
   /// Prices a cached parametric formula at one concrete assignment —
   /// pure cache arithmetic, so it runs inline on the connection thread
   /// and never occupies a solver-pool slot.

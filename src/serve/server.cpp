@@ -432,6 +432,22 @@ std::string Server::handleLine(const std::string& line,
 Server::AnalyzeOutcome Server::handleAnalyze(const RequestFrame& frame,
                                              const WireId& wireId,
                                              obs::RequestTelemetry* telemetry) {
+  // Resolve and look up on this connection thread: a hit solves nothing,
+  // so it takes no inflight slot, meets no overload admission and never
+  // waits for a solver thread.
+  ipet::ResolvedRequest resolved;
+  try {
+    resolved = service_.resolve(frame.request, telemetry);
+    if (std::optional<ipet::AnalysisResult> hit =
+            service_.lookup(resolved, telemetry)) {
+      return answered(wireId, *hit, false, telemetry);
+    }
+  } catch (const Error& e) {
+    return failed(wireId, "analysis", e.what());
+  } catch (const std::exception& e) {
+    return failed(wireId, "internal", e.what());
+  }
+
   // Overload admission: count this solve in *before* submitting so
   // simultaneous arrivals see each other.  Saturated requests still run,
   // but with a clamped deadline — the degradation ladder then guarantees
@@ -447,29 +463,24 @@ Server::AnalyzeOutcome Server::handleAnalyze(const RequestFrame& frame,
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     waitCv_.notify_all();
     rejectedOverload_.fetch_add(1, std::memory_order_relaxed);
-    errors_.fetch_add(1, std::memory_order_relaxed);
     metrics_.counter("serve.rejected_overload").add(1);
-    AnalyzeOutcome rejected;
-    rejected.errorCode = "overloaded";
-    rejected.response = encodeErrorResponse(
-        wireId, "overloaded",
-        "server at capacity (" + std::to_string(inflight) +
-            " analyses in flight); retry with backoff");
-    return rejected;
+    return failed(wireId, "overloaded",
+                  "server at capacity (" + std::to_string(inflight) +
+                      " solves in flight); retry with backoff");
   }
-  RequestFrame admitted = frame;
+  ipet::SolveControl& control = resolved.request.control;
   if (options_.maxRequestMemoryBytes > 0 &&
-      (admitted.request.control.maxMemoryBytes == 0 ||
-       admitted.request.control.maxMemoryBytes >
-           options_.maxRequestMemoryBytes)) {
-    admitted.request.control.maxMemoryBytes = options_.maxRequestMemoryBytes;
+      (control.maxMemoryBytes == 0 ||
+       control.maxMemoryBytes > options_.maxRequestMemoryBytes)) {
+    control.maxMemoryBytes = options_.maxRequestMemoryBytes;
   }
   const bool degradedAdmission = inflight >= maxInflight_;
   if (degradedAdmission) {
     overloadAdmissions_.fetch_add(1, std::memory_order_relaxed);
     const auto clamp = std::chrono::milliseconds(options_.overloadDeadlineMs);
-    auto& deadline = admitted.request.control.deadline;
-    if (deadline.count() <= 0 || deadline > clamp) deadline = clamp;
+    if (control.deadline.count() <= 0 || control.deadline > clamp) {
+      control.deadline = clamp;
+    }
   }
 
   struct Pending {
@@ -479,38 +490,21 @@ Server::AnalyzeOutcome Server::handleAnalyze(const RequestFrame& frame,
     AnalyzeOutcome outcome;
   };
   auto pending = std::make_shared<Pending>();
-  // `telemetry` lives on the caller's stack; safe to use from the pool
-  // because this function blocks on `pending->cv` until the job is done.
-  pool_.submit([this, pending, wireId, telemetry,
-                admitted = std::move(admitted), degradedAdmission] {
+  // `resolved` and `telemetry` live on this thread's stack; safe to use
+  // from the pool because this function blocks on `pending->cv` until
+  // the job is done.
+  pool_.submit([this, pending, &wireId, &resolved, telemetry,
+                degradedAdmission] {
     AnalyzeOutcome outcome;
-    outcome.degradedAdmission = degradedAdmission;
     try {
-      const ipet::AnalysisResult result =
-          service_.analyze(admitted.request, telemetry);
-      outcome.cacheHit = result.cacheHit;
-      outcome.boundLo = result.estimate.bound.lo;
-      outcome.boundHi = result.estimate.bound.hi;
-      std::string report;
-      {
-        auto reportTimer =
-            obs::timeStage(telemetry, obs::RequestStage::Report);
-        obs::ReportOptions reportOptions;
-        report = obs::reportJson(result.program, result.estimate, nullptr,
-                                 reportOptions);
-      }
-      auto encodeTimer = obs::timeStage(telemetry, obs::RequestStage::Encode);
-      outcome.response = encodeAnalyzeResponse(
-          wireId, result, report, degradedAdmission, telemetry->json());
+      outcome = answered(wireId, service_.solve(resolved, telemetry),
+                         degradedAdmission, telemetry);
     } catch (const Error& e) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      outcome.errorCode = "analysis";
-      outcome.response = encodeErrorResponse(wireId, "analysis", e.what());
+      outcome = failed(wireId, "analysis", e.what());
     } catch (const std::exception& e) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      outcome.errorCode = "internal";
-      outcome.response = encodeErrorResponse(wireId, "internal", e.what());
+      outcome = failed(wireId, "internal", e.what());
     }
+    outcome.degradedAdmission = degradedAdmission;
     std::lock_guard<std::mutex> lock(pending->m);
     pending->outcome = std::move(outcome);
     pending->done = true;
@@ -521,6 +515,37 @@ Server::AnalyzeOutcome Server::handleAnalyze(const RequestFrame& frame,
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
   waitCv_.notify_all();  // awaitIdle() watches this count reach zero.
   return std::move(pending->outcome);
+}
+
+Server::AnalyzeOutcome Server::answered(const WireId& wireId,
+                                        const ipet::AnalysisResult& result,
+                                        bool degradedAdmission,
+                                        obs::RequestTelemetry* telemetry) {
+  AnalyzeOutcome outcome;
+  outcome.degradedAdmission = degradedAdmission;
+  outcome.cacheHit = result.cacheHit;
+  outcome.boundLo = result.estimate.bound.lo;
+  outcome.boundHi = result.estimate.bound.hi;
+  std::string report;
+  {
+    auto reportTimer = obs::timeStage(telemetry, obs::RequestStage::Report);
+    obs::ReportOptions reportOptions;
+    report = obs::reportJson(result.program, result.estimate, nullptr,
+                             reportOptions);
+  }
+  auto encodeTimer = obs::timeStage(telemetry, obs::RequestStage::Encode);
+  outcome.response = encodeAnalyzeResponse(
+      wireId, result, report, degradedAdmission, telemetry->json());
+  return outcome;
+}
+
+Server::AnalyzeOutcome Server::failed(const WireId& wireId, const char* code,
+                                      const std::string& message) {
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  AnalyzeOutcome outcome;
+  outcome.errorCode = code;
+  outcome.response = encodeErrorResponse(wireId, code, message);
+  return outcome;
 }
 
 Server::AnalyzeOutcome Server::handleEvaluate(const RequestFrame& frame,

@@ -89,8 +89,10 @@ options:
                             per hardware thread)
   --max-inflight <N>        solves allowed to run concurrently before
                             overload admission clamps deadlines
-                            (default 0 = twice the pool size)
-  --overload-deadline-ms <N> deadline clamp for requests admitted under
+                            (default 0 = twice the pool size); cache
+                            hits are answered without a solve and never
+                            count
+  --overload-deadline-ms <N> deadline clamp for solves admitted under
                             overload (default 50); they degrade to sound
                             relaxation/structural bounds instead of
                             queueing
@@ -101,16 +103,17 @@ options:
                             write it back on shutdown; writes are atomic
                             and CRC-framed, so a kill -9 at any byte
                             offset recovers to a consistent prefix
-  --drain-timeout-ms <N>    budget for in-flight analyses to finish once a
+  --drain-timeout-ms <N>    budget for in-flight solves to finish once a
                             drain begins — SIGTERM, SIGINT, or an
                             {"op":"drain"} frame (default 30000); a clean
                             drain exits 5, expiry exits 6
   --max-request-bytes <N>   per-connection frame quota; longer lines get a
                             typed "toolarge" error and are discarded
                             (default 16777216)
-  --max-queued <N>          analyses allowed to wait beyond --max-inflight
-                            before arrivals are rejected with a typed
-                            "overloaded" error (default -1 = unbounded)
+  --max-queued <N>          solves allowed to wait beyond --max-inflight
+                            before a new cache miss is rejected with a
+                            typed "overloaded" error (default -1 =
+                            unbounded)
   --max-request-memory-mb <N> per-request solve memory ceiling, charged
                             as each set's sparse tableau when built;
                             oversize solves degrade to sound structural

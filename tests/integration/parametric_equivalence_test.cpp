@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cinderella/codegen/codegen.hpp"
@@ -76,8 +77,9 @@ TEST(ParametricEquivalence, ServiceFormulaDigestIsStableAcrossRequests) {
   // The whole request-level path: same parametric request twice through
   // one service must hit the formula cache and reprice identically; a
   // different declared range must be a different content address.
-  ipet::AnalysisService service(
-      {.cache = {}, .benchmarkResolver = suite::benchmarkResolver()});
+  ipet::AnalysisServiceOptions options;
+  options.benchmarkResolver = suite::benchmarkResolver();
+  ipet::AnalysisService service(std::move(options));
   ipet::AnalysisRequest request;
   request.benchmark = "piksrt";
   request.constraints.push_back({kBudget, ""});

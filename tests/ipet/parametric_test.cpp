@@ -1,8 +1,8 @@
 // The parametric engine end to end: closed-form formulas must agree
 // bit for bit with direct (parameter-bound) solves at every declared
 // point, across degenerate ranges, multi-constraint parameters, and
-// genuinely piecewise bounds; plus the service-level formula cache and
-// its snapshot persistence.
+// genuinely piecewise bounds; plus the service-level formula cache, its
+// snapshot persistence and the sweep's solve counters in the result.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +14,8 @@
 #include "cinderella/ipet/analyzer.hpp"
 #include "cinderella/ipet/parametric.hpp"
 #include "cinderella/ipet/solve_cache.hpp"
+#include "cinderella/obs/metrics.hpp"
+#include "cinderella/obs/report.hpp"
 #include "cinderella/support/error.hpp"
 #include "test_util/temp_path.hpp"
 
@@ -231,6 +233,42 @@ TEST(Parametric, ServiceCachesTheFormula) {
   EXPECT_EQ(*warm.formula, *cold.formula);
   EXPECT_EQ(warm.fullDigest, cold.fullDigest);
   EXPECT_GE(service.cache().stats().formulaHits, 1);
+}
+
+TEST(Parametric, ServiceResultCarriesTheSweepsSolves) {
+  // A solved parametric request reports the sweep behind its formula:
+  // every direct solve's set records, with the stats tallied over them,
+  // so --report-json's stats and ilp.* metrics show the work done.
+  const auto compiled = codegen::compileSource(kLoop);
+  Analyzer analyzer = makeAnalyzer(compiled, {"@8 <= @N"});
+  const ParametricResult sweep = solveParametric(analyzer, {{"N", 0, 16}});
+  ASSERT_GT(sweep.stats.directSolves, 1);
+  analyzer.bindParam("N", 0);
+  const Estimate point = analyzer.estimate();
+
+  AnalysisService service;
+  const AnalysisResult cold = service.analyze(parametricRequest());
+  const Estimate& estimate = cold.estimate;
+  EXPECT_EQ(estimate.stats.constraintSets,
+            sweep.stats.directSolves * point.stats.constraintSets);
+  EXPECT_EQ(estimate.stats.ilpSolves,
+            sweep.stats.directSolves * point.stats.ilpSolves);
+  EXPECT_EQ(estimate.setRecords.size(),
+            static_cast<std::size_t>(estimate.stats.constraintSets));
+  int lpCalls = 0;
+  for (const SetSolveRecord& record : estimate.setRecords) {
+    lpCalls += record.worst.lpCalls + record.best.lpCalls;
+  }
+  EXPECT_EQ(estimate.stats.lpCalls, lpCalls);
+  obs::MetricsRegistry metrics;
+  obs::addEstimateMetrics(estimate, &metrics);
+  EXPECT_EQ(metrics.counter("ilp.solves").value(), estimate.stats.ilpSolves);
+
+  // A hit carries the formula, not the sweep: it solved nothing.
+  const AnalysisResult warm = service.analyze(parametricRequest());
+  ASSERT_TRUE(warm.cacheHit);
+  EXPECT_EQ(warm.estimate.stats.ilpSolves, 0);
+  EXPECT_TRUE(warm.estimate.setRecords.empty());
 }
 
 TEST(Parametric, ServiceHonoursCachePolicy) {

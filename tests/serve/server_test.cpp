@@ -3,7 +3,8 @@
 // the three analyzer cache modes, concurrent clients on the shared
 // pool, snapshot persistence across daemon restarts, overload
 // admission, the shutdown handshake, joining the threads of closed
-// connections, and the request memo's replies and counters.  Named ServeDaemon* so the CI
+// connections, the request memo's replies and counters, and cache hits
+// answered without a solver thread.  Named ServeDaemon* so the CI
 // ThreadSanitizer job can select them.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <regex>
 #include <string>
 #include <thread>
@@ -867,6 +869,102 @@ TEST(ServeDaemon, RequestMemoServesConcurrentRepeatsAcrossConnections) {
   EXPECT_EQ(stats.requestHits + stats.requestMisses, 2 * kRepeats);
   EXPECT_LE(stats.requestMisses, 2);
   EXPECT_EQ(running.server.service().cache().requestEntries(), 1u);
+}
+
+/// A cold solve that keeps a solver thread busy for a while: a loop of
+/// 300 branches under seven two-way disjunctions, so 128 distinct
+/// constraint sets each solve an ILP of over a thousand rows.
+ipet::AnalysisRequest slowColdRequest() {
+  std::string source =
+      "int a[16];\nint s;\nvoid main() {\n  int i;\n"
+      "  for (i = 0; i < 10; i = i + 1) {\n    __loopbound(10, 10);\n";
+  for (int i = 0; i < 300; ++i) {
+    source += "    if (a[" + std::to_string(i % 16) + "] > " +
+              std::to_string(i) + ") { s = s + " + std::to_string(i) +
+              "; } else { s = s - a[" + std::to_string(i * 7 % 16) +
+              "]; }\n";
+  }
+  source += "  }\n}\n";
+  ipet::AnalysisRequest request;
+  request.label = "slow";
+  request.source = std::move(source);
+  for (int k = 0; k < 7; ++k) {
+    const std::string x = "x" + std::to_string(5 + 2 * k);
+    request.constraints.push_back({x + " <= 10 | " + x + " >= 1", ""});
+  }
+  return request;
+}
+
+TEST(ServeDaemon, CacheHitIsAnsweredWhileEverySolverIsBusy) {
+  // One solver thread, one solve slot and no queue: while a cold solve
+  // holds them, any second solve is rejected as overloaded.  A repeat
+  // solves nothing, so it is answered on its connection thread.
+  ServerOptions options = basicOptions();
+  options.poolThreads = 1;
+  options.maxInflight = 1;
+  options.maxQueuedRequests = 0;
+  RunningServer running(std::move(options));
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect(running.server.port(), &error)) << error;
+  const auto cold = client.analyze(fig2Request(), &error);
+  ASSERT_TRUE(cold.has_value() && cold->ok) << error;
+  ASSERT_FALSE(cold->cacheHit);
+
+  std::optional<Response> slow;
+  std::thread busy([&] {
+    Client other;
+    std::string otherError;
+    if (other.connect(running.server.port(), &otherError)) {
+      slow = other.analyze(slowColdRequest(), &otherError);
+    }
+  });
+  for (int i = 0; i < 5000 && running.server.counters().inflight == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::int64_t inflightBeforeHit = running.server.counters().inflight;
+  const auto hit = client.analyze(fig2Request(), &error);
+  const std::int64_t inflightAfterHit = running.server.counters().inflight;
+  busy.join();
+
+  // The cold solve held the only slot before the repeat was sent and
+  // after it was answered.
+  EXPECT_EQ(inflightBeforeHit, 1);
+  EXPECT_EQ(inflightAfterHit, 1);
+  ASSERT_TRUE(hit.has_value()) << error;
+  EXPECT_TRUE(hit->ok) << hit->errorCode << ": " << hit->error;
+  EXPECT_TRUE(hit->cacheHit);
+  EXPECT_FALSE(hit->degradedAdmission);
+  EXPECT_EQ(hit->boundLo, cold->boundLo);
+  EXPECT_EQ(hit->boundHi, cold->boundHi);
+  const ServeCounters counters = running.server.counters();
+  EXPECT_EQ(counters.rejectedOverload, 0);
+  EXPECT_EQ(counters.overloadAdmissions, 0);
+  EXPECT_EQ(counters.inflight, 0);
+  ASSERT_TRUE(slow.has_value());
+  EXPECT_TRUE(slow->ok) << slow->error;
+  EXPECT_FALSE(slow->cacheHit);
+}
+
+TEST(ServeDaemon, DrainRejectsCacheHitsToo) {
+  RunningServer running;
+  Client client;
+  std::string error;
+  ASSERT_TRUE(client.connect(running.server.port(), &error)) << error;
+  const auto cold = client.analyze(fig2Request(), &error);
+  ASSERT_TRUE(cold.has_value() && cold->ok) << error;
+
+  const auto ack = client.drain(&error);
+  ASSERT_TRUE(ack.has_value() && ack->ok) << error;
+  running.server.wait();
+
+  // The repeat would be a hit, but a draining daemon takes no analyses.
+  const auto rejected = client.analyze(fig2Request(), &error);
+  ASSERT_TRUE(rejected.has_value()) << error;
+  EXPECT_FALSE(rejected->ok);
+  EXPECT_EQ(rejected->errorCode, "draining");
+  EXPECT_EQ(running.server.counters().drainRejections, 1);
+  EXPECT_EQ(running.server.service().cache().stats().requestHits, 0);
 }
 
 }  // namespace
