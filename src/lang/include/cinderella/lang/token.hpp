@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "cinderella/support/source_location.hpp"
 
@@ -32,10 +32,11 @@ enum class TokenKind {
 
 [[nodiscard]] const char* tokenKindName(TokenKind kind);
 
+/// `text` views the lexed source, which must outlive the token.
 struct Token {
   TokenKind kind = TokenKind::End;
   SourceLoc loc;
-  std::string text;        // identifier spelling
+  std::string_view text;   // identifier and keyword spelling
   std::int64_t intValue = 0;
   double floatValue = 0.0;
 };

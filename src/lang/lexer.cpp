@@ -1,8 +1,10 @@
 #include "cinderella/lang/lexer.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdlib>
-#include <unordered_map>
+#include <string>
 
 #include "cinderella/support/error.hpp"
 
@@ -58,44 +60,64 @@ const char* tokenKindName(TokenKind kind) {
 
 namespace {
 
-const std::unordered_map<std::string_view, TokenKind>& keywords() {
-  static const std::unordered_map<std::string_view, TokenKind> map = {
-      {"int", TokenKind::KwInt},         {"float", TokenKind::KwFloat},
-      {"void", TokenKind::KwVoid},       {"if", TokenKind::KwIf},
-      {"else", TokenKind::KwElse},       {"while", TokenKind::KwWhile},
-      {"for", TokenKind::KwFor},         {"return", TokenKind::KwReturn},
-      {"__loopbound", TokenKind::KwLoopBound},
-  };
-  return map;
+// Character classes of the C locale's <cctype>, one table lookup each.
+enum : unsigned char { kSpace = 1, kDigit = 2, kHexDigit = 4, kIdentStart = 8 };
+
+constexpr std::array<unsigned char, 256> kCharClass = [] {
+  std::array<unsigned char, 256> table{};
+  for (const unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    table[c] = kSpace;
+  }
+  for (int c = '0'; c <= '9'; ++c) table[c] = kDigit | kHexDigit;
+  for (int c = 'a'; c <= 'z'; ++c) table[c] = kIdentStart;
+  for (int c = 'A'; c <= 'Z'; ++c) table[c] = kIdentStart;
+  for (const unsigned char c : std::string_view("abcdefABCDEF")) {
+    table[c] |= kHexDigit;
+  }
+  table['_'] = kIdentStart;
+  return table;
+}();
+
+bool is(char c, unsigned char classes) {
+  return (kCharClass[static_cast<unsigned char>(c)] & classes) != 0;
 }
 
-class Cursor {
- public:
-  explicit Cursor(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] bool atEnd() const { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek(std::size_t ahead = 0) const {
-    const std::size_t i = pos_ + ahead;
-    return i < text_.size() ? text_[i] : '\0';
-  }
-  char advance() {
-    const char c = text_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      column_ = 1;
-    } else {
-      ++column_;
-    }
-    return c;
-  }
-  [[nodiscard]] SourceLoc loc() const { return {line_, column_}; }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-  int column_ = 1;
+constexpr std::pair<std::string_view, TokenKind> kKeywords[] = {
+    {"int", TokenKind::KwInt},     {"float", TokenKind::KwFloat},
+    {"void", TokenKind::KwVoid},   {"if", TokenKind::KwIf},
+    {"else", TokenKind::KwElse},   {"while", TokenKind::KwWhile},
+    {"for", TokenKind::KwFor},     {"return", TokenKind::KwReturn},
+    {"__loopbound", TokenKind::KwLoopBound},
 };
+
+/// string_view equality compares lengths first, so most words are
+/// rejected without touching their characters.
+TokenKind wordKind(std::string_view word) {
+  for (const auto& [keyword, kind] : kKeywords) {
+    if (word == keyword) return kind;
+  }
+  return TokenKind::Identifier;
+}
+
+/// from_chars, falling back to strtoll/strtod (which clamp) when the
+/// value is out of range.
+std::int64_t parseInt(std::string_view digits, int base) {
+  std::int64_t value = 0;
+  if (std::from_chars(digits.data(), digits.data() + digits.size(), value,
+                      base).ec == std::errc()) {
+    return value;
+  }
+  return std::strtoll(std::string(digits).c_str(), nullptr, base);
+}
+
+double parseFloat(std::string_view text) {
+  double value = 0.0;
+  if (std::from_chars(text.data(), text.data() + text.size(), value).ec ==
+      std::errc()) {
+    return value;
+  }
+  return std::strtod(std::string(text).c_str(), nullptr);
+}
 
 [[noreturn]] void fail(SourceLoc loc, const std::string& message) {
   throw ParseError("lex error at " + loc.str() + ": " + message);
@@ -105,187 +127,136 @@ class Cursor {
 
 std::vector<Token> lex(std::string_view source) {
   std::vector<Token> tokens;
-  Cursor cur(source);
-
-  auto push = [&](TokenKind kind, SourceLoc loc) {
-    Token t;
-    t.kind = kind;
-    t.loc = loc;
-    tokens.push_back(std::move(t));
+  // Table I and generated programs lex to 0.2-0.6 tokens per byte.
+  tokens.reserve(source.size() / 2 + 1);
+  std::size_t i = 0;
+  std::size_t lineStart = 0;  // columns count bytes from here
+  int line = 1;
+  const auto at = [&](std::size_t k) {
+    return k < source.size() ? source[k] : '\0';
+  };
+  const auto newlines = [&](std::size_t from, std::size_t to) {
+    for (; from < to; ++from) {
+      if (source[from] == '\n') {
+        ++line;
+        lineStart = from + 1;
+      }
+    }
   };
 
-  while (!cur.atEnd()) {
-    const SourceLoc loc = cur.loc();
-    const char c = cur.peek();
+  while (i < source.size()) {
+    const SourceLoc loc{line, static_cast<int>(i - lineStart) + 1};
+    const std::size_t start = i;
+    const char c = source[i];
 
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      cur.advance();
+    if (is(c, kSpace)) {
+      newlines(start, ++i);
       continue;
     }
     // Comments.
-    if (c == '/' && cur.peek(1) == '/') {
-      while (!cur.atEnd() && cur.peek() != '\n') cur.advance();
+    if (c == '/' && at(i + 1) == '/') {
+      i = std::min(source.find('\n', i), source.size());
       continue;
     }
-    if (c == '/' && cur.peek(1) == '*') {
-      cur.advance();
-      cur.advance();
-      while (!(cur.peek() == '*' && cur.peek(1) == '/')) {
-        if (cur.atEnd()) fail(loc, "unterminated block comment");
-        cur.advance();
+    if (c == '/' && at(i + 1) == '*') {
+      const std::size_t close = source.find("*/", i + 2);
+      if (close == std::string_view::npos) {
+        fail(loc, "unterminated block comment");
       }
-      cur.advance();
-      cur.advance();
+      i = close + 2;
+      newlines(start, close);
       continue;
     }
 
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string word;
-      while (std::isalnum(static_cast<unsigned char>(cur.peek())) ||
-             cur.peek() == '_') {
-        word.push_back(cur.advance());
-      }
-      const auto it = keywords().find(word);
-      Token t;
-      t.kind = (it != keywords().end()) ? it->second : TokenKind::Identifier;
-      t.loc = loc;
-      t.text = std::move(word);
-      tokens.push_back(std::move(t));
+    if (is(c, kIdentStart)) {
+      while (is(at(i), kIdentStart | kDigit)) ++i;
+      const std::string_view word = source.substr(start, i - start);
+      tokens.push_back({.kind = wordKind(word), .loc = loc, .text = word});
       continue;
     }
 
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::string digits;
+    if (is(c, kDigit)) {
       bool isFloat = false;
-      bool isHex = false;
-      if (c == '0' && (cur.peek(1) == 'x' || cur.peek(1) == 'X')) {
-        digits.push_back(cur.advance());
-        digits.push_back(cur.advance());
-        isHex = true;
-        while (std::isxdigit(static_cast<unsigned char>(cur.peek()))) {
-          digits.push_back(cur.advance());
-        }
-        if (digits.size() == 2) fail(loc, "malformed hex literal");
+      const bool isHex = c == '0' && (at(i + 1) == 'x' || at(i + 1) == 'X');
+      if (isHex) {
+        i += 2;
+        while (is(at(i), kHexDigit)) ++i;
+        if (i == start + 2) fail(loc, "malformed hex literal");
       } else {
-        while (std::isdigit(static_cast<unsigned char>(cur.peek()))) {
-          digits.push_back(cur.advance());
-        }
-        if (cur.peek() == '.' &&
-            std::isdigit(static_cast<unsigned char>(cur.peek(1)))) {
+        while (is(at(i), kDigit)) ++i;
+        if (at(i) == '.' && is(at(i + 1), kDigit)) {
           isFloat = true;
-          digits.push_back(cur.advance());
-          while (std::isdigit(static_cast<unsigned char>(cur.peek()))) {
-            digits.push_back(cur.advance());
-          }
+          i += 2;
+          while (is(at(i), kDigit)) ++i;
         }
-        if (cur.peek() == 'e' || cur.peek() == 'E') {
-          std::size_t look = 1;
-          if (cur.peek(1) == '+' || cur.peek(1) == '-') look = 2;
-          if (std::isdigit(static_cast<unsigned char>(cur.peek(look)))) {
+        if (at(i) == 'e' || at(i) == 'E') {
+          const std::size_t look = at(i + 1) == '+' || at(i + 1) == '-' ? 2 : 1;
+          if (is(at(i + look), kDigit)) {
             isFloat = true;
-            digits.push_back(cur.advance());
-            if (cur.peek() == '+' || cur.peek() == '-') {
-              digits.push_back(cur.advance());
-            }
-            while (std::isdigit(static_cast<unsigned char>(cur.peek()))) {
-              digits.push_back(cur.advance());
-            }
+            i += look + 1;
+            while (is(at(i), kDigit)) ++i;
           }
         }
       }
-      Token t;
-      t.loc = loc;
+      const std::string_view text = source.substr(start, i - start);
+      Token t{.kind = TokenKind::IntLiteral, .loc = loc};
       if (isFloat) {
         t.kind = TokenKind::FloatLiteral;
-        t.floatValue = std::strtod(digits.c_str(), nullptr);
+        t.floatValue = parseFloat(text);
       } else {
-        t.kind = TokenKind::IntLiteral;
-        t.intValue = std::strtoll(digits.c_str(), nullptr, isHex ? 16 : 10);
+        t.intValue = isHex ? parseInt(text.substr(2), 16) : parseInt(text, 10);
       }
-      tokens.push_back(std::move(t));
+      tokens.push_back(t);
       continue;
     }
 
-    cur.advance();
+    ++i;
+    // Consumes `second` when it follows.
+    const auto next = [&](char second) {
+      if (at(i) != second) return false;
+      ++i;
+      return true;
+    };
+    TokenKind kind;
     switch (c) {
-      case '(': push(TokenKind::LParen, loc); break;
-      case ')': push(TokenKind::RParen, loc); break;
-      case '{': push(TokenKind::LBrace, loc); break;
-      case '}': push(TokenKind::RBrace, loc); break;
-      case '[': push(TokenKind::LBracket, loc); break;
-      case ']': push(TokenKind::RBracket, loc); break;
-      case ',': push(TokenKind::Comma, loc); break;
-      case ';': push(TokenKind::Semicolon, loc); break;
-      case '+': push(TokenKind::Plus, loc); break;
-      case '-': push(TokenKind::Minus, loc); break;
-      case '*': push(TokenKind::Star, loc); break;
-      case '/': push(TokenKind::Slash, loc); break;
-      case '%': push(TokenKind::Percent, loc); break;
-      case '^': push(TokenKind::Caret, loc); break;
-      case '~': push(TokenKind::Tilde, loc); break;
-      case '&':
-        if (cur.peek() == '&') {
-          cur.advance();
-          push(TokenKind::AmpAmp, loc);
-        } else {
-          push(TokenKind::Amp, loc);
-        }
-        break;
-      case '|':
-        if (cur.peek() == '|') {
-          cur.advance();
-          push(TokenKind::PipePipe, loc);
-        } else {
-          push(TokenKind::Pipe, loc);
-        }
-        break;
-      case '!':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::Ne, loc);
-        } else {
-          push(TokenKind::Bang, loc);
-        }
-        break;
-      case '=':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::Eq, loc);
-        } else {
-          push(TokenKind::Assign, loc);
-        }
-        break;
+      case '(': kind = TokenKind::LParen; break;
+      case ')': kind = TokenKind::RParen; break;
+      case '{': kind = TokenKind::LBrace; break;
+      case '}': kind = TokenKind::RBrace; break;
+      case '[': kind = TokenKind::LBracket; break;
+      case ']': kind = TokenKind::RBracket; break;
+      case ',': kind = TokenKind::Comma; break;
+      case ';': kind = TokenKind::Semicolon; break;
+      case '+': kind = TokenKind::Plus; break;
+      case '-': kind = TokenKind::Minus; break;
+      case '*': kind = TokenKind::Star; break;
+      case '/': kind = TokenKind::Slash; break;
+      case '%': kind = TokenKind::Percent; break;
+      case '^': kind = TokenKind::Caret; break;
+      case '~': kind = TokenKind::Tilde; break;
+      case '&': kind = next('&') ? TokenKind::AmpAmp : TokenKind::Amp; break;
+      case '|': kind = next('|') ? TokenKind::PipePipe : TokenKind::Pipe; break;
+      case '!': kind = next('=') ? TokenKind::Ne : TokenKind::Bang; break;
+      case '=': kind = next('=') ? TokenKind::Eq : TokenKind::Assign; break;
       case '<':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::Le, loc);
-        } else if (cur.peek() == '<') {
-          cur.advance();
-          push(TokenKind::Shl, loc);
-        } else {
-          push(TokenKind::Lt, loc);
-        }
+        kind = next('=')   ? TokenKind::Le
+               : next('<') ? TokenKind::Shl
+                           : TokenKind::Lt;
         break;
       case '>':
-        if (cur.peek() == '=') {
-          cur.advance();
-          push(TokenKind::Ge, loc);
-        } else if (cur.peek() == '>') {
-          cur.advance();
-          push(TokenKind::Shr, loc);
-        } else {
-          push(TokenKind::Gt, loc);
-        }
+        kind = next('=')   ? TokenKind::Ge
+               : next('>') ? TokenKind::Shr
+                           : TokenKind::Gt;
         break;
       default:
         fail(loc, std::string("unexpected character '") + c + "'");
     }
+    tokens.push_back({.kind = kind, .loc = loc});
   }
 
-  Token end;
-  end.kind = TokenKind::End;
-  end.loc = cur.loc();
-  tokens.push_back(std::move(end));
+  tokens.push_back(
+      {.kind = TokenKind::End,
+       .loc = {line, static_cast<int>(source.size() - lineStart) + 1}});
   return tokens;
 }
 

@@ -13,8 +13,7 @@ const Symbol* assignedScalar(const Stmt& stmt) {
 }
 
 /// True when any statement in `body` (recursively) writes `symbol`.
-bool bodyWrites(const std::vector<std::unique_ptr<Stmt>>& body,
-                const Symbol* symbol);
+bool bodyWrites(const std::vector<Stmt*>& body, const Symbol* symbol);
 
 bool stmtWrites(const Stmt& stmt, const Symbol* symbol) {
   switch (stmt.kind) {
@@ -40,8 +39,7 @@ bool stmtWrites(const Stmt& stmt, const Symbol* symbol) {
   return true;  // unreachable; be conservative
 }
 
-bool bodyWrites(const std::vector<std::unique_ptr<Stmt>>& body,
-                const Symbol* symbol) {
+bool bodyWrites(const std::vector<Stmt*>& body, const Symbol* symbol) {
   for (const auto& s : body) {
     if (stmtWrites(*s, symbol)) return true;
   }
@@ -60,7 +58,7 @@ const Symbol* scalarRef(const Expr* e) {
 
 /// True when a `return` anywhere inside `body` could leave the loop
 /// before the counted exit.
-bool bodyReturns(const std::vector<std::unique_ptr<Stmt>>& body) {
+bool bodyReturns(const std::vector<Stmt*>& body) {
   for (const auto& s : body) {
     switch (s->kind) {
       case StmtKind::Return:
@@ -95,22 +93,22 @@ std::optional<std::pair<std::int64_t, std::int64_t>> inferTripCount(
   // Globals could be rewritten by calls inside the body; require a local
   // or parameter induction variable.
   if (iv->storage == Storage::Global) return std::nullopt;
-  const auto c0 = intLiteral(forStmt.init->value.get());
+  const auto c0 = intLiteral(forStmt.init->value);
   if (!c0) return std::nullopt;
 
   // cond: i REL C1
   const Expr& cond = *forStmt.cond;
   if (cond.kind != ExprKind::Binary) return std::nullopt;
-  if (scalarRef(cond.lhs.get()) != iv) return std::nullopt;
-  const auto c1 = intLiteral(cond.rhs.get());
+  if (scalarRef(cond.lhs) != iv) return std::nullopt;
+  const auto c1 = intLiteral(cond.rhs);
   if (!c1) return std::nullopt;
 
   // step: i = i + K  or  i = i - K
   if (assignedScalar(*forStmt.step) != iv) return std::nullopt;
   const Expr& stepExpr = *forStmt.step->value;
   if (stepExpr.kind != ExprKind::Binary) return std::nullopt;
-  if (scalarRef(stepExpr.lhs.get()) != iv) return std::nullopt;
-  const auto kOpt = intLiteral(stepExpr.rhs.get());
+  if (scalarRef(stepExpr.lhs) != iv) return std::nullopt;
+  const auto kOpt = intLiteral(stepExpr.rhs);
   if (!kOpt) return std::nullopt;
   std::int64_t k = *kOpt;
   if (stepExpr.bop == BinaryOp::Sub) {

@@ -11,10 +11,8 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view source)
-      : tokens_(lex(source)) {
-    program_.sourceText = std::string(source);
-  }
+  /// `source` must outlive the parser: tokens view it.
+  explicit Parser(std::string_view source) : tokens_(lex(source)) {}
 
   Program run() {
     while (!at(TokenKind::End)) parseTopLevel();
@@ -78,7 +76,7 @@ class Parser {
     }
   }
 
-  void parseGlobalRest(Type type, const std::string& name, SourceLoc loc) {
+  void parseGlobalRest(Type type, std::string_view name, SourceLoc loc) {
     GlobalDecl g;
     g.name = name;
     g.type = type;
@@ -127,7 +125,7 @@ class Parser {
     fail("expected a numeric literal");
   }
 
-  void parseFunctionRest(Type returnType, const std::string& name,
+  void parseFunctionRest(Type returnType, std::string_view name,
                          SourceLoc loc) {
     FunctionDecl fn;
     fn.name = name;
@@ -157,10 +155,8 @@ class Parser {
   // -------------------------------------------------------------------
   // Statements.
 
-  std::unique_ptr<Stmt> parseBlock() {
-    auto block = std::make_unique<Stmt>();
-    block->kind = StmtKind::Block;
-    block->loc = peek().loc;
+  Stmt* parseBlock() {
+    Stmt* block = program_.newStmt(StmtKind::Block, peek().loc);
     expect(TokenKind::LBrace, "to open block");
     while (!at(TokenKind::RBrace)) {
       block->body.push_back(parseStmt());
@@ -170,7 +166,7 @@ class Parser {
     return block;
   }
 
-  std::unique_ptr<Stmt> parseStmt() {
+  Stmt* parseStmt() {
     if (at(TokenKind::LBrace)) return parseBlock();
     if (atType()) return parseDecl();
     if (at(TokenKind::KwIf)) return parseIf();
@@ -180,15 +176,13 @@ class Parser {
     if (at(TokenKind::KwLoopBound)) {
       fail("__loopbound must be the first statement of a loop body");
     }
-    auto stmt = parseAssignOrCall();
+    Stmt* stmt = parseAssignOrCall();
     expect(TokenKind::Semicolon, "after statement");
     return stmt;
   }
 
-  std::unique_ptr<Stmt> parseDecl() {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::Decl;
-    stmt->loc = peek().loc;
+  Stmt* parseDecl() {
+    Stmt* stmt = program_.newStmt(StmtKind::Decl, peek().loc);
     stmt->declType = parseType();
     stmt->declName = expect(TokenKind::Identifier, "as variable name").text;
     if (at(TokenKind::LBracket)) {
@@ -209,10 +203,8 @@ class Parser {
     return stmt;
   }
 
-  std::unique_ptr<Stmt> parseIf() {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::If;
-    stmt->loc = peek().loc;
+  Stmt* parseIf() {
+    Stmt* stmt = program_.newStmt(StmtKind::If, peek().loc);
     advance();  // 'if'
     expect(TokenKind::LParen, "after 'if'");
     stmt->cond = parseExpr();
@@ -227,11 +219,9 @@ class Parser {
 
   /// Parses a loop body block, extracting a leading `__loopbound(lo,hi);`
   /// annotation into (*lo, *hi).
-  std::unique_ptr<Stmt> parseLoopBody(std::int64_t* lo, std::int64_t* hi) {
+  Stmt* parseLoopBody(std::int64_t* lo, std::int64_t* hi) {
     if (!at(TokenKind::LBrace)) fail("loop body must be a brace-enclosed block");
-    auto block = std::make_unique<Stmt>();
-    block->kind = StmtKind::Block;
-    block->loc = peek().loc;
+    Stmt* block = program_.newStmt(StmtKind::Block, peek().loc);
     advance();  // '{'
     if (at(TokenKind::KwLoopBound)) {
       advance();
@@ -255,10 +245,8 @@ class Parser {
     return block;
   }
 
-  std::unique_ptr<Stmt> parseWhile() {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::While;
-    stmt->loc = peek().loc;
+  Stmt* parseWhile() {
+    Stmt* stmt = program_.newStmt(StmtKind::While, peek().loc);
     advance();  // 'while'
     expect(TokenKind::LParen, "after 'while'");
     stmt->cond = parseExpr();
@@ -267,10 +255,8 @@ class Parser {
     return stmt;
   }
 
-  std::unique_ptr<Stmt> parseFor() {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::For;
-    stmt->loc = peek().loc;
+  Stmt* parseFor() {
+    Stmt* stmt = program_.newStmt(StmtKind::For, peek().loc);
     advance();  // 'for'
     expect(TokenKind::LParen, "after 'for'");
     if (!at(TokenKind::Semicolon)) stmt->init = parseAssignOrCall();
@@ -283,10 +269,8 @@ class Parser {
     return stmt;
   }
 
-  std::unique_ptr<Stmt> parseReturn() {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::Return;
-    stmt->loc = peek().loc;
+  Stmt* parseReturn() {
+    Stmt* stmt = program_.newStmt(StmtKind::Return, peek().loc);
     advance();  // 'return'
     if (!at(TokenKind::Semicolon)) stmt->value = parseExpr();
     expect(TokenKind::Semicolon, "after return");
@@ -294,18 +278,15 @@ class Parser {
   }
 
   /// `ident = expr`, `ident[expr] = expr`, or `ident(args)`.
-  std::unique_ptr<Stmt> parseAssignOrCall() {
+  Stmt* parseAssignOrCall() {
     const Token& nameTok = expect(TokenKind::Identifier, "at statement start");
-    auto stmt = std::make_unique<Stmt>();
-    stmt->loc = nameTok.loc;
-
     if (at(TokenKind::LParen)) {
-      stmt->kind = StmtKind::ExprStmt;
+      Stmt* stmt = program_.newStmt(StmtKind::ExprStmt, nameTok.loc);
       stmt->value = parseCallRest(nameTok);
       return stmt;
     }
 
-    stmt->kind = StmtKind::Assign;
+    Stmt* stmt = program_.newStmt(StmtKind::Assign, nameTok.loc);
     stmt->targetName = nameTok.text;
     if (at(TokenKind::LBracket)) {
       advance();
@@ -320,7 +301,7 @@ class Parser {
   // -------------------------------------------------------------------
   // Expressions (precedence climbing).
 
-  std::unique_ptr<Expr> parseExpr() { return parseBinary(0); }
+  Expr* parseExpr() { return parseBinary(0); }
 
   /// Returns the binary operator at the cursor and its precedence, or
   /// nullopt-equivalent (-1) when none applies.
@@ -348,26 +329,24 @@ class Parser {
     }
   }
 
-  std::unique_ptr<Expr> parseBinary(int minPrec) {
-    auto lhs = parseUnary();
+  Expr* parseBinary(int minPrec) {
+    Expr* lhs = parseUnary();
     while (true) {
       BinaryOp op;
       const int prec = binaryPrec(peek().kind, &op);
       if (prec < 0 || prec < minPrec) return lhs;
       const SourceLoc loc = peek().loc;
       advance();
-      auto rhs = parseBinary(prec + 1);  // all operators left-associative
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::Binary;
+      Expr* rhs = parseBinary(prec + 1);  // all operators left-associative
+      Expr* node = program_.newExpr(ExprKind::Binary, loc);
       node->bop = op;
-      node->loc = loc;
-      node->lhs = std::move(lhs);
-      node->rhs = std::move(rhs);
-      lhs = std::move(node);
+      node->lhs = lhs;
+      node->rhs = rhs;
+      lhs = node;
     }
   }
 
-  std::unique_ptr<Expr> parseUnary() {
+  Expr* parseUnary() {
     const SourceLoc loc = peek().loc;
     UnaryOp op;
     if (at(TokenKind::Minus)) {
@@ -380,50 +359,43 @@ class Parser {
       return parsePrimary();
     }
     advance();
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::Unary;
+    Expr* node = program_.newExpr(ExprKind::Unary, loc);
     node->uop = op;
-    node->loc = loc;
     node->lhs = parseUnary();
     return node;
   }
 
-  std::unique_ptr<Expr> parsePrimary() {
+  Expr* parsePrimary() {
     const Token& tok = peek();
     switch (tok.kind) {
       case TokenKind::IntLiteral: {
         advance();
-        auto e = makeIntLit(tok.intValue, tok.loc);
-        return e;
+        return program_.makeIntLit(tok.intValue, tok.loc);
       }
       case TokenKind::FloatLiteral: {
         advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::FloatLit;
+        Expr* e = program_.newExpr(ExprKind::FloatLit, tok.loc);
         e->floatValue = tok.floatValue;
         e->type = Type::Float;
-        e->loc = tok.loc;
         return e;
       }
       case TokenKind::LParen: {
         advance();
-        auto e = parseExpr();
+        Expr* e = parseExpr();
         expect(TokenKind::RParen, "after parenthesized expression");
         return e;
       }
       case TokenKind::Identifier: {
         advance();
         if (at(TokenKind::LParen)) return parseCallRest(tok);
-        auto e = std::make_unique<Expr>();
-        e->loc = tok.loc;
+        Expr* e = program_.newExpr(
+            at(TokenKind::LBracket) ? ExprKind::Index : ExprKind::VarRef,
+            tok.loc);
         e->name = tok.text;
-        if (at(TokenKind::LBracket)) {
+        if (e->kind == ExprKind::Index) {
           advance();
-          e->kind = ExprKind::Index;
           e->lhs = parseExpr();
           expect(TokenKind::RBracket, "after array index");
-        } else {
-          e->kind = ExprKind::VarRef;
         }
         return e;
       }
@@ -433,11 +405,9 @@ class Parser {
     }
   }
 
-  std::unique_ptr<Expr> parseCallRest(const Token& nameTok) {
-    auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::Call;
+  Expr* parseCallRest(const Token& nameTok) {
+    Expr* e = program_.newExpr(ExprKind::Call, nameTok.loc);
     e->name = nameTok.text;
-    e->loc = nameTok.loc;
     expect(TokenKind::LParen, "after callee name");
     while (!at(TokenKind::RParen)) {
       e->args.push_back(parseExpr());

@@ -1,5 +1,6 @@
 #include "cinderella/lang/sema.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -13,18 +14,6 @@ namespace {
 
 [[noreturn]] void fail(SourceLoc loc, const std::string& message) {
   throw ParseError("semantic error at " + loc.str() + ": " + message);
-}
-
-/// Wraps `expr` in a cast to `target` when its type differs.
-std::unique_ptr<Expr> castTo(std::unique_ptr<Expr> expr, Type target) {
-  if (expr->type == target) return expr;
-  CIN_REQUIRE(expr->type != Type::Void && target != Type::Void);
-  auto cast = std::make_unique<Expr>();
-  cast->kind = ExprKind::Cast;
-  cast->type = target;
-  cast->loc = expr->loc;
-  cast->lhs = std::move(expr);
-  return cast;
 }
 
 class Analyzer {
@@ -66,27 +55,48 @@ class Analyzer {
 
   void analyzeFunction(FunctionDecl& fn) {
     currentFn_ = &fn;
-    scopes_.clear();
-    scopes_.emplace_back();
+    locals_.clear();
+    scopeStarts_.assign(1, 0);
     for (const auto& p : fn.params) {
-      if (scopes_.back().contains(p.name)) {
+      if (declaredInScope(p.name)) {
         fail(p.loc, "duplicate parameter '" + p.name + "'");
       }
       auto sym = std::make_unique<Symbol>();
       sym->name = p.name;
       sym->type = p.type;
       sym->storage = Storage::Param;
-      scopes_.back()[p.name] = sym.get();
+      locals_.push_back(sym.get());
       fn.symbols.push_back(std::move(sym));
     }
     analyzeStmt(*fn.body);
     currentFn_ = nullptr;
   }
 
+  /// Wraps `expr` in a cast to `target` when its type differs.
+  Expr* castTo(Expr* expr, Type target) {
+    if (expr->type == target) return expr;
+    CIN_REQUIRE(expr->type != Type::Void && target != Type::Void);
+    Expr* cast = program_.newExpr(ExprKind::Cast, expr->loc);
+    cast->type = target;
+    cast->lhs = expr;
+    return cast;
+  }
+
+  void openScope() { scopeStarts_.push_back(locals_.size()); }
+  void closeScope() {
+    locals_.resize(scopeStarts_.back());
+    scopeStarts_.pop_back();
+  }
+
+  bool declaredInScope(const std::string& name) const {
+    return std::any_of(
+        locals_.begin() + static_cast<std::ptrdiff_t>(scopeStarts_.back()),
+        locals_.end(), [&](const Symbol* s) { return s->name == name; });
+  }
+
   Symbol* lookup(const std::string& name, SourceLoc loc) {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      const auto found = it->find(name);
-      if (found != it->end()) return found->second;
+    for (auto it = locals_.rbegin(); it != locals_.rend(); ++it) {
+      if ((*it)->name == name) return *it;
     }
     const auto found = globalScope_.find(name);
     if (found != globalScope_.end()) return found->second;
@@ -96,13 +106,13 @@ class Analyzer {
   void analyzeStmt(Stmt& stmt) {
     switch (stmt.kind) {
       case StmtKind::Block: {
-        scopes_.emplace_back();
+        openScope();
         for (auto& s : stmt.body) analyzeStmt(*s);
-        scopes_.pop_back();
+        closeScope();
         break;
       }
       case StmtKind::Decl: {
-        if (scopes_.back().contains(stmt.declName)) {
+        if (declaredInScope(stmt.declName)) {
           fail(stmt.loc, "duplicate local '" + stmt.declName + "'");
         }
         auto sym = std::make_unique<Symbol>();
@@ -112,12 +122,12 @@ class Analyzer {
         sym->arraySize = stmt.declArraySize;
         sym->storage = Storage::Local;
         stmt.declSymbol = sym.get();
-        scopes_.back()[stmt.declName] = sym.get();
+        locals_.push_back(sym.get());
         currentFn_->symbols.push_back(std::move(sym));
         if (stmt.value) {
           analyzeExpr(*stmt.value);
           requireScalar(*stmt.value);
-          stmt.value = castTo(std::move(stmt.value), stmt.declType);
+          stmt.value = castTo(stmt.value, stmt.declType);
         }
         break;
       }
@@ -138,7 +148,7 @@ class Analyzer {
         }
         analyzeExpr(*stmt.value);
         requireScalar(*stmt.value);
-        stmt.value = castTo(std::move(stmt.value), target->type);
+        stmt.value = castTo(stmt.value, target->type);
         break;
       }
       case StmtKind::ExprStmt: {
@@ -160,7 +170,7 @@ class Analyzer {
       }
       case StmtKind::For: {
         // For-clauses live in an implicit scope around the body.
-        scopes_.emplace_back();
+        openScope();
         if (stmt.init) analyzeStmt(*stmt.init);
         if (stmt.cond) {
           analyzeExpr(*stmt.cond);
@@ -168,7 +178,7 @@ class Analyzer {
         }
         if (stmt.step) analyzeStmt(*stmt.step);
         for (auto& s : stmt.body) analyzeStmt(*s);
-        scopes_.pop_back();
+        closeScope();
         break;
       }
       case StmtKind::Return: {
@@ -178,7 +188,7 @@ class Analyzer {
           if (!stmt.value) fail(stmt.loc, "non-void function needs a value");
           analyzeExpr(*stmt.value);
           requireScalar(*stmt.value);
-          stmt.value = castTo(std::move(stmt.value), currentFn_->returnType);
+          stmt.value = castTo(stmt.value, currentFn_->returnType);
         }
         break;
       }
@@ -257,8 +267,8 @@ class Analyzer {
           case BinaryOp::Mul:
           case BinaryOp::Div: {
             const Type t = anyFloat ? Type::Float : Type::Int;
-            expr.lhs = castTo(std::move(expr.lhs), t);
-            expr.rhs = castTo(std::move(expr.rhs), t);
+            expr.lhs = castTo(expr.lhs, t);
+            expr.rhs = castTo(expr.rhs, t);
             expr.type = t;
             break;
           }
@@ -283,8 +293,8 @@ class Analyzer {
           case BinaryOp::Gt:
           case BinaryOp::Ge: {
             const Type t = anyFloat ? Type::Float : Type::Int;
-            expr.lhs = castTo(std::move(expr.lhs), t);
-            expr.rhs = castTo(std::move(expr.rhs), t);
+            expr.lhs = castTo(expr.lhs, t);
+            expr.rhs = castTo(expr.rhs, t);
             expr.type = Type::Int;
             break;
           }
@@ -303,7 +313,7 @@ class Analyzer {
         for (std::size_t i = 0; i < expr.args.size(); ++i) {
           analyzeExpr(*expr.args[i]);
           requireScalar(*expr.args[i]);
-          expr.args[i] = castTo(std::move(expr.args[i]), fn.params[i].type);
+          expr.args[i] = castTo(expr.args[i], fn.params[i].type);
         }
         expr.calleeIndex = callee;
         expr.type = fn.returnType;
@@ -349,7 +359,10 @@ class Analyzer {
   Program& program_;
   FunctionDecl* currentFn_ = nullptr;
   std::map<std::string, Symbol*> globalScope_;
-  std::vector<std::map<std::string, Symbol*>> scopes_;
+  /// Local symbols in scope, innermost scope last; scope k holds the
+  /// entries from scopeStarts_[k] on.
+  std::vector<Symbol*> locals_;
+  std::vector<std::size_t> scopeStarts_;
   std::map<std::string, std::set<std::string>> callEdges_;
 };
 

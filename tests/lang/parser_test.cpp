@@ -1,11 +1,18 @@
 // Unit tests for the MiniC parser.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "cinderella/lang/parser.hpp"
 #include "cinderella/support/error.hpp"
 
 namespace cinderella::lang {
 namespace {
+
+// The AST's child links point into the Program's own node arena.
+static_assert(!std::is_copy_constructible_v<Program>);
+static_assert(!std::is_copy_assignable_v<Program>);
+static_assert(std::is_move_constructible_v<Program>);
 
 TEST(Parser, GlobalScalarDeclarations) {
   const Program p = parse("int a;\nfloat b = 2.5;\nint c = -3;");
