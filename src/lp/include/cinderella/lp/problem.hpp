@@ -35,6 +35,11 @@ class LinearExpr {
   /// Removes zero-coefficient terms and sorts by variable index.
   void canonicalize();
 
+  /// After canonicalize(): sums each run of terms of one variable into
+  /// one term, in order, keeping a zero sum.  Returns the constant and
+  /// clears it, leaving the expression a constraint row keeps.
+  double foldIntoRow();
+
   [[nodiscard]] const std::vector<Term>& terms() const { return terms_; }
   [[nodiscard]] double constant() const { return constant_; }
 

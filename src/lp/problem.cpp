@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "cinderella/support/error.hpp"
 
@@ -31,6 +32,20 @@ void LinearExpr::canonicalize() {
   std::erase_if(terms_, [](const Term& t) { return t.coeff == 0.0; });
   std::sort(terms_.begin(), terms_.end(),
             [](const Term& a, const Term& b) { return a.var < b.var; });
+}
+
+double LinearExpr::foldIntoRow() {
+  std::size_t kept = 0;
+  for (const Term& t : terms_) {
+    CIN_REQUIRE(t.var >= 0);
+    if (kept > 0 && terms_[kept - 1].var == t.var) {
+      terms_[kept - 1].coeff += t.coeff;
+    } else {
+      terms_[kept++] = t;
+    }
+  }
+  terms_.resize(kept);
+  return std::exchange(constant_, 0.0);
 }
 
 double LinearExpr::evaluate(const std::vector<double>& point) const {
@@ -95,10 +110,7 @@ void Problem::addConstraint(Constraint c) {
   c.expr.canonicalize();
   CIN_REQUIRE(c.expr.maxVar() < numVars());
   // Fold the expression constant into the right-hand side.
-  c.rhs -= c.expr.constant();
-  LinearExpr folded;
-  for (const auto& t : c.expr.terms()) folded.add(t.var, t.coeff);
-  c.expr = std::move(folded);
+  c.rhs -= c.expr.foldIntoRow();
   constraints_.push_back(std::move(c));
 }
 
