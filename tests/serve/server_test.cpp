@@ -18,8 +18,8 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <regex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -701,15 +701,47 @@ TEST(ServeDaemon, ShutdownHandshakeStopsTheDaemon) {
   EXPECT_FALSE(late.connect(server.port(), &error));
 }
 
+/// Erases, left to right, every span of `text` that starts with `open`
+/// and whose rest `restEnd(text, from)` accepts: it returns where the
+/// span ends, or npos when the rest at `from` does not match.
+template <class RestEnd>
+void eraseSpans(std::string& text, std::string_view open, RestEnd restEnd) {
+  std::size_t at = 0;
+  while ((at = text.find(open, at)) != std::string::npos) {
+    const std::size_t end = restEnd(text, at + open.size());
+    if (end == std::string::npos) {
+      ++at;
+    } else {
+      text.erase(at, end - at);
+    }
+  }
+}
+
 /// An analyze reply with what differs between two answers of one
 /// request masked: the id, the wall times and the stage telemetry.
 std::string maskedReply(const Response& response) {
+  constexpr std::size_t npos = std::string::npos;
   std::string text = response.rawText;
-  text = std::regex_replace(text, std::regex(R"("id":[0-9]+,)"), "");
-  text = std::regex_replace(text, std::regex(R"("wallMicros":[0-9]+,)"), "");
-  text = std::regex_replace(
-      text, std::regex(R"("telemetry":\{"requestId":"[^"]*","stages":\{[^}]*\}\},)"),
-      "");
+  // `<digits>,`
+  const auto counter = [](const std::string& t, std::size_t from) {
+    const std::size_t end = t.find_first_not_of("0123456789", from);
+    return end != from && end != npos && t[end] == ',' ? end + 1 : npos;
+  };
+  eraseSpans(text, R"("id":)", counter);
+  eraseSpans(text, R"("wallMicros":)", counter);
+  // `<request id>","stages":{<stages, no '}'>}},`
+  eraseSpans(text, R"("telemetry":{"requestId":")",
+             [](const std::string& t, std::size_t from) {
+               constexpr std::string_view kStages = R"(","stages":{)";
+               const std::size_t quote = t.find('"', from);
+               if (quote == npos || t.compare(quote, kStages.size(), kStages) != 0) {
+                 return npos;
+               }
+               const std::size_t brace = t.find('}', quote + kStages.size());
+               return brace != npos && t.compare(brace, 3, "}},") == 0
+                          ? brace + 3
+                          : npos;
+             });
   return text;
 }
 
