@@ -1,7 +1,6 @@
 #include "cinderella/cfg/cfg.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "cinderella/support/error.hpp"
@@ -73,8 +72,8 @@ ControlFlowGraph buildCfg(const vm::Module& module, int functionIndex) {
   CIN_REQUIRE(n > 0);
 
   // Leaders: instruction 0, every branch target, every instruction that
-  // follows a control-flow instruction.
-  std::set<int> leaders{0};
+  // follows a control-flow instruction; sorted and deduplicated below.
+  std::vector<int> leaders{0};
   for (int i = 0; i < n; ++i) {
     const vm::Instr& in = fn.code[static_cast<std::size_t>(i)];
     switch (in.op) {
@@ -83,30 +82,32 @@ ControlFlowGraph buildCfg(const vm::Module& module, int functionIndex) {
       case vm::Opcode::Bf: {
         const int target = static_cast<int>(in.imm);
         CIN_REQUIRE(target >= 0 && target <= n);
-        if (target < n) leaders.insert(target);
-        if (i + 1 < n) leaders.insert(i + 1);
+        if (target < n) leaders.push_back(target);
+        if (i + 1 < n) leaders.push_back(i + 1);
         break;
       }
       case vm::Opcode::Call:
       case vm::Opcode::Ret:
       case vm::Opcode::Halt:
-        if (i + 1 < n) leaders.insert(i + 1);
+        if (i + 1 < n) leaders.push_back(i + 1);
         break;
       default:
         break;
     }
   }
 
+  std::sort(leaders.begin(), leaders.end());
+  leaders.erase(std::unique(leaders.begin(), leaders.end()), leaders.end());
+
   ControlFlowGraph cfg;
   cfg.functionIndex_ = functionIndex;
   cfg.instrToBlock_.assign(static_cast<std::size_t>(n), -1);
 
-  std::vector<int> leaderList(leaders.begin(), leaders.end());
-  for (std::size_t bi = 0; bi < leaderList.size(); ++bi) {
+  for (std::size_t bi = 0; bi < leaders.size(); ++bi) {
     BasicBlock b;
     b.id = static_cast<int>(bi);
-    b.firstInstr = leaderList[bi];
-    b.lastInstr = (bi + 1 < leaderList.size()) ? leaderList[bi + 1] - 1 : n - 1;
+    b.firstInstr = leaders[bi];
+    b.lastInstr = (bi + 1 < leaders.size()) ? leaders[bi + 1] - 1 : n - 1;
     for (int i = b.firstInstr; i <= b.lastInstr; ++i) {
       cfg.instrToBlock_[static_cast<std::size_t>(i)] = b.id;
       const int line = fn.code[static_cast<std::size_t>(i)].loc.line;

@@ -68,14 +68,16 @@ bool sameDeterministicResult(const ipet::Estimate& a, const ipet::Estimate& b,
     return false;
   };
   if (a.bound != b.bound) return fail("bound differs");
-  const ipet::SolveStats& sa = a.stats;
-  const ipet::SolveStats& sb = b.stats;
-  if (sa.constraintSets != sb.constraintSets ||
-      sa.prunedNullSets != sb.prunedNullSets ||
-      sa.ilpSolves != sb.ilpSolves || sa.lpCalls != sb.lpCalls ||
-      sa.nodesExpanded != sb.nodesExpanded ||
-      sa.totalPivots != sb.totalPivots) {
-    return fail("solve stats differ");
+  if (a.stats != b.stats) return fail("solve stats differ");
+  if (a.setRecords.size() != b.setRecords.size()) {
+    return fail("set records differ");
+  }
+  for (std::size_t i = 0; i < a.setRecords.size(); ++i) {
+    const ipet::SetSolveRecord& ra = a.setRecords[i];
+    const ipet::SetSolveRecord& rb = b.setRecords[i];
+    if (ra.worst.stats != rb.worst.stats || ra.best.stats != rb.best.stats) {
+      return fail("set " + std::to_string(i) + " solve stats differ");
+    }
   }
   if (a.worstCounts.size() != b.worstCounts.size() ||
       a.bestCounts.size() != b.bestCounts.size()) {

@@ -27,7 +27,42 @@ const char* ilpStatusStr(IlpStatus status) {
   return "?";
 }
 
+IlpStats& IlpStats::operator+=(const IlpStats& other) {
+  nodesExpanded += other.nodesExpanded;
+  lpCalls += other.lpCalls;
+  coldNodes += other.coldNodes;
+  diveFallbacks += other.diveFallbacks;
+  infeasibleConfirmations += other.infeasibleConfirmations;
+  allFirstRelaxationsIntegral &= other.allFirstRelaxationsIntegral;
+  totalPivots += other.totalPivots;
+  checkedPromotions += other.checkedPromotions;
+  blandRestarts += other.blandRestarts;
+  devexPivots += other.devexPivots;
+  presolveRowsRemoved += other.presolveRowsRemoved;
+  presolveColsFixed += other.presolveColsFixed;
+  presolveSubstitutions += other.presolveSubstitutions;
+  presolveRounds += other.presolveRounds;
+  return *this;
+}
+
+void IlpStats::addNode(const lp::Solution& relax) {
+  ++nodesExpanded;
+  ++lpCalls;
+  totalPivots += relax.pivots;
+  devexPivots += relax.devexPivots;
+  presolveRowsRemoved += relax.presolve.rowsRemoved;
+  presolveColsFixed += relax.presolve.colsFixed;
+  presolveSubstitutions += relax.presolve.substitutions;
+  presolveRounds += relax.presolve.propagationRounds;
+  blandRestarts += relax.blandRestart ? 1 : 0;
+}
+
 namespace {
+
+/// |x - round(x)| below this counts as integral: coarser than the
+/// simplex's feasibility tolerance (lp::kFeasibilityTol), so a vertex
+/// the simplex leaves within its tolerance of an integer counts as one.
+constexpr double kIntTol = 1e-6;
 
 /// A node of the search tree: the cut that separates it from its
 /// parent, to apply on the parent's branch point.  The root has no cut,
@@ -42,20 +77,20 @@ struct Node {
 };
 
 /// Index of the lowest-numbered variable that is not integral within
-/// `tol`, or nullopt when the point is integral.
-std::optional<int> firstFractional(const std::vector<double>& values,
-                                   double tol) {
+/// kIntTol, or nullopt when the point is integral.
+std::optional<int> firstFractional(const std::vector<double>& values) {
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double frac = values[i] - std::floor(values[i]);
-    if (std::min(frac, 1.0 - frac) > tol) return static_cast<int>(i);
+    if (std::min(frac, 1.0 - frac) > kIntTol) return static_cast<int>(i);
   }
   return std::nullopt;
 }
 
-/// True when `x` is an integer within `tol`; *out receives the rounding.
-bool asInteger(double x, double tol, std::int64_t* out) {
+/// True when `x` is an integer within kIntTol; *out receives the
+/// rounding.
+bool asInteger(double x, std::int64_t* out) {
   const double r = std::round(x);
-  if (std::abs(x - r) > tol) return false;
+  if (std::abs(x - r) > kIntTol) return false;
   // Beyond 2^63 a double cannot be narrowed; treat as non-integral so the
   // caller keeps the (already inexact) double objective instead.
   if (r < -9.2e18 || r > 9.2e18) return false;
@@ -69,20 +104,17 @@ bool asInteger(double x, double tol, std::int64_t* out) {
 /// objectives (cycle costs x execution counts) are exact integers, so
 /// this checked integer pass restores them.  Fills objectiveExact /
 /// objectiveIsExact / objectiveSaturated and counts __int128 promotions.
-void recomputeExactObjective(const lp::Problem& problem,
-                             const IlpOptions& options, IlpSolution* result) {
+void recomputeExactObjective(const lp::Problem& problem, IlpSolution* result) {
   const auto& terms = problem.objective().terms();
   std::vector<std::int64_t> coeffs(terms.size());
   std::vector<std::int64_t> values(terms.size());
   for (std::size_t i = 0; i < terms.size(); ++i) {
-    if (!asInteger(terms[i].coeff, options.intTol, &coeffs[i])) return;
+    if (!asInteger(terms[i].coeff, &coeffs[i])) return;
     const auto var = static_cast<std::size_t>(terms[i].var);
-    if (!asInteger(result->values[var], options.intTol, &values[i])) return;
+    if (!asInteger(result->values[var], &values[i])) return;
   }
   std::int64_t constant = 0;
-  if (!asInteger(problem.objective().constant(), options.intTol, &constant)) {
-    return;
-  }
+  if (!asInteger(problem.objective().constant(), &constant)) return;
 
   support::CheckedSum sum = support::accumulateProducts(
       terms.size(), [&](std::size_t i) { return coeffs[i]; },
@@ -163,15 +195,7 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
       result.stats.infeasibleConfirmations += confirmed ? 1 : 0;
       result.stats.lpCalls += fallback || confirmed ? 1 : 0;  // the dive
     }
-    ++result.stats.nodesExpanded;
-    ++result.stats.lpCalls;
-    result.stats.totalPivots += relax.pivots;
-    result.stats.devexPivots += relax.devexPivots;
-    result.stats.presolveRowsRemoved += relax.presolve.rowsRemoved;
-    result.stats.presolveColsFixed += relax.presolve.colsFixed;
-    result.stats.presolveSubstitutions += relax.presolve.substitutions;
-    result.stats.presolveRounds += relax.presolve.propagationRounds;
-    if (relax.blandRestart) ++result.stats.blandRestarts;
+    result.stats.addNode(relax);
     if (rootNode && relax.status == lp::SolveStatus::Optimal) {
       // The root relaxation bounds the ILP optimum from the relaxed
       // side; the analyzer's degradation ladder falls back to it when
@@ -197,9 +221,9 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
       continue;
     }
 
-    const auto fractional = firstFractional(relax.values, options.intTol);
+    const auto fractional = firstFractional(relax.values);
     if (rootNode) {
-      result.stats.firstRelaxationIntegral = !fractional.has_value();
+      result.stats.allFirstRelaxationsIntegral = !fractional.has_value();
       rootNode = false;
     }
 
@@ -235,7 +259,7 @@ IlpSolution solve(const lp::Problem& problem, const IlpOptions& options) {
                                  : IlpStatus::Optimal;
     result.objective = incumbentObjective;
     result.values = std::move(incumbentValues);
-    recomputeExactObjective(problem, options, &result);
+    recomputeExactObjective(problem, &result);
   } else {
     result.status = interrupted  ? IlpStatus::Interrupted
                     : hitLimit   ? IlpStatus::Limit

@@ -26,6 +26,9 @@ enum class IlpStatus { Optimal, Infeasible, Unbounded, Limit, Interrupted };
 
 [[nodiscard]] const char* ilpStatusStr(IlpStatus status);
 
+/// The solver's counters, and the one tally they are summed in: an
+/// IlpSolution carries one solve's, and ipet's per-solve records and
+/// per-estimate sums are the same type added with +=.
 struct IlpStats {
   /// Branch-and-bound nodes expanded (subproblems whose relaxation was
   /// solved).  This — never lpCalls — is what IlpOptions::maxNodes
@@ -40,8 +43,11 @@ struct IlpStats {
   int coldNodes = 0;
   int diveFallbacks = 0;
   int infeasibleConfirmations = 0;
-  /// True when the root relaxation was already integral (paper's claim).
-  bool firstRelaxationIntegral = false;
+  /// True when every root relaxation in the tally was already integral
+  /// (the paper's claim).  One solve sets it from its root and leaves
+  /// it false when it never solved one; += ANDs it, so a sum starts
+  /// from true.
+  bool allFirstRelaxationsIntegral = false;
   /// Total simplex pivots summed over all LP calls.
   int totalPivots = 0;
   /// Incumbent-objective recomputations whose 64-bit fast path
@@ -60,6 +66,13 @@ struct IlpStats {
   int presolveSubstitutions = 0;
   /// Presolve fixpoint rounds summed over all LP calls.
   int presolveRounds = 0;
+
+  /// Sums every count and ANDs allFirstRelaxationsIntegral.
+  IlpStats& operator+=(const IlpStats& other);
+  /// Counts one expanded node whose relaxation is `relax`: the node,
+  /// its LP call, and that call's pivots, restart and presolve.
+  void addNode(const lp::Solution& relax);
+  friend bool operator==(const IlpStats&, const IlpStats&) = default;
 };
 
 struct IlpSolution {
@@ -91,8 +104,6 @@ struct IlpOptions {
   /// Maximum branch-and-bound nodes expanded (IlpStats::nodesExpanded)
   /// before giving up with Limit.
   int maxNodes = 100000;
-  /// |x - round(x)| below this counts as integral.
-  double intTol = 1e-6;
   /// Polled once per node; returning true stops the search with
   /// IlpStatus::Interrupted (incumbent, if any, is preserved).  Used by
   /// the analyzer's deadline so a set never runs past its budget.

@@ -381,12 +381,7 @@ AnalysisResult AnalysisService::analyzeLp(
 
   const SolveControl& control = request.control;
   const Clock::time_point solveStart = Clock::now();
-  ilp::IlpOptions ilpOptions;
-  if (control.maxNodes > 0) ilpOptions.maxNodes = control.maxNodes;
-  ilpOptions.lpOptions.presolve = control.presolve;
-  ilpOptions.interrupt = [&] {
-    return cancelRequested(control) || deadlineExpired(control, solveStart);
-  };
+  const ilp::IlpOptions options = ilpOptions(control, solveStart);
 
   Estimate& estimate = result.estimate;
   estimate.stats.constraintSets = static_cast<int>(problems.size());
@@ -418,7 +413,7 @@ AnalysisResult AnalysisService::analyzeLp(
     }
 
     const Clock::time_point ilpStart = Clock::now();
-    const ilp::IlpSolution solution = ilp::solve(problem, ilpOptions);
+    const ilp::IlpSolution solution = ilp::solve(problem, options);
     if (cancelRequested(control)) throw AnalysisError("analysis cancelled");
     if (solution.status == ilp::IlpStatus::Infeasible ||
         solution.status == ilp::IlpStatus::Unbounded) {
@@ -434,7 +429,7 @@ AnalysisResult AnalysisService::analyzeLp(
       record.verdict = SetVerdict::Exact;
     } else {
       ilpRecord.degraded = true;
-      fail(stopCode(control, solution, ilpOptions.maxNodes),
+      fail(stopCode(control, solution, options.maxNodes),
            maximize ? "ilp-worst" : "ilp-best",
            std::string("lp input: ") + ilp::ilpStatusStr(solution.status));
     }

@@ -17,6 +17,24 @@
 
 namespace cinderella::ipet {
 
+namespace {
+
+/// Guards against call-tree and disjunction blow-up: the most contexts
+/// a call tree may expand to, and the most constraint sets the user
+/// constraints' DNF may combine into.  Each costs a copy of the
+/// variable space or an ILP pair, so no real analysis comes near.
+constexpr int kMaxContexts = 1 << 14;
+constexpr int kMaxConstraintSets = 1 << 14;
+
+/// Sorts `v` and drops its duplicates.
+template <typename T>
+void sortUnique(std::vector<T>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+}  // namespace
+
 Analyzer::Analyzer(const codegen::CompileResult& compiled,
                    std::string_view rootFunction, AnalyzerOptions options)
     : module_(&compiled.module),
@@ -81,7 +99,7 @@ void Analyzer::buildContexts() {
       const auto& cfg = cfgs_[static_cast<std::size_t>(ctx.function)];
       for (const auto& e : cfg.edges()) {
         if (!e.isCall()) continue;
-        if (static_cast<int>(contexts_.size()) >= options_.maxContexts) {
+        if (static_cast<int>(contexts_.size()) >= kMaxContexts) {
           throw AnalysisError("call-tree context limit exceeded");
         }
         Context child;
@@ -562,18 +580,22 @@ void Analyzer::applyFirstIterationSplit(System* base) const {
       }
       if (!eligible) continue;
 
-      // Cache-fit check over all units' lines.
-      std::set<std::int64_t> lines;
+      // Cache-fit check over all units' lines: no two distinct lines
+      // may map to the same cache set.
+      std::vector<std::int64_t> lines;
       for (const auto& [uctx, ublock] : units) {
         const int ufn = contexts_[static_cast<std::size_t>(uctx)].function;
         const vm::Function& fn = module_->function(ufn);
         const auto& b = cfgs_[static_cast<std::size_t>(ufn)].block(ublock);
         for (int i = b.firstInstr; i <= b.lastInstr; ++i) {
-          lines.insert(fn.instrAddr(i) / lineBytes);
+          lines.push_back(fn.instrAddr(i) / lineBytes);
         }
       }
-      std::set<std::int64_t> cacheSets;
-      for (const std::int64_t line : lines) cacheSets.insert(line % numSets);
+      sortUnique(&lines);
+      std::vector<std::int64_t> cacheSets;
+      cacheSets.reserve(lines.size());
+      for (const std::int64_t line : lines) cacheSets.push_back(line % numSets);
+      sortUnique(&cacheSets);
       if (cacheSets.size() != lines.size()) continue;
 
       lp::LinearExpr entries;
@@ -690,8 +712,7 @@ void Analyzer::applyConflictGraphCache(System* base) const {
     }
   }
   for (auto& s : succ) {
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
+    sortUnique(&s);
   }
 
   // --- L-blocks per cache set. ----------------------------------------
@@ -928,8 +949,7 @@ std::vector<std::string> Analyzer::referencedParams() const {
       }
     }
   }
-  std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
+  sortUnique(&names);
   return names;
 }
 
@@ -955,8 +975,7 @@ std::vector<std::string> setRowKeys(const ConjunctiveSet& set,
   std::vector<std::string> rows;
   rows.reserve(set.size());
   for (const auto& sc : set) rows.push_back(rowKey(sc));
-  std::sort(rows.begin(), rows.end());
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  sortUnique(&rows);
   return rows;
 }
 
@@ -968,8 +987,7 @@ void hashSets(DigestBuilder* builder, char tag, const Dnf& sets,
   std::vector<std::vector<std::string>> setKeys;
   setKeys.reserve(sets.size());
   for (const auto& set : sets) setKeys.push_back(setRowKeys(set, rowKey));
-  std::sort(setKeys.begin(), setKeys.end());
-  setKeys.erase(std::unique(setKeys.begin(), setKeys.end()), setKeys.end());
+  sortUnique(&setKeys);
   builder->tag(tag);
   builder->u32(static_cast<std::uint32_t>(setKeys.size()));
   for (const auto& rows : setKeys) {
@@ -1005,7 +1023,7 @@ Analyzer::System& Analyzer::systemLocked(obs::Tracer* tracer) const {
     sys.sets = {ConjunctiveSet{}};
     for (const auto& dnf : userConstraints_) {
       sys.sets = conjoin(sys.sets, dnf);
-      if (static_cast<int>(sys.sets.size()) > options_.maxConstraintSets) {
+      if (static_cast<int>(sys.sets.size()) > kMaxConstraintSets) {
         throw AnalysisError("functionality-constraint disjunctions expand to "
                             "too many constraint sets");
       }
@@ -1032,9 +1050,7 @@ const DigestBuilder& Analyzer::structuralDigest(obs::Tracer* tracer) const {
   for (const auto& c : sys.problem.constraints()) {
     baseRows.push_back(canonicalRowKey(c));
   }
-  std::sort(baseRows.begin(), baseRows.end());
-  baseRows.erase(std::unique(baseRows.begin(), baseRows.end()),
-                 baseRows.end());
+  sortUnique(&baseRows);
   builder.tag('B');
   builder.u32(static_cast<std::uint32_t>(baseRows.size()));
   for (const auto& row : baseRows) builder.str(row);

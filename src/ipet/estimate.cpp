@@ -50,17 +50,7 @@ const char* setVerdictStr(SetVerdict verdict) {
 
 void SolveStats::addSolve(const IlpSolveRecord& solve) {
   ++ilpSolves;
-  lpCalls += solve.lpCalls;
-  nodesExpanded += solve.nodes;
-  totalPivots += solve.pivots;
-  checkedPromotions += solve.checkedPromotions;
-  blandRestarts += solve.blandRestarts;
-  devexPivots += solve.devexPivots;
-  presolveRowsRemoved += solve.presolveRowsRemoved;
-  presolveColsFixed += solve.presolveColsFixed;
-  presolveSubstitutions += solve.presolveSubstitutions;
-  presolveRounds += solve.presolveRounds;
-  allFirstRelaxationsIntegral &= solve.firstRelaxationIntegral;
+  *this += solve.stats;
 }
 
 bool SolveStats::addSet(const SetSolveRecord& record) {
@@ -85,17 +75,7 @@ IlpSolveRecord ilpSolveRecord(const ilp::IlpSolution& solution) {
   IlpSolveRecord record;
   record.solved = true;
   record.feasible = solution.status == ilp::IlpStatus::Optimal;
-  record.nodes = solution.stats.nodesExpanded;
-  record.lpCalls = solution.stats.lpCalls;
-  record.pivots = solution.stats.totalPivots;
-  record.firstRelaxationIntegral = solution.stats.firstRelaxationIntegral;
-  record.checkedPromotions = solution.stats.checkedPromotions;
-  record.blandRestarts = solution.stats.blandRestarts;
-  record.devexPivots = solution.stats.devexPivots;
-  record.presolveRowsRemoved = solution.stats.presolveRowsRemoved;
-  record.presolveColsFixed = solution.stats.presolveColsFixed;
-  record.presolveSubstitutions = solution.stats.presolveSubstitutions;
-  record.presolveRounds = solution.stats.presolveRounds;
+  record.stats = solution.stats;
   if (record.feasible) {
     // Prefer the checked integer recomputation: the double objective
     // silently loses precision past 2^53.
@@ -123,6 +103,22 @@ bool deadlineExpired(const SolveControl& control,
   }
   return control.deadline.count() != 0 &&
          std::chrono::steady_clock::now() - start >= control.deadline;
+}
+
+ilp::IlpOptions ilpOptions(const SolveControl& control,
+                           std::chrono::steady_clock::time_point start) {
+  ilp::IlpOptions options;
+  if (control.maxNodes > 0) options.maxNodes = control.maxNodes;
+  options.lpOptions.presolve = control.presolve;
+  // A deadline (or cancellation) also stops a running ILP between
+  // nodes, so a single slow set cannot blow the whole budget.
+  if (control.deadline.count() != 0 || control.cancel != nullptr ||
+      support::faultInjector() != nullptr) {
+    options.interrupt = [&control, start] {
+      return cancelRequested(control) || deadlineExpired(control, start);
+    };
+  }
+  return options;
 }
 
 ErrorCode stopCode(const SolveControl& control,
@@ -183,30 +179,20 @@ struct Analyzer::EstimateRun {
         control_(control),
         span_(control.tracer, "estimate", "ipet"),
         sys_(analyzer.system(control.tracer)),
-        ilpOptions_(analyzer.options_.ilpOptions),
+        ilpOptions_(ilpOptions(control, start_)),
         scheduledSets_(static_cast<int>(sys_.sets.size())),
         outcomes_(sys_.sets.size()) {
     span_.arg("sets", static_cast<int>(sys_.sets.size()))
         .arg("cache-mode", cacheModeStr(analyzer.options_.cacheMode))
         .arg("contexts", static_cast<int>(analyzer.contexts_.size()))
         .arg("flow-vars", analyzer.numFlowVars_);
-    if (control.maxNodes > 0) ilpOptions_.maxNodes = control.maxNodes;
-    ilpOptions_.lpOptions.presolve = control.presolve;
-    // A deadline (or cancellation) also stops a running ILP between
-    // nodes, so a single slow set cannot blow the whole budget.
-    if (control.deadline.count() != 0 || control.cancel != nullptr ||
-        support::faultInjector() != nullptr) {
-      ilpOptions_.interrupt = [this] {
-        return cancelRequested(control_) || deadlineExpired(control_, start_);
-      };
-    }
     for (std::size_t i = 0; i < outcomes_.size(); ++i) {
       SetSolveRecord& rec = outcomes_[i].record;
       rec.setIndex = static_cast<int>(i);
       rec.userConstraints = static_cast<int>(sys_.sets[i].size());
     }
   }
-  // Worker tasks and the ILP interrupt hold `this`.
+  // Worker tasks hold `this`.
   EstimateRun(const EstimateRun&) = delete;
   EstimateRun& operator=(const EstimateRun&) = delete;
 

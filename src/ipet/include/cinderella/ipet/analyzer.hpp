@@ -89,11 +89,7 @@ struct AnalyzerOptions {
   /// Skip the LP feasibility probe that prunes null constraint sets
   /// before the ILP stage (used by the pruning ablation bench).
   bool disableNullSetPruning = false;
-  ilp::IlpOptions ilpOptions;
   march::MachineParams machine;
-  /// Guards against disjunction blow-up and call-tree blow-up.
-  int maxConstraintSets = 1 << 14;
-  int maxContexts = 1 << 14;
 };
 
 /// Per-run solve policy for Analyzer::estimate().
@@ -159,16 +155,21 @@ struct Interval {
 struct IlpSolveRecord;
 struct SetSolveRecord;
 
-struct SolveStats {
-  /// Adds one solved ILP's counters: ilpSolves, lpCalls, nodesExpanded,
-  /// the pivot, promotion, restart and presolve sums, and the
-  /// first-relaxation flag.
+/// The estimate's tally: the solver counters (ilp::IlpStats) summed
+/// over every ILP solved, with allFirstRelaxationsIntegral ANDed over
+/// them (paper §VI-A), plus the per-set counts below.
+struct SolveStats : ilp::IlpStats {
+  /// An empty sum: every root relaxation, of none, was integral.
+  SolveStats() { allFirstRelaxationsIntegral = true; }
+
+  /// Adds one solved ILP: ilpSolves and its tally.
   void addSolve(const IlpSolveRecord& solve);
   /// Adds one set's record: its null, covered or degraded tally, and
   /// addSolve() for each ILP it solved.  False when the set adds nothing
   /// to the interval itself: it was proved null, or a solved set covers
   /// it.  constraintSets and the ConflictGraph fields are the caller's.
   bool addSet(const SetSolveRecord& record);
+  friend bool operator==(const SolveStats&, const SolveStats&) = default;
 
   /// Constraint sets after DNF combination (paper Table I "Sets").
   int constraintSets = 0;
@@ -176,15 +177,6 @@ struct SolveStats {
   int prunedNullSets = 0;
   /// ILPs actually solved (2 per surviving set: max and min).
   int ilpSolves = 0;
-  /// LP relaxations across all ILPs.
-  int lpCalls = 0;
-  /// Branch-and-bound nodes expanded across all ILPs (the quantity
-  /// IlpOptions::maxNodes budgets; below lpCalls by the children whose
-  /// dive was re-solved cold, see IlpStats::lpCalls).
-  int nodesExpanded = 0;
-  /// True when every root relaxation was already integral (paper §VI-A).
-  bool allFirstRelaxationsIntegral = true;
-  int totalPivots = 0;
   /// ConflictGraph mode: flow variables added and sets that exceeded the
   /// node cap (falling back to all-miss).
   int cacheFlowVars = 0;
@@ -194,12 +186,6 @@ struct SolveStats {
   int relaxedSets = 0;
   int structuralSets = 0;
   int failedSets = 0;
-  /// Incumbent objectives redone in __int128 after 64-bit overflow,
-  /// summed over all ILP solves (equals the sum over setRecords).
-  int checkedPromotions = 0;
-  /// LP solves that re-ran under Bland's rule after Dantzig hit the
-  /// pivot limit, summed over all ILP solves.
-  int blandRestarts = 0;
   /// Sets skipped because an identical set (after row canonicalization)
   /// was solved instead (SetSolveRecord::sharedWith names it).  Skipped
   /// sets whose representative proved null count under prunedNullSets,
@@ -212,17 +198,6 @@ struct SolveStats {
   /// Always 0: no structural seed is solved any more.  Stays only
   /// because perfbench/ adds it to its pivot count.
   int seedPivots = 0;
-  /// Devex reference-framework pivots across the ILP solves (included
-  /// in totalPivots; the remainder ran under Dantzig or Bland).
-  int devexPivots = 0;
-  /// Presolve reductions summed over the ILP solves' LP calls (equal to
-  /// the sums over setRecords): constraint rows removed, variables
-  /// fixed at an exact value, variables substituted out through
-  /// singleton equalities, and fixpoint propagation rounds.
-  int presolveRowsRemoved = 0;
-  int presolveColsFixed = 0;
-  int presolveSubstitutions = 0;
-  int presolveRounds = 0;
 };
 
 struct BlockCountRow {
@@ -273,21 +248,8 @@ struct IlpSolveRecord {
   bool feasible = false;
   /// Rounded objective (cycles); valid when feasible.
   std::int64_t objective = 0;
-  int nodes = 0;    ///< Branch-and-bound nodes expanded.
-  int lpCalls = 0;  ///< LP relaxations solved.
-  int pivots = 0;   ///< Simplex pivots across those relaxations.
-  bool firstRelaxationIntegral = false;
-  /// Objective recomputations promoted to __int128 in this solve.
-  int checkedPromotions = 0;
-  /// LP calls that re-ran under Bland's rule in this solve.
-  int blandRestarts = 0;
-  /// Devex pivots in this solve (included in `pivots`).
-  int devexPivots = 0;
-  /// Presolve reductions summed over this solve's LP calls.
-  int presolveRowsRemoved = 0;
-  int presolveColsFixed = 0;
-  int presolveSubstitutions = 0;
-  int presolveRounds = 0;
+  /// The solve's counters (nodes, LP calls, pivots, presolve, ...).
+  ilp::IlpStats stats;
   /// This side finished without an exact optimum and contributed
   /// `fallbackBound` (a sound relaxation/structural bound) instead.
   bool degraded = false;
@@ -297,7 +259,7 @@ struct IlpSolveRecord {
 };
 
 /// The record of one finished ILP solve: `solved`, `feasible`, the
-/// objective and every counter.  wallMicros and the degradation fields
+/// objective and its tally.  wallMicros and the degradation fields
 /// are left for the caller.
 [[nodiscard]] IlpSolveRecord ilpSolveRecord(const ilp::IlpSolution& solution);
 
@@ -312,6 +274,14 @@ struct IlpSolveRecord {
 /// fault drills reach the partial-result path without real waiting.
 [[nodiscard]] bool deadlineExpired(const SolveControl& control,
                                    std::chrono::steady_clock::time_point start);
+
+/// The options of every ILP a solve path runs under `control`, started
+/// at `start`: its maxNodes and presolve, and an interrupt polling
+/// cancelRequested() and deadlineExpired(), installed only when there is
+/// a deadline, a cancel flag or a fault injector.  `control` must
+/// outlive the options.
+[[nodiscard]] ilp::IlpOptions ilpOptions(
+    const SolveControl& control, std::chrono::steady_clock::time_point start);
 
 /// Why an ILP stopped without an optimum (status Limit or Interrupted):
 /// Cancelled or DeadlineExpired when interrupted, NodeBudgetExhausted

@@ -91,7 +91,7 @@ struct Solution {
   /// Total simplex iterations, dual and primal, including those wasted
   /// on attempts that were abandoned for a from-scratch retry.
   int pivots = 0;
-  /// True when the configured rule hit maxPivots (or the
+  /// True when the configured rule hit kMaxPivots (or the
   /// degenerate-stall guard, or the feasibility audit failed, or a live
   /// tableau step faulted) and the solve was re-run from scratch on a
   /// fresh tableau under a more conservative rule (Dantzig, then
@@ -104,23 +104,25 @@ struct Solution {
   PresolveStats presolve;
 };
 
+/// The limits every solve runs under.  They are fixed rather than
+/// options: IPET systems are small, integral flow matrices, and the
+/// results (and the golden tests pinning them) hold only for these.
+///
+/// Hard cap on pivots across the feasibility run and the primal simplex
+/// of a cold solve, and on each objective and each cut of a
+/// LiveTableau; exceeded => IterationLimit.
+inline constexpr int kMaxPivots = 200000;
+/// Pivot-element magnitude below which a column is treated as zero.
+inline constexpr double kPivotTol = 1e-9;
+/// Feasibility/optimality tolerance on reduced costs and residuals.
+inline constexpr double kFeasibilityTol = 1e-7;
+
 struct SimplexOptions {
-  /// Hard cap on pivots across the feasibility run and the primal
-  /// simplex of a cold solve, and on each objective and each cut of a
-  /// LiveTableau; exceeded => IterationLimit.
-  int maxPivots = 200000;
-  /// Pivot-element magnitude below which a column is treated as zero.
-  double pivotTol = 1e-9;
-  /// Feasibility/optimality tolerance on reduced costs and residuals.
-  double tol = 1e-7;
-  /// Entering-column rule for the first attempt.
+  /// Entering-column rule for the first attempt.  On IterationLimit
+  /// (budget exhausted or the degenerate-stall guard tripped) the solve
+  /// re-runs from scratch under progressively more conservative rules,
+  /// Dantzig then Bland, which cannot cycle.
   PivotRule pivotRule = PivotRule::Devex;
-  /// On IterationLimit (budget exhausted or the degenerate-stall guard
-  /// tripped), re-solve from scratch under progressively more
-  /// conservative rules — Dantzig, then Bland, which cannot cycle.
-  /// Cycling/stalling is the usual culprit and a fresh tableau carries
-  /// none of the numeric drift the stalled one accumulated.
-  bool blandRetry = true;
   /// Run the lp::Reduction presolve pass before the simplex and map the
   /// solution back afterwards.  Results are identical either way;
   /// the reduced tableau is just smaller.
@@ -145,7 +147,7 @@ class LiveTableau;
 /// throws InjectedFaultError retires the copy: this and every later cut
 /// on it are answered by a cold solve() of the problem plus all cuts.
 /// That cold solve also confirms an Infeasible dive, whose verdict rests
-/// on pivotTol: a wrong one would prune a live subtree.  So answers never
+/// on kPivotTol: a wrong one would prune a live subtree.  So answers never
 /// depend on the dive; only pivot counts do.
 ///
 /// Copies share the tableau until one of them cuts, which copies it.
@@ -188,7 +190,7 @@ class BranchPoint {
 /// off or removed nothing.  feasibility() runs the dual simplex from the
 /// slack basis.  Each solve() prices its problem's objective against the
 /// current basis and runs the primal simplex from it, with a full
-/// maxPivots budget: the first solve starts from the feasible basis the
+/// kMaxPivots budget: the first solve starts from the feasible basis the
 /// probe found, later ones from the previous optimum.
 ///
 /// A step that hits IterationLimit, fails the feasibility audit or

@@ -46,17 +46,18 @@ namespace cinderella::lp {
 
 class Tableau {
  public:
-  Tableau(const Problem& problem, const SimplexOptions& options);
+  /// A tableau whose simplex loops enter columns by `rule`.
+  Tableau(const Problem& problem, PivotRule rule);
 
   /// Cold solve: feasibility(), then maximize() when the rows are
-  /// feasible, all within one maxPivots budget.
+  /// feasible, all within one kMaxPivots budget.
   [[nodiscard]] Solution run(const std::vector<double>& objective,
                              double constant);
 
   /// The dual simplex from the slack basis under min sum(x), which is
   /// dual feasible there.  Optimal when the rows are feasible, Infeasible
   /// when a violated row has no entry to pivot on (a verdict that rests
-  /// on pivotTol), IterationLimit when the budget or stall guard ran out.
+  /// on kPivotTol), IterationLimit when the budget or stall guard ran out.
   [[nodiscard]] SolveStatus feasibility();
 
   /// The primal simplex from the current, primal feasible basis: prices
@@ -67,7 +68,7 @@ class Tableau {
   [[nodiscard]] Solution maximize(const std::vector<double>& objective,
                                   double constant);
 
-  /// Grants a full maxPivots budget from the current pivot count on.
+  /// Grants a full kMaxPivots budget from the current pivot count on.
   void resetPivotBudget();
 
   /// Appends the row `terms <= rhs` (terms over the original columns)
@@ -154,14 +155,18 @@ class Tableau {
   [[nodiscard]] Solution stopped(SolveStatus status) const;
   void fillSolutionValues(Solution* solution) const;
 
-  SimplexOptions opt_;
   PivotRule rule_ = PivotRule::Dantzig;
+  /// This tableau's copy of the pivot budget and the feasibility
+  /// tolerance (simplex.hpp), which a LiveTableau test tightens or
+  /// loosens on one copy to force its failure paths.
+  int maxPivots_ = kMaxPivots;
+  double tol_ = kFeasibilityTol;
   int pivotBudget_ = 0;
   /// Anti-stalling guard of both loops.  IPET tableaus are massively
   /// degenerate (every flow row is an equality threaded through x0 = 1),
   /// and a loop can orbit a degenerate vertex for the whole budget while
   /// numeric drift accumulates.  After this many pivots without the
-  /// objective improving by more than tol (max(500, m) at construction;
+  /// objective improving by more than tol_ (max(500, m) at construction;
   /// every wasted pivot is paid in full, so it errs low) a loop reports
   /// IterationLimit, and the solver re-solves from scratch under the
   /// next rule of its retry ladder.  Bland's rule cannot cycle and is

@@ -86,14 +86,11 @@ Solution retryFromScratch(const Problem& effective,
                           const DenseObjective& objective,
                           const SimplexOptions& options, Solution failed) {
   Solution solution = std::move(failed);
-  if (!options.blandRetry) return solution;
   for (const PivotRule retryRule : {PivotRule::Dantzig, PivotRule::Bland}) {
     if (retryRule == options.pivotRule) continue;
     const int wastedPivots = solution.pivots;
     const int wastedDevex = solution.devexPivots;
-    SimplexOptions retryOptions = options;
-    retryOptions.pivotRule = retryRule;
-    Tableau tableau(effective, retryOptions);
+    Tableau tableau(effective, retryRule);
     solution = tableau.run(objective.coeffs, objective.constant);
     solution.pivots += wastedPivots;
     solution.devexPivots += wastedDevex;
@@ -107,7 +104,7 @@ Solution retryFromScratch(const Problem& effective,
 /// then the retry ladder.
 Solution solveCold(const Problem& effective, const DenseObjective& objective,
                    const SimplexOptions& options) {
-  Tableau tableau(effective, options);
+  Tableau tableau(effective, options.pivotRule);
   Solution solution = tableau.run(objective.coeffs, objective.constant);
   if (solution.status != SolveStatus::IterationLimit) return solution;
   return retryFromScratch(effective, objective, options, std::move(solution));
@@ -190,7 +187,7 @@ LiveTableau::LiveTableau(const Problem& rows, const SimplexOptions& options)
       reduction_ = std::make_unique<Reduction>(std::move(reduction));
     }
   }
-  tableau_ = std::make_unique<Tableau>(effective(), options);
+  tableau_ = std::make_unique<Tableau>(effective(), options.pivotRule);
 }
 
 LiveTableau::~LiveTableau() = default;

@@ -12,7 +12,7 @@ namespace cinderella::lp {
 namespace {
 
 /// Entries whose magnitude falls below this after a row combination are
-/// dropped from the sparse row.  Well below pivotTol, so a dropped entry
+/// dropped from the sparse row.  Well below kPivotTol, so a dropped entry
 /// can never have been a pivot candidate.
 constexpr double kDropTol = 1e-12;
 
@@ -105,9 +105,8 @@ void Tableau::gatherCarriers(int col) {
   });
 }
 
-Tableau::Tableau(const Problem& p, const SimplexOptions& opt)
-    : opt_(opt), rule_(opt.pivotRule), pivotBudget_(opt.maxPivots),
-      numOriginal_(p.numVars()) {
+Tableau::Tableau(const Problem& p, PivotRule rule)
+    : rule_(rule), pivotBudget_(maxPivots_), numOriginal_(p.numVars()) {
   const auto& cons = p.constraints();
   m_ = static_cast<int>(cons.size());
   numCols_ = numOriginal_ + m_;
@@ -182,7 +181,7 @@ void Tableau::pivotGathered(int row, int col) {
     setRowCoeff(&pr, leaving, 0.0);
   }
   const double p = rowCoeff(pr, col);
-  CIN_REQUIRE(std::abs(p) > opt_.pivotTol);
+  CIN_REQUIRE(std::abs(p) > kPivotTol);
   const double inv = 1.0 / p;
   for (Entry& e : pr) e.val *= inv;
   setRowCoeff(&pr, col, 1.0);
@@ -237,7 +236,7 @@ SolveStatus Tableau::optimize() {
   if (rule_ == PivotRule::Devex) {
     devexWeights_.assign(static_cast<std::size_t>(numCols_), 1.0);
   }
-  Progress progress{objectiveValue(), opt_.tol};
+  Progress progress{objectiveValue(), tol_};
   while (true) {
     if (pivots_ >= pivotBudget_) return SolveStatus::IterationLimit;
     // Entering column per the configured rule.  Devex: largest
@@ -249,7 +248,7 @@ SolveStatus Tableau::optimize() {
       double bestScore = 0.0;
       for (int j = 0; j < numCols_; ++j) {
         const double rc = obj_[static_cast<std::size_t>(j)];
-        if (rc >= -opt_.tol) continue;
+        if (rc >= -tol_) continue;
         const double score =
             rc * rc / devexWeights_[static_cast<std::size_t>(j)];
         if (score > bestScore) {
@@ -258,7 +257,7 @@ SolveStatus Tableau::optimize() {
         }
       }
     } else if (rule_ == PivotRule::Dantzig) {
-      double best = -opt_.tol;
+      double best = -tol_;
       for (int j = 0; j < numCols_; ++j) {
         const double rc = obj_[static_cast<std::size_t>(j)];
         if (rc < best) {
@@ -268,7 +267,7 @@ SolveStatus Tableau::optimize() {
       }
     } else {
       for (int j = 0; j < numCols_; ++j) {
-        if (obj_[static_cast<std::size_t>(j)] < -opt_.tol) {
+        if (obj_[static_cast<std::size_t>(j)] < -tol_) {
           enter = j;
           break;
         }
@@ -288,7 +287,7 @@ SolveStatus Tableau::optimize() {
     gatherCarriers(enter);
     double bestRatio = std::numeric_limits<double>::infinity();
     for (const Carrier& c : carriers_) {
-      if (c.coeff <= opt_.pivotTol) continue;
+      if (c.coeff <= kPivotTol) continue;
       const double ratio = rhs_[static_cast<std::size_t>(c.row)] / c.coeff;
       if (ratio < bestRatio) bestRatio = ratio;
     }
@@ -299,9 +298,9 @@ SolveStatus Tableau::optimize() {
     // carrier order cannot change the pick.
     int leave = -1;
     for (const Carrier& c : carriers_) {
-      if (c.coeff <= opt_.pivotTol) continue;
+      if (c.coeff <= kPivotTol) continue;
       const double ratio = rhs_[static_cast<std::size_t>(c.row)] / c.coeff;
-      if (ratio <= bestRatio + opt_.tol &&
+      if (ratio <= bestRatio + tol_ &&
           (leave < 0 || basis_[static_cast<std::size_t>(c.row)] <
                             basis_[static_cast<std::size_t>(leave)])) {
         leave = c.row;
@@ -349,7 +348,7 @@ SolveStatus Tableau::optimize() {
 
 SolveStatus Tableau::dualSimplex() {
   // The objective only falls here, so progress is tracked on minus it.
-  Progress progress{-objectiveValue(), opt_.tol};
+  Progress progress{-objectiveValue(), tol_};
   while (true) {
     if (pivots_ >= pivotBudget_) return SolveStatus::IterationLimit;
     // Leaving row: a negative basic value, or a fixed slack away from
@@ -357,13 +356,13 @@ SolveStatus Tableau::dualSimplex() {
     // under Bland the violated row with the smallest basic column, the
     // dual form of its anti-cycling rule.
     int leave = -1;
-    double worst = opt_.tol;
+    double worst = tol_;
     for (int i = 0; i < m_; ++i) {
       const int b = basis_[static_cast<std::size_t>(i)];
       const double r = rhs_[static_cast<std::size_t>(i)];
       const double violation =
           fixed_[static_cast<std::size_t>(b)] ? std::abs(r) : -r;
-      if (violation <= opt_.tol) continue;
+      if (violation <= tol_) continue;
       if (rule_ == PivotRule::Bland) {
         if (leave < 0 || b < basis_[static_cast<std::size_t>(leave)]) {
           leave = i;
@@ -385,9 +384,9 @@ SolveStatus Tableau::dualSimplex() {
     double bestRatio = std::numeric_limits<double>::infinity();
     for (const Entry& e : rows_[static_cast<std::size_t>(leave)]) {
       const double a = toward * e.val;
-      if (a <= opt_.pivotTol || e.col == leaving) continue;
+      if (a <= kPivotTol || e.col == leaving) continue;
       const double ratio = obj_[static_cast<std::size_t>(e.col)] / a;
-      if (ratio < bestRatio - opt_.tol) {
+      if (ratio < bestRatio - tol_) {
         bestRatio = ratio;
         enter = e.col;
       }
@@ -417,7 +416,7 @@ SolveStatus Tableau::feasibility() {
     if (!fixed_[static_cast<std::size_t>(b)]) continue;
     const SparseRow& row = rows_[static_cast<std::size_t>(i)];
     const auto it = std::find_if(row.begin(), row.end(), [&](const Entry& e) {
-      return e.col != b && std::abs(e.val) > opt_.pivotTol;
+      return e.col != b && std::abs(e.val) > kPivotTol;
     });
     if (it == row.end()) continue;
     pivot(i, it->col);
@@ -462,7 +461,7 @@ Solution Tableau::run(const std::vector<double>& objective, double constant) {
   return maximize(objective, constant);
 }
 
-void Tableau::resetPivotBudget() { pivotBudget_ = pivots_ + opt_.maxPivots; }
+void Tableau::resetPivotBudget() { pivotBudget_ = pivots_ + maxPivots_; }
 
 void Tableau::appendLessEqRow(const std::vector<Term>& terms, double rhs) {
   const int row = m_++;
@@ -528,7 +527,7 @@ void Tableau::fillSolutionValues(Solution* solution) const {
   }
   // Clamp tiny negatives introduced by rounding.
   for (double& v : solution->values) {
-    if (v < 0 && v > -opt_.tol) v = 0;
+    if (v < 0 && v > -tol_) v = 0;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -24,50 +25,34 @@ void boundToJson(JsonWriter* w, const ipet::Interval& bound) {
 }
 
 void statsToJson(JsonWriter* w, const ipet::SolveStats& stats) {
-  w->beginObject()
-      .key("constraintSets")
-      .value(stats.constraintSets)
-      .key("prunedNullSets")
-      .value(stats.prunedNullSets)
-      .key("ilpSolves")
-      .value(stats.ilpSolves)
-      .key("lpCalls")
-      .value(stats.lpCalls)
-      .key("nodesExpanded")
-      .value(stats.nodesExpanded)
-      .key("totalPivots")
-      .value(stats.totalPivots)
-      .key("allFirstRelaxationsIntegral")
-      .value(stats.allFirstRelaxationsIntegral)
-      .key("cacheFlowVars")
-      .value(stats.cacheFlowVars)
-      .key("cacheFallbackSets")
-      .value(stats.cacheFallbackSets)
-      .key("relaxedSets")
-      .value(stats.relaxedSets)
-      .key("structuralSets")
-      .value(stats.structuralSets)
-      .key("failedSets")
-      .value(stats.failedSets)
-      .key("checkedPromotions")
-      .value(stats.checkedPromotions)
-      .key("blandRestarts")
-      .value(stats.blandRestarts)
-      .key("dedupedSets")
-      .value(stats.dedupedSets)
-      .key("dominatedSets")
-      .value(stats.dominatedSets)
-      .key("devexPivots")
-      .value(stats.devexPivots)
-      .key("presolveRowsRemoved")
-      .value(stats.presolveRowsRemoved)
-      .key("presolveColsFixed")
-      .value(stats.presolveColsFixed)
-      .key("presolveSubstitutions")
-      .value(stats.presolveSubstitutions)
-      .key("presolveRounds")
-      .value(stats.presolveRounds)
-      .endObject();
+  using Fields = std::initializer_list<std::pair<const char*, int>>;
+  const auto ints = [w](Fields fields) {
+    for (const auto& [key, value] : fields) w->key(key).value(value);
+  };
+  w->beginObject();
+  ints({{"constraintSets", stats.constraintSets},
+        {"prunedNullSets", stats.prunedNullSets},
+        {"ilpSolves", stats.ilpSolves},
+        {"lpCalls", stats.lpCalls},
+        {"nodesExpanded", stats.nodesExpanded},
+        {"totalPivots", stats.totalPivots}});
+  w->key("allFirstRelaxationsIntegral")
+      .value(stats.allFirstRelaxationsIntegral);
+  ints({{"cacheFlowVars", stats.cacheFlowVars},
+        {"cacheFallbackSets", stats.cacheFallbackSets},
+        {"relaxedSets", stats.relaxedSets},
+        {"structuralSets", stats.structuralSets},
+        {"failedSets", stats.failedSets},
+        {"checkedPromotions", stats.checkedPromotions},
+        {"blandRestarts", stats.blandRestarts},
+        {"dedupedSets", stats.dedupedSets},
+        {"dominatedSets", stats.dominatedSets},
+        {"devexPivots", stats.devexPivots},
+        {"presolveRowsRemoved", stats.presolveRowsRemoved},
+        {"presolveColsFixed", stats.presolveColsFixed},
+        {"presolveSubstitutions", stats.presolveSubstitutions},
+        {"presolveRounds", stats.presolveRounds}});
+  w->endObject();
 }
 
 namespace {
@@ -82,36 +67,29 @@ void ilpRecordToJson(JsonWriter* w, const ipet::IlpSolveRecord& record,
       .key("objective")
       .value(record.objective)
       .key("nodes")
-      .value(record.nodes)
+      .value(record.stats.nodesExpanded)
       .key("lpCalls")
-      .value(record.lpCalls)
+      .value(record.stats.lpCalls)
       .key("pivots")
-      .value(record.pivots)
+      .value(record.stats.totalPivots)
       .key("firstRelaxationIntegral")
-      .value(record.firstRelaxationIntegral)
+      .value(record.stats.allFirstRelaxationsIntegral)
       .key("degraded")
       .value(record.degraded);
   if (record.degraded) w->key("fallbackBound").value(record.fallbackBound);
-  if (record.checkedPromotions != 0) {
-    w->key("checkedPromotions").value(record.checkedPromotions);
-  }
-  if (record.blandRestarts != 0) {
-    w->key("blandRestarts").value(record.blandRestarts);
-  }
-  if (record.devexPivots != 0) {
-    w->key("devexPivots").value(record.devexPivots);
-  }
-  if (record.presolveRowsRemoved != 0) {
-    w->key("presolveRowsRemoved").value(record.presolveRowsRemoved);
-  }
-  if (record.presolveColsFixed != 0) {
-    w->key("presolveColsFixed").value(record.presolveColsFixed);
-  }
-  if (record.presolveSubstitutions != 0) {
-    w->key("presolveSubstitutions").value(record.presolveSubstitutions);
-  }
-  if (record.presolveRounds != 0) {
-    w->key("presolveRounds").value(record.presolveRounds);
+  // Counters that are zero on most solves appear only when set.
+  const ilp::IlpStats& st = record.stats;
+  const std::pair<const char*, int> sparse[] = {
+      {"checkedPromotions", st.checkedPromotions},
+      {"blandRestarts", st.blandRestarts},
+      {"devexPivots", st.devexPivots},
+      {"presolveRowsRemoved", st.presolveRowsRemoved},
+      {"presolveColsFixed", st.presolveColsFixed},
+      {"presolveSubstitutions", st.presolveSubstitutions},
+      {"presolveRounds", st.presolveRounds},
+  };
+  for (const auto& [key, value] : sparse) {
+    if (value != 0) w->key(key).value(value);
   }
   if (options.includeTimings) w->key("wallMicros").value(record.wallMicros);
   w->endObject();
@@ -130,8 +108,8 @@ void addEstimateMetrics(const ipet::Estimate& estimate,
     for (const ipet::IlpSolveRecord* solve : {&record.worst, &record.best}) {
       if (!solve->solved) continue;
       solves.add(1);
-      nodes.observe(solve->nodes);
-      pivots.observe(solve->pivots);
+      nodes.observe(solve->stats.nodesExpanded);
+      pivots.observe(solve->stats.totalPivots);
       micros.observe(solve->wallMicros);
     }
   }
@@ -256,12 +234,8 @@ std::string formatSolveTable(const ipet::Estimate& estimate) {
     if (rec.sharedWith >= 0 && !rec.pruned) {
       probe = (rec.dominated ? "<" : "=") + std::to_string(rec.sharedWith);
     }
-    const int psRows =
-        rec.worst.presolveRowsRemoved + rec.best.presolveRowsRemoved;
-    const int psCols = rec.worst.presolveColsFixed +
-                       rec.worst.presolveSubstitutions +
-                       rec.best.presolveColsFixed +
-                       rec.best.presolveSubstitutions;
+    ilp::IlpStats both = rec.worst.stats;
+    both += rec.best.stats;
     grid.push_back(
         {std::to_string(rec.setIndex), std::to_string(rec.userConstraints),
          probe,
@@ -269,10 +243,10 @@ std::string formatSolveTable(const ipet::Estimate& estimate) {
              ? "-"
              : ipet::setVerdictStr(rec.verdict),
          objective(rec.worst), objective(rec.best),
-         std::to_string(rec.worst.lpCalls + rec.best.lpCalls),
-         std::to_string(rec.worst.nodes + rec.best.nodes),
-         std::to_string(rec.worst.pivots + rec.best.pivots),
-         std::to_string(psRows), std::to_string(psCols),
+         std::to_string(both.lpCalls), std::to_string(both.nodesExpanded),
+         std::to_string(both.totalPivots),
+         std::to_string(both.presolveRowsRemoved),
+         std::to_string(both.presolveColsFixed + both.presolveSubstitutions),
          std::to_string(rec.wallMicros)});
   }
   std::vector<std::size_t> width(grid.front().size(), 0);

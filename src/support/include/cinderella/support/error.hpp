@@ -58,7 +58,7 @@ enum class ErrorCode {
   DeadlineExpired,    ///< SolveControl::deadline ran out.
   Cancelled,          ///< SolveControl::cancel was set.
   NodeBudgetExhausted,///< Branch-and-bound hit its maxNodes budget.
-  PivotLimit,         ///< Simplex hit maxPivots even after Bland retry.
+  PivotLimit,         ///< Simplex hit kMaxPivots even after Bland retry.
   NumericOverflow,    ///< Objective exceeded 64-bit range (saturated).
   InjectedFault,      ///< A FaultInjector site fired.
   TaskLost,           ///< A per-set solve task never ran.

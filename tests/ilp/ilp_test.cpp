@@ -38,7 +38,7 @@ TEST(Ilp, IntegralRelaxationNeedsOneLp) {
   const IlpSolution s = ilp::solve(p);
   ASSERT_EQ(s.status, IlpStatus::Optimal);
   EXPECT_NEAR(s.objective, 21.0, 1e-6);
-  EXPECT_TRUE(s.stats.firstRelaxationIntegral);
+  EXPECT_TRUE(s.stats.allFirstRelaxationsIntegral);
   EXPECT_EQ(s.stats.lpCalls, 1);
   EXPECT_EQ(s.stats.nodesExpanded, 1);
 }
@@ -60,7 +60,7 @@ TEST(Ilp, FractionalRelaxationBranches) {
   const IlpSolution s = ilp::solve(p);
   ASSERT_EQ(s.status, IlpStatus::Optimal);
   EXPECT_NEAR(s.objective, 2.0, 1e-6);
-  EXPECT_FALSE(s.stats.firstRelaxationIntegral);
+  EXPECT_FALSE(s.stats.allFirstRelaxationsIntegral);
   EXPECT_GT(s.stats.lpCalls, 1);
   // Each expanded node solves one LP relaxation, and a child whose dive
   // failed or called it infeasible one more, cold.

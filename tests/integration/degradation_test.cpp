@@ -291,9 +291,11 @@ std::uint64_t ladderHash(const ipet::Estimate& e) {
     for (const ipet::IlpSolveRecord* side : {&r.worst, &r.best}) {
       for (const std::int64_t v :
            {std::int64_t{side->solved}, std::int64_t{side->feasible},
-            side->objective, std::int64_t{side->nodes},
-            std::int64_t{side->lpCalls}, std::int64_t{side->pivots},
-            std::int64_t{side->devexPivots}, std::int64_t{side->degraded},
+            side->objective, std::int64_t{side->stats.nodesExpanded},
+            std::int64_t{side->stats.lpCalls},
+            std::int64_t{side->stats.totalPivots},
+            std::int64_t{side->stats.devexPivots},
+            std::int64_t{side->degraded},
             side->fallbackBound}) {
         h.i64(v);
       }

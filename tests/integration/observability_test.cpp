@@ -119,10 +119,10 @@ TEST(ObservedEstimate, SetRecordsSumToSolveStats) {
       for (const ipet::IlpSolveRecord* ilp : {&rec.worst, &rec.best}) {
         if (!ilp->solved) continue;
         ++ilpSolves;
-        lpCalls += ilp->lpCalls;
-        nodes += ilp->nodes;
-        pivots += ilp->pivots;
-        allIntegral = allIntegral && ilp->firstRelaxationIntegral;
+        lpCalls += ilp->stats.lpCalls;
+        nodes += ilp->stats.nodesExpanded;
+        pivots += ilp->stats.totalPivots;
+        allIntegral = allIntegral && ilp->stats.allFirstRelaxationsIntegral;
       }
     }
     EXPECT_EQ(pruned, e.stats.prunedNullSets);
@@ -161,10 +161,7 @@ TEST(ObservedEstimate, RecordsAreDeterministicAcrossThreadCounts) {
       EXPECT_EQ(ia->solved, ib->solved);
       EXPECT_EQ(ia->feasible, ib->feasible);
       EXPECT_EQ(ia->objective, ib->objective);
-      EXPECT_EQ(ia->nodes, ib->nodes);
-      EXPECT_EQ(ia->lpCalls, ib->lpCalls);
-      EXPECT_EQ(ia->pivots, ib->pivots);
-      EXPECT_EQ(ia->firstRelaxationIntegral, ib->firstRelaxationIntegral);
+      EXPECT_TRUE(ia->stats == ib->stats);
     }
   }
 

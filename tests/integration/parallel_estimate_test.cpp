@@ -88,8 +88,8 @@ void expectIdentical(const ipet::Estimate& a, const ipet::Estimate& b) {
     EXPECT_EQ(ra.fallbackPivots, rb.fallbackPivots);
     EXPECT_EQ(ra.worst.objective, rb.worst.objective);
     EXPECT_EQ(ra.best.objective, rb.best.objective);
-    EXPECT_EQ(ra.worst.nodes, rb.worst.nodes);
-    EXPECT_EQ(ra.best.nodes, rb.best.nodes);
+    EXPECT_EQ(ra.worst.stats.nodesExpanded, rb.worst.stats.nodesExpanded);
+    EXPECT_EQ(ra.best.stats.nodesExpanded, rb.best.stats.nodesExpanded);
     EXPECT_EQ(ra.worst.degraded, rb.worst.degraded);
     EXPECT_EQ(ra.best.degraded, rb.best.degraded);
   }

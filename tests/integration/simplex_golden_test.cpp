@@ -56,7 +56,7 @@ struct SolveHash : test_util::Fnv {
     const ilp::IlpStats& st = s.stats;
     for (const int v :
          {st.nodesExpanded, st.lpCalls,
-          static_cast<int>(st.firstRelaxationIntegral), st.totalPivots,
+          static_cast<int>(st.allFirstRelaxationsIntegral), st.totalPivots,
           st.checkedPromotions, st.blandRestarts, st.devexPivots,
           st.presolveRowsRemoved, st.presolveColsFixed,
           st.presolveSubstitutions, st.presolveRounds, st.coldNodes,
@@ -68,14 +68,16 @@ struct SolveHash : test_util::Fnv {
   void add(const ipet::IlpSolveRecord& r) {
     for (const std::int64_t v :
          {std::int64_t{r.solved}, std::int64_t{r.feasible}, r.objective,
-          std::int64_t{r.nodes}, std::int64_t{r.lpCalls},
-          std::int64_t{r.pivots}, std::int64_t{r.firstRelaxationIntegral},
-          std::int64_t{r.checkedPromotions}, std::int64_t{r.blandRestarts},
-          std::int64_t{r.devexPivots},
-          std::int64_t{r.presolveRowsRemoved},
-          std::int64_t{r.presolveColsFixed},
-          std::int64_t{r.presolveSubstitutions},
-          std::int64_t{r.presolveRounds}, std::int64_t{r.degraded},
+          std::int64_t{r.stats.nodesExpanded}, std::int64_t{r.stats.lpCalls},
+          std::int64_t{r.stats.totalPivots},
+          std::int64_t{r.stats.allFirstRelaxationsIntegral},
+          std::int64_t{r.stats.checkedPromotions},
+          std::int64_t{r.stats.blandRestarts},
+          std::int64_t{r.stats.devexPivots},
+          std::int64_t{r.stats.presolveRowsRemoved},
+          std::int64_t{r.stats.presolveColsFixed},
+          std::int64_t{r.stats.presolveSubstitutions},
+          std::int64_t{r.stats.presolveRounds}, std::int64_t{r.degraded},
           r.fallbackBound}) {
       i64(v);
     }

@@ -296,7 +296,7 @@ TEST(AnalysisService, LpInputHonoursPresolveAndReportsItsCounters) {
   const Estimate direct = analyzer.estimate();
   int directRowsRemoved = 0;
   for (const SetSolveRecord& rec : direct.setRecords) {
-    directRowsRemoved += rec.worst.presolveRowsRemoved;
+    directRowsRemoved += rec.worst.stats.presolveRowsRemoved;
   }
 
   AnalysisService service;
@@ -317,7 +317,7 @@ TEST(AnalysisService, LpInputHonoursPresolveAndReportsItsCounters) {
   EXPECT_GT(unpresolved.estimate.stats.totalPivots, 0);
   int recordRowsRemoved = 0;
   for (const SetSolveRecord& rec : presolved.estimate.setRecords) {
-    recordRowsRemoved += rec.worst.presolveRowsRemoved;
+    recordRowsRemoved += rec.worst.stats.presolveRowsRemoved;
   }
   EXPECT_EQ(recordRowsRemoved, directRowsRemoved);
 }

@@ -257,7 +257,7 @@ TEST(Parametric, ServiceResultCarriesTheSweepsSolves) {
             static_cast<std::size_t>(estimate.stats.constraintSets));
   int lpCalls = 0;
   for (const SetSolveRecord& record : estimate.setRecords) {
-    lpCalls += record.worst.lpCalls + record.best.lpCalls;
+    lpCalls += record.worst.stats.lpCalls + record.best.stats.lpCalls;
   }
   EXPECT_EQ(estimate.stats.lpCalls, lpCalls);
   obs::MetricsRegistry metrics;

@@ -26,7 +26,7 @@ namespace cinderella::lp {
 struct LiveTableauInspector {
   /// Leaves the live tableau no pivots for its next phase.
   static void exhaustBudget(LiveTableau& live) {
-    live.tableau_->opt_.maxPivots = 0;
+    live.tableau_->maxPivots_ = 0;
   }
   /// Drives row `row`'s right-hand side far below zero, so the next
   /// claimed optimum fails the feasibility audit.
@@ -42,14 +42,14 @@ struct LiveTableauInspector {
   }
   /// Leaves the branch point's copy no pivots for its next dive.
   static void exhaustBudget(BranchPoint& branch) {
-    branch.tableau_->opt_.maxPivots = 0;
+    branch.tableau_->maxPivots_ = 0;
   }
   /// Drives row `row` of the copy far below zero and loosens its
   /// tolerance past that, so the next dive's simplex runs accept the
   /// broken row and only the feasibility audit can catch it.
   static void breakRow(BranchPoint& branch, int row) {
     branch.tableau_->rhs_[static_cast<std::size_t>(row)] = -1000.0;
-    branch.tableau_->opt_.tol = 1e4;
+    branch.tableau_->tol_ = 1e4;
   }
   /// Makes the copy's next pivot a stall.
   static void forceStall(BranchPoint& branch) {
@@ -286,7 +286,7 @@ TEST(LiveTableau, FailedFeasibilityAuditFallsBackToTheColdResult) {
 /// True when some row of `p` is violated at its slack basis, so that
 /// the feasibility run must pivot.
 bool slackBasisViolated(const Problem& p) {
-  const double tol = SimplexOptions{}.tol;
+  const double tol = kFeasibilityTol;
   for (const Constraint& c : p.constraints()) {
     const double r = c.rhs;
     if (c.rel == Relation::LessEq ? r < -tol

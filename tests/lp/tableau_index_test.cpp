@@ -68,7 +68,7 @@ TEST(TableauIndex, FillInRowJoinsTheCarrierList) {
   for (int v = 0; v < 3; ++v) p.addVar();
   p.addConstraint(expr({{0, 1}, {1, 1}}), Relation::LessEq, 4);
   p.addConstraint(expr({{0, 1}, {2, 1}}), Relation::LessEq, 5);
-  Tableau t(p, SimplexOptions{});
+  Tableau t(p, PivotRule::Devex);
   EXPECT_EQ(TI::carrierRows(t, 1), (std::vector<int>{0}));
   EXPECT_EQ(TI::carrierRows(t, kS0), (std::vector<int>{0}));
 
@@ -89,7 +89,7 @@ TEST(TableauIndex, EntryThatDropsAndReappearsIsVisitedOnce) {
   p.addConstraint(expr({{0, 1}, {1, 1}}), Relation::LessEq, 4);
   p.addConstraint(expr({{0, 1}, {1, 1}, {2, 1}}), Relation::LessEq, 6);
   p.addConstraint(expr({{1, 1}, {2, 1}}), Relation::LessEq, 3);
-  Tableau t(p, SimplexOptions{});
+  Tableau t(p, PivotRule::Devex);
 
   // Row 1 -= row 0: x1 cancels exactly and leaves row 1.
   TI::pivot(t, 0, 0);
@@ -118,7 +118,7 @@ TEST(TableauIndex, PivotOnColumnWhoseOtherLinksAreAllStale) {
   p.addConstraint(expr({{0, 2}, {1, 1}}), Relation::LessEq, 4);
   p.addConstraint(expr({{0, 1}, {2, 1}}), Relation::LessEq, 5);
   p.addConstraint(expr({{0, 3}, {2, 1}}), Relation::LessEq, 9);
-  Tableau t(p, SimplexOptions{});
+  Tableau t(p, PivotRule::Devex);
   TI::pivot(t, 0, 0);
   // x0 is gone from rows 1 and 2 but both links remain on its list.
   EXPECT_EQ(TI::links(t, 0), 3);
@@ -311,15 +311,15 @@ class DenseTableau {
     int sinceProgress = 0;
     double last = objRhs_;
     while (true) {
-      if (pivots_ >= opt_.maxPivots) return SolveStatus::IterationLimit;
+      if (pivots_ >= kMaxPivots) return SolveStatus::IterationLimit;
       int leave = -1;
-      double worst = opt_.tol;
+      double worst = kFeasibilityTol;
       for (int i = 0; i < m_; ++i) {
         const int b = basis_[static_cast<std::size_t>(i)];
         const double r = rhs_[static_cast<std::size_t>(i)];
         const double violation =
             fixed_[static_cast<std::size_t>(b)] ? std::abs(r) : -r;
-        if (violation <= opt_.tol) continue;
+        if (violation <= kFeasibilityTol) continue;
         if (rule == PivotRule::Bland) {
           if (leave < 0 || b < basis_[static_cast<std::size_t>(leave)]) {
             leave = i;
@@ -337,9 +337,9 @@ class DenseTableau {
       double bestRatio = std::numeric_limits<double>::infinity();
       for (int j = 0; j < cols_; ++j) {
         const double a = toward * at(leave, j);
-        if (a <= opt_.pivotTol || j == leaving) continue;
+        if (a <= kPivotTol || j == leaving) continue;
         const double ratio = obj_[static_cast<std::size_t>(j)] / a;
-        if (ratio < bestRatio - opt_.tol) {
+        if (ratio < bestRatio - kFeasibilityTol) {
           bestRatio = ratio;
           enter = j;
         }
@@ -351,7 +351,7 @@ class DenseTableau {
       pivot(leave, enter);
       ++pivots_;
       if (rule != PivotRule::Bland) {
-        if (objRhs_ < last - opt_.tol) {
+        if (objRhs_ < last - kFeasibilityTol) {
           last = objRhs_;
           sinceProgress = 0;
         } else {
@@ -363,7 +363,7 @@ class DenseTableau {
       const int b = basis_[static_cast<std::size_t>(i)];
       if (!fixed_[static_cast<std::size_t>(b)]) continue;
       for (int j = 0; j < cols_; ++j) {
-        if (j == b || std::abs(at(i, j)) <= opt_.pivotTol) continue;
+        if (j == b || std::abs(at(i, j)) <= kPivotTol) continue;
         pivot(i, j);
         ++pivots_;
         break;
@@ -384,11 +384,11 @@ class DenseTableau {
     setObjective([&](int col) { return isArtificial(col) ? -1.0 : 0.0; });
     const SolveStatus st = optimize(true);
     if (st == SolveStatus::IterationLimit) return st;
-    if (objRhs_ < -opt_.tol) return SolveStatus::Infeasible;
+    if (objRhs_ < -kFeasibilityTol) return SolveStatus::Infeasible;
     for (int i = 0; i < m_; ++i) {
       if (!isArtificial(basis_[static_cast<std::size_t>(i)])) continue;
       for (int j = 0; j < cols_; ++j) {
-        if (isArtificial(j) || std::abs(at(i, j)) <= opt_.pivotTol) continue;
+        if (isArtificial(j) || std::abs(at(i, j)) <= kPivotTol) continue;
         pivot(i, j);
         ++pivots_;
         break;
@@ -406,15 +406,15 @@ class DenseTableau {
     int sinceProgress = 0;
     double last = objRhs_;
     while (true) {
-      if (pivots_ >= opt_.maxPivots) return SolveStatus::IterationLimit;
+      if (pivots_ >= kMaxPivots) return SolveStatus::IterationLimit;
       int enter = -1;
-      double best = rule == PivotRule::Devex ? 0.0 : -opt_.tol;
+      double best = rule == PivotRule::Devex ? 0.0 : -kFeasibilityTol;
       for (int j = 0; j < cols_; ++j) {
         if (!exists_[static_cast<std::size_t>(j)]) continue;
         if (!allowArtificial && isArtificial(j)) continue;
         const double rc = obj_[static_cast<std::size_t>(j)];
         if (rule == PivotRule::Devex) {
-          if (rc >= -opt_.tol) continue;
+          if (rc >= -kFeasibilityTol) continue;
           const double score = rc * rc / weights_[static_cast<std::size_t>(j)];
           if (score > best) {
             best = score;
@@ -425,7 +425,7 @@ class DenseTableau {
             best = rc;
             enter = j;
           }
-        } else if (rc < -opt_.tol) {
+        } else if (rc < -kFeasibilityTol) {
           enter = j;
           break;
         }
@@ -434,7 +434,7 @@ class DenseTableau {
 
       double bestRatio = std::numeric_limits<double>::infinity();
       for (int i = 0; i < m_; ++i) {
-        if (at(i, enter) <= opt_.pivotTol) continue;
+        if (at(i, enter) <= kPivotTol) continue;
         bestRatio = std::min(bestRatio, rhs_[static_cast<std::size_t>(i)] /
                                             at(i, enter));
       }
@@ -443,9 +443,9 @@ class DenseTableau {
       }
       int leave = -1;
       for (int i = 0; i < m_; ++i) {
-        if (at(i, enter) <= opt_.pivotTol) continue;
+        if (at(i, enter) <= kPivotTol) continue;
         const double ratio = rhs_[static_cast<std::size_t>(i)] / at(i, enter);
-        if (ratio <= bestRatio + opt_.tol &&
+        if (ratio <= bestRatio + kFeasibilityTol &&
             (leave < 0 || basis_[static_cast<std::size_t>(i)] <
                               basis_[static_cast<std::size_t>(leave)])) {
           leave = i;
@@ -460,7 +460,7 @@ class DenseTableau {
       pivot(leave, enter);
       ++pivots_;
       if (rule != PivotRule::Bland) {
-        if (objRhs_ > last + opt_.tol) {
+        if (objRhs_ > last + kFeasibilityTol) {
           last = objRhs_;
           sinceProgress = 0;
         } else {
@@ -546,7 +546,7 @@ TEST(TableauFeasibility, GreaterEqRowWithPositiveRhsIsRepaired) {
   // x0 + x1 >= 3 is stored negated: its slack starts basic at -3.
   const Problem p =
       twoVarProblem(expr({{0, 1}, {1, 1}}), Relation::GreaterEq, 3);
-  Tableau t(p, SimplexOptions{});
+  Tableau t(p, PivotRule::Devex);
   EXPECT_EQ(t.basicColumn(0), 2);
   EXPECT_EQ(t.rowRhs(0), -3.0);
   ASSERT_EQ(t.feasibility(), SolveStatus::Optimal);
@@ -560,7 +560,7 @@ TEST(TableauFeasibility, GreaterEqRowWithPositiveRhsIsRepaired) {
 TEST(TableauFeasibility, EqualRowWithNegativeRhsIsRepaired) {
   // x0 - x1 = -1: the fixed slack starts basic at -1 and must leave.
   const Problem p = twoVarProblem(expr({{0, 1}, {1, -1}}), Relation::Equal, -1);
-  Tableau t(p, SimplexOptions{});
+  Tableau t(p, PivotRule::Devex);
   EXPECT_EQ(t.basicColumn(0), 2);
   EXPECT_EQ(t.rowRhs(0), -1.0);
   ASSERT_EQ(t.feasibility(), SolveStatus::Optimal);
@@ -577,7 +577,7 @@ TEST(TableauFeasibility, LeavingEqualSlackIsDroppedFromEveryRow) {
   for (int k = 0; k < 200; ++k) {
     std::vector<double> objective;
     const Problem p = randomProblem(rng, &objective);
-    Tableau t(p, SimplexOptions{});
+    Tableau t(p, PivotRule::Devex);
     if (t.feasibility() != SolveStatus::Optimal) continue;
     std::vector<bool> basic(static_cast<std::size_t>(TI::numCols(t)));
     for (int i = 0; i < t.numRows(); ++i) {
@@ -610,7 +610,7 @@ TEST(TableauFeasibility, RedundantEqualRowKeepsItsSlackAtZero) {
   LinearExpr objective = expr({{0, 2}, {1, 1}});
   p.setObjective(objective, Sense::Maximize);
 
-  Tableau t(p, SimplexOptions{});
+  Tableau t(p, PivotRule::Devex);
   ASSERT_EQ(t.feasibility(), SolveStatus::Optimal);
   EXPECT_EQ(t.basicColumn(1), 3);
   EXPECT_EQ(t.rowRhs(1), 0.0);
@@ -632,7 +632,7 @@ TEST(TableauFeasibility, InfeasibleEqualSystemIsReportedInfeasible) {
   for (int v = 0; v < 2; ++v) p.addVar();
   p.addConstraint(expr({{0, 1}, {1, 1}}), Relation::Equal, 1);
   p.addConstraint(expr({{0, 1}, {1, 1}}), Relation::Equal, 2);
-  Tableau t(p, SimplexOptions{});
+  Tableau t(p, PivotRule::Devex);
   EXPECT_EQ(t.feasibility(), SolveStatus::Infeasible);
   SimplexOptions options;
   options.presolve = false;
@@ -642,7 +642,7 @@ TEST(TableauFeasibility, InfeasibleEqualSystemIsReportedInfeasible) {
 TEST(TableauFeasibility, ForcedStallReportsIterationLimit) {
   const Problem p =
       twoVarProblem(expr({{0, 1}, {1, 1}}), Relation::GreaterEq, 3);
-  Tableau t(p, SimplexOptions{});
+  Tableau t(p, PivotRule::Devex);
   TI::forceStall(t);
   EXPECT_EQ(t.feasibility(), SolveStatus::IterationLimit);
   EXPECT_EQ(t.totalPivots(), 0);
@@ -676,7 +676,7 @@ TEST(TableauIndex, CarrierListsMatchAFullRowScanAfterLongSolves) {
       p.addConstraint(std::move(e), Relation::LessEq, 20);
     }
     std::vector<double> objective(static_cast<std::size_t>(n), 1.0);
-    Tableau t(p, SimplexOptions{});
+    Tableau t(p, PivotRule::Devex);
     const Solution s = t.run(objective, 0.0);
     EXPECT_GT(s.pivots, 10) << "problem " << k;
     for (int col = 0; col < TI::numCols(t); ++col) {
@@ -697,7 +697,7 @@ TEST(TableauIndex, MatchesDenseEveryRowReferenceOn200Problems) {
          {PivotRule::Devex, PivotRule::Dantzig, PivotRule::Bland}) {
       SimplexOptions opt;
       opt.pivotRule = rule;
-      Tableau sparse(p, opt);
+      Tableau sparse(p, rule);
       const Solution got = sparse.run(objective, 0.0);
       DenseTableau dense(p, opt, Start::SlackBasis);
       const Solution want = dense.run(objective);
