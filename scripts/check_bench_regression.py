@@ -3,7 +3,6 @@
 
 Usage:
     check_bench_regression.py presolve   BENCH_presolve.json   <fresh-output>
-    check_bench_regression.py serve      BENCH_serve.json      <fresh-output>
     check_bench_regression.py parametric BENCH_parametric.json <fresh-output>
 
 <fresh-output> is the captured stdout of the corresponding bench binary
@@ -11,7 +10,7 @@ Usage:
 parses as a JSON object.
 
 Two kinds of gates:
-  - deterministic fields (bounds, pivot counts, piece counts, hit rates,
+  - deterministic fields (bounds, pivot counts, piece counts,
     bit-identity flags) must match the baseline exactly — any drift is a
     solver/engine change that needs a deliberate baseline update;
   - wall-clock fields only gate at a generous multiple (x25) of the
@@ -99,25 +98,6 @@ def check_presolve(baseline, fresh_objects):
              f"baseline — update BENCH_presolve.json deliberately")
 
 
-def check_serve(baseline, fresh_objects):
-    docs = [doc for doc in fresh_objects if doc.get("bench") == "serve"]
-    if len(docs) != 1:
-        fail(f"serve: expected exactly one serve JSON document in the "
-             f"fresh output, found {len(docs)}")
-        return
-    doc = docs[0]
-    for field in ("corpus", "passes", "hitRate"):
-        check_eq(f"serve.{field}", doc.get(field), baseline[field])
-    check_eq("serve.boundsIdentical", doc.get("boundsIdentical"), True)
-    for side in ("cold", "cached", "coldTelemetry", "cachedTelemetry"):
-        for field in ("requests", "cacheHits"):
-            check_eq(f"serve.{side}.{field}", doc[side].get(field),
-                     baseline[side][field])
-        check_wall(f"serve.{side}.wallMicros",
-                   doc[side].get("wallMicros", 0),
-                   baseline[side]["wallMicros"])
-
-
 def check_parametric(baseline, fresh_objects):
     docs = [doc for doc in fresh_objects if doc.get("bench") == "parametric"]
     if len(docs) != 1:
@@ -149,7 +129,6 @@ def check_parametric(baseline, fresh_objects):
 
 CHECKERS = {
     "presolve": check_presolve,
-    "serve": check_serve,
     "parametric": check_parametric,
 }
 

@@ -14,7 +14,9 @@
 #     memo-hit counter and the dump's cache hits that skipped the front
 #     end each reach the second pass's hit count;
 #   - each analyze request looked the memo up exactly once: the scrape's
-#     memo hits plus misses equal the requests the replay got answered.
+#     memo hits plus misses equal the requests the replay got answered;
+#   - every first-pass answer the cache admitted is hit in the second
+#     pass: second-pass hits equal first-pass hits plus cache insertions.
 # Finishes with the shutdown handshake and checks the daemon exits
 # cleanly.  Used locally and by the `serve-smoke` CI job so the
 # workload and gates live in exactly one place; telemetry outputs land
@@ -180,6 +182,9 @@ PY
 # records are counted, not all required to skip it.  A request looks
 # the memo up once, so hits plus misses equal the analyze requests: a
 # miss looked up again on its way to the solver would count twice.
+# Only a first-pass miss inserts (a second-pass miss was rejected by
+# admission before and is again), so the first pass's hits plus every
+# insertion are the answers the second pass must find cached.
 python3 - "$LATENCY" "$METRICS" "$FLIGHT" <<'PY'
 import json, re, sys
 latency_path, metrics_path, flight_path = sys.argv[1:4]
@@ -195,6 +200,11 @@ def counter(name):
     return int(m.group(1))
 memo_hits = counter("cinderella_cache_request_hits_total")
 memo_misses = counter("cinderella_cache_request_misses_total")
+admitted = (summary["passes"][0]["cacheHits"] +
+            counter("cinderella_cache_insertions_total"))
+if second != admitted:
+    sys.exit(f"serve_smoke: {second} second-pass hits != {admitted} "
+             f"admitted first-pass answers (first-pass hits + insertions)")
 if memo_hits + memo_misses != summary["requests"]:
     sys.exit(f"serve_smoke: {memo_hits} memo hits + {memo_misses} memo misses "
              f"!= {summary['requests']} analyze requests answered")
@@ -209,7 +219,7 @@ if skipped < second:
              f"< {second} second-pass hits")
 print(f"serve_smoke: request memo ok ({memo_hits} memo hits + {memo_misses} "
       f"misses = {summary['requests']} requests, {skipped} front-end-free "
-      f"hit records, {second} second-pass hits)")
+      f"hit records, {second} second-pass hits = {admitted} admitted)")
 PY
 
 # --- Drain flow ------------------------------------------------------
